@@ -12,7 +12,6 @@ Usage:
 """
 
 import argparse
-import itertools
 import time
 
 from eaqec import analysis, codes, structure
@@ -32,14 +31,13 @@ def survey(name: str, max_size: int) -> None:
                    analysis.DEGENERATE: 0}
         total = 0
         best = None
-        for subset in itertools.combinations(range(1, code.n + 1), size):
-            report = analysis.analyze_subset(code, subset)
+        for report in analysis.scan_subsets(code, size):
             total += 1
             if not report.correctable:
                 continue
             tallies[report.trichotomy] += 1
             if best is None or report.marginal_rank > best[1].marginal_rank:
-                best = (subset, report)
+                best = (report.split.erased, report)
         correctable = sum(tallies.values())
         parts = ", ".join(f"{cls}: {cnt}" for cls, cnt in tallies.items() if cnt)
         print(f"  size {size}: {correctable}/{total} correctable"

@@ -16,7 +16,6 @@ from .analysis import (DEGENERATE, IMPURE_NONDEGENERATE, PURE, KLReport,
 from .codes import (CodeParameters, EAParameters, PauliOperator, QuantumCode,
                     code_from_json, code_to_json, dicke, fixture,
                     FIXTURE_NAMES, min_distance, projector)
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ConsistencyError, ContractError, EaqecError,
                      InvalidStabilizerError, ModelMismatchError,
                      NotCorrectableError, SizeError, StructureViolationError)
@@ -41,7 +40,6 @@ __all__ = [
     "CodeParameters", "EAParameters", "PauliOperator", "QuantumCode",
     "code_from_json", "code_to_json", "dicke", "fixture", "FIXTURE_NAMES",
     "min_distance", "projector",
-    "DEFAULT_TOLERANCES", "Tolerances",
     "ConsistencyError", "ContractError", "EaqecError",
     "InvalidStabilizerError", "ModelMismatchError", "NotCorrectableError",
     "SizeError", "StructureViolationError",

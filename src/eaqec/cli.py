@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, codes, qla, simulate, stab, structure
-from .config import MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
+from . import analysis, codes, simulate, stab, structure
+from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, EaqecError,
-                     ModelMismatchError, NotCorrectableError, SizeError,
+                     ModelMismatchError, NotCorrectableError,
                      StructureViolationError)
 
 ENV_TOL_RANK = "EAQEC_TOL_RANK"
@@ -126,78 +126,23 @@ def _report_json(report: analysis.KLReport, full: bool) -> dict:
         "C": report.marginal_rank,
         "marginal_spectrum": [float(x) for x in report.marginal_spectrum],
         "kept_marginal_ranks": list(report.kept_marginal_ranks),
-        "matrix_rank": report.matrix_rank,
-        "matrix_dim": report.matrix.shape[0],
-        "residual_max": report.residual_max,
     }
+    if report.matrix is None:
+        data["method"] = "structural"
+        return data
+    data["matrix_rank"] = report.matrix_rank
+    data["matrix_dim"] = report.matrix.shape[0]
+    data["residual_max"] = report.residual_max
     if full:
         data["matrix"] = [[_c2(z) for z in row] for row in report.matrix]
         data["kernel"] = [[_c2(z) for z in row] for row in report.kernel]
     return data
 
 
-def _wide_analyze(args, code, subset, rank_tol, residual_tol) -> int:
-    """Subsets too wide for the full error enumeration: certify structurally.
-
-    Correctability is decided by attempting the certified factorization;
-    marginal data comes straight from the codeword matrices.  No error
-    coefficient matrix is reported.
-    """
-    split = qla.SubsystemSplit(n=code.n, erased=subset)
-    mats = [qla.bipartite_matrix(v, split) for v in code.basis]
-    rho = sum(m.T @ m.conj() for m in mats) / code.k_dim
-    spectrum, _ = qla.eig_hermitian(rho)
-    spectrum = np.maximum(spectrum, 0.0)
-    c = qla.numerical_rank(spectrum, rank_tol)
-    kept_ranks = [qla.numerical_rank(np.linalg.svd(m, compute_uv=False), rank_tol)
-                  for m in mats]
-    try:
-        structure.decompose(code, subset, rank_tol=rank_tol,
-                            certify_tol=residual_tol)
-        correctable = True
-    except StructureViolationError:
-        correctable = False
-    trichotomy = None
-    if correctable:
-        if c < split.dim_erased:
-            trichotomy = analysis.DEGENERATE
-        elif float(np.max(np.abs(spectrum - 1.0 / split.dim_erased))) <= 1e-10:
-            trichotomy = analysis.PURE
-        else:
-            trichotomy = analysis.IMPURE_NONDEGENERATE
-    lines = [
-        f"subset: {_subset_str(subset)}",
-        f"correctable: {'yes' if correctable else 'no'}",
-    ]
-    if trichotomy is not None:
-        lines.append(f"class: {trichotomy}")
-    lines += [
-        f"C: {c}",
-        f"marginal spectrum: {_fmt_floats(spectrum)}",
-        "method: structural certificate (subset too wide for the error basis)",
-    ]
-    payload = {
-        "n": code.n,
-        "subset": list(subset),
-        "verdict": "correctable" if correctable else "not_correctable",
-        "correctable": correctable,
-        "trichotomy": trichotomy,
-        "C": c,
-        "marginal_spectrum": [float(x) for x in spectrum],
-        "kept_marginal_ranks": kept_ranks,
-        "method": "structural",
-    }
-    _emit(args, "\n".join(lines), payload)
-    return 0 if correctable else 2
-
-
 def cmd_analyze(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     code = _load_code(args)
     subset = _parse_subset(args.subset, code.n)
-    b = len(subset)
-    if b > MAX_SUBSET:
-        return _wide_analyze(args, code, subset, rank_tol, residual_tol)
     report = analysis.analyze_subset(code, subset, residual_tol=residual_tol,
                                      rank_tol=rank_tol)
     lines = [
@@ -209,9 +154,14 @@ def cmd_analyze(args) -> int:
     lines += [
         f"C: {report.marginal_rank}",
         f"marginal spectrum: {_fmt_floats(report.marginal_spectrum)}",
-        f"coefficient matrix rank: {report.matrix_rank} of {4 ** b}",
-        f"max residual: {report.residual_max:.3e}",
     ]
+    if report.matrix is None:
+        lines.append("method: structural certificate (subset too wide for the error basis)")
+    else:
+        lines += [
+            f"coefficient matrix rank: {report.matrix_rank} of {report.matrix.shape[0]}",
+            f"max residual: {report.residual_max:.3e}",
+        ]
     _emit(args, "\n".join(lines), _report_json(report, args.full))
     return 0 if report.correctable else 2
 
@@ -226,18 +176,6 @@ def _distance_for(code, args, residual_tol) -> int:
     if d is None:
         raise ContractError("could not determine the distance; pass --distance")
     return d
-
-
-def _check_correctable(code, subset, rank_tol, residual_tol) -> None:
-    """Cheap KL gate so non-correctable subsets exit 2, not 3."""
-    if len(subset) > MAX_SUBSET:
-        return  # too wide for the dense check; decompose will still certify
-    report = analysis.kl_matrix(code, subset, residual_tol=residual_tol,
-                                rank_tol=rank_tol)
-    if not report.correctable:
-        raise NotCorrectableError(
-            f"subset {_subset_str(subset)} fails the correctability condition "
-            f"(residual {report.residual_max:.3e})")
 
 
 def _ea_line(label: str, ea: structure.EACode) -> str:
@@ -255,7 +193,7 @@ def cmd_decompose(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     code = _load_code(args)
     subset = _parse_subset(args.subset, code.n)
-    _check_correctable(code, subset, rank_tol, residual_tol)
+    analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
     d = _distance_for(code, args, residual_tol)
@@ -292,7 +230,7 @@ def cmd_verify(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     code = _load_code(args)
     subset = _parse_subset(args.subset, code.n)
-    _check_correctable(code, subset, rank_tol, residual_tol)
+    analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
     d = _distance_for(code, args, residual_tol)
@@ -343,9 +281,9 @@ def cmd_distance(args) -> int:
     d = codes.min_distance(code, max_weight=args.max_weight,
                            residual_tol=residual_tol)
     if d is None:
-        text = f">= {args.max_weight + 1}"
-        payload = {"distance": None, "lower_bound": args.max_weight + 1,
-                   "exact": False}
+        bound = (code.n if args.max_weight is None else args.max_weight) + 1
+        text = f">= {bound}"
+        payload = {"distance": None, "lower_bound": bound, "exact": False}
     else:
         text = str(d)
         payload = {"distance": d, "exact": True}
@@ -354,25 +292,15 @@ def cmd_distance(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from itertools import combinations
-
     rank_tol, residual_tol = _tolerances(args)
     code = _load_code(args)
     size = args.size
     if not 1 <= size <= code.n:
         raise ContractError(f"scan size must be within 1..{code.n}")
-    if size > MAX_SUBSET:
-        raise SizeError(f"scan size {size} exceeds cap {MAX_SUBSET}")
-    rows = []
-    correctable_count = 0
-    for subset in combinations(range(1, code.n + 1), size):
-        report = analysis.analyze_subset(code, subset, residual_tol=residual_tol,
-                                         rank_tol=rank_tol)
-        if report.correctable:
-            correctable_count += 1
-            rows.append((subset, True, report.trichotomy, report.marginal_rank))
-        else:
-            rows.append((subset, False, None, report.marginal_rank))
+    rows = [(r.split.erased, r.correctable, r.trichotomy, r.marginal_rank)
+            for r in analysis.scan_subsets(code, size, residual_tol=residual_tol,
+                                           rank_tol=rank_tol)]
+    correctable_count = sum(ok for _, ok, _, _ in rows)
     lines = []
     for subset, ok, cls, c in rows:
         if ok:

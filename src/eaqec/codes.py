@@ -124,11 +124,6 @@ class PauliOperator:
         return self.apply(np.eye(1 << self.n, dtype=complex))
 
 
-def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
-    """Dense matrix of a Pauli operator, phase included."""
-    return p.matrix()
-
-
 @dataclass(frozen=True)
 class QuantumCode:
     """A K-dimensional subspace of n qubits given by an explicit basis.
@@ -234,15 +229,38 @@ def dicke(n: int, excitations: int) -> np.ndarray:
     return v / math.sqrt(math.comb(n, excitations))
 
 
-def _letter_choices(support, n):
-    per_qubit = [((1, 0), (0, 1), (1, 1))] * len(support)
-    for combo in itertools.product(*per_qubit):
-        x = z = 0
-        for q, (lx, lz) in zip(support, combo):
-            bit = 1 << (n - q)
-            x |= bit * lx
-            z |= bit * lz
-        yield x, z
+_NONTRIVIAL_LETTERS = ((1, 0), (0, 1), (1, 1))  # (x, z) of X, Z and XZ
+
+
+def paulis_of_weight(n: int, qubits, weight: int):
+    """Phase-free Paulis X^x Z^z of exactly the given weight, support in qubits.
+
+    Supports run in lexicographic order and, on each support, the letters
+    X, Z, XZ per qubit with the last qubit cycling fastest.  Recovery sets
+    in simulate index their errors in this order.
+    """
+    for support in itertools.combinations(sorted(qubits), weight):
+        for letters in itertools.product(_NONTRIVIAL_LETTERS, repeat=weight):
+            x = z = 0
+            for q, (lx, lz) in zip(support, letters):
+                bit = 1 << (n - q)
+                x |= bit * lx
+                z |= bit * lz
+            yield PauliOperator(n, x, z)
+
+
+def detection_residual(v: np.ndarray, e: PauliOperator, c=None) -> float:
+    """||V^dag E V - c I||_F for codewords V as columns, shape (2^n, K).
+
+    This equals ||P E P - c P||_F for the codespace projector P = V V^dag.
+    c defaults to tr(V^dag E V) / K, the closest multiple of the identity;
+    E is detected when the residual is within the residual tolerance.
+    """
+    m = v.conj().T @ e.apply(v)
+    k = m.shape[0]
+    if c is None:
+        c = np.trace(m) / k
+    return float(np.linalg.norm(m - c * np.eye(k)))
 
 
 def min_distance(code: QuantumCode, max_weight: int | None = None,
@@ -250,24 +268,18 @@ def min_distance(code: QuantumCode, max_weight: int | None = None,
     """Smallest weight of a Pauli the code fails to detect.
 
     A weight-w operator E is detected when P E P is proportional to the
-    codespace projector P; the deviation is measured in the code basis, where
-    ||P E P - (tr/K) P||_F equals the same norm on the K x K reduced matrix.
-    Scans weights 1..max_weight (default n) exhaustively and returns the
-    first weight with a deviation above residual_tol, or None if every
-    scanned weight is detected (distance is then at least max_weight + 1).
+    codespace projector P (see detection_residual).  Scans weights
+    1..max_weight (default n) exhaustively and returns the first weight
+    with a residual above residual_tol, or None if every scanned weight is
+    detected (distance is then at least max_weight + 1).
     """
-    n, k = code.n, code.k_dim
+    n = code.n
     v = code.basis_matrix
-    eye = np.eye(k)
     limit = n if max_weight is None else max_weight
     for w in range(1, limit + 1):
-        for support in itertools.combinations(range(1, n + 1), w):
-            for x, z in _letter_choices(support, n):
-                e = PauliOperator(n, x, z)
-                m = v.conj().T @ e.apply(v)
-                dev = np.linalg.norm(m - (np.trace(m) / k) * eye)
-                if dev > residual_tol:
-                    return w
+        for e in paulis_of_weight(n, range(1, n + 1), w):
+            if detection_residual(v, e) > residual_tol:
+                return w
     return None
 
 
@@ -292,13 +304,19 @@ def code_from_json(data: dict) -> QuantumCode:
         raise ContractError(f"malformed code JSON: {exc}") from exc
     if len(rows) != k_dim:
         raise ContractError(f"k_dim={k_dim} but basis has {len(rows)} rows")
+    qla.check_dim(1 << n)
     basis = np.zeros((k_dim, 1 << n), dtype=complex)
     for i, entries in enumerate(rows):
         for entry in entries:
-            bits = entry["bits"]
-            if len(bits) != n or set(bits) - {"0", "1"}:
+            try:
+                bits, re, im = entry["bits"], entry["re"], entry["im"]
+            except (KeyError, TypeError) as exc:
+                raise ContractError(
+                    f"malformed basis entry {entry!r} in row {i}: needs bits, re, im"
+                ) from exc
+            if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise ContractError(f"bad bitstring {bits!r} for n={n}")
-            basis[i, int(bits, 2)] = float(entry["re"]) + 1j * float(entry["im"])
+            basis[i, int(bits, 2)] = float(re) + 1j * float(im)
     return QuantumCode(n=n, basis=basis, label=str(data.get("label", "")))
 
 

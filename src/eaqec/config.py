@@ -1,13 +1,10 @@
 """Numerical tolerances and size caps, overridable per call and from the CLI."""
 
-from dataclasses import dataclass
-
 # relative thresholds unless noted
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 RANK_TOL = 1e-9          # numerical-rank cutoff, relative to largest singular value
 RESIDUAL_TOL = 1e-8      # Frobenius, for correctability residuals and certification
-STRUCTURE_TARGET = 1e-9  # what fixtures are expected to achieve
 FIDELITY_SLACK = 1e-9    # recovery passes when fidelity >= 1 - FIDELITY_SLACK
 COMPLETION_TOL = 1e-12   # add a completion Kraus operator above this deficiency norm
 
@@ -15,16 +12,3 @@ MAX_DIM = 2 ** 20        # dense vectors/operators beyond this dimension are ref
 MAX_SUBSET = 5           # largest erased-set size for full Pauli-basis analysis
 MAX_SCAN_QUBITS = 12     # subset scans and logical enumeration cap
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Bundle of overrides threaded through the CLI.
-
-    Precedence there is flag > environment variable > these defaults.
-    """
-
-    rank: float = RANK_TOL
-    residual: float = RESIDUAL_TOL
-
-
-DEFAULT_TOLERANCES = Tolerances()

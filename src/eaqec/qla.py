@@ -26,19 +26,6 @@ def check_dim(dim: int) -> None:
         raise SizeError(f"dense dimension {dim} exceeds cap {MAX_DIM}")
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor most significant."""
-    check_dim(a.shape[0] * b.shape[0])
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def basis_vector(dim: int, index: int) -> CVector:
-    check_dim(dim)
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class SubsystemSplit:
     """A bipartition of n qubits into an erased set and its kept complement.
@@ -99,11 +86,6 @@ def permutation_indices(n: int, order: tuple[int, ...]) -> np.ndarray:
 
 def permute_state(state: CVector, n: int, order: tuple[int, ...]) -> CVector:
     return np.asarray(state)[permutation_indices(n, order)]
-
-
-def permute_operator(op: CMatrix, n: int, order: tuple[int, ...]) -> CMatrix:
-    p = permutation_indices(n, order)
-    return np.asarray(op)[np.ix_(p, p)]
 
 
 def bipartite_matrix(state: CVector, split: SubsystemSplit) -> CMatrix:
@@ -226,16 +208,6 @@ def numerical_rank(singular_values: np.ndarray, tol: float = RANK_TOL) -> int:
     if s.size == 0 or s[0] <= 0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-def pinv(m: CMatrix, rank_tol: float = RANK_TOL) -> CMatrix:
-    """Moore-Penrose pseudoinverse with the package's relative rank cutoff."""
-    m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = numerical_rank(s, rank_tol)
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
-    return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
 def is_isometry(m: CMatrix, tol: float = UNITARITY_TOL) -> bool:

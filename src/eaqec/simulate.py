@@ -10,12 +10,12 @@ states through error + recovery and demands unit fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from . import analysis, qla, structure
-from .codes import PauliOperator, QuantumCode, projector
+from .codes import PauliOperator, QuantumCode, paulis_of_weight, projector
 from .config import (COMPLETION_TOL, FIDELITY_SLACK, MAX_SUBSET, RANK_TOL,
                      RESIDUAL_TOL)
 from .errors import (ContractError, ModelMismatchError, NotCorrectableError,
@@ -143,18 +143,9 @@ class VerificationReport:
 
 
 def _paulis_up_to_weight(n: int, qubits, weight: int):
-    """Phase-free Paulis with support in qubits and weight at most the bound."""
-    ops = [PauliOperator(n, 0, 0)]
-    for w in range(1, weight + 1):
-        for support in combinations(sorted(qubits), w):
-            for letters in product(((1, 0), (0, 1), (1, 1)), repeat=w):
-                x = z = 0
-                for q, (lx, lz) in zip(support, letters):
-                    bit = 1 << (n - q)
-                    x |= bit * lx
-                    z |= bit * lz
-                ops.append(PauliOperator(n, x, z))
-    return ops
+    """Identity first, then the phase-free Paulis of weight 1..weight in qubits."""
+    return [PauliOperator(n, 0, 0)] + [p for w in range(1, weight + 1)
+                                       for p in paulis_of_weight(n, qubits, w)]
 
 
 def _test_states(code: QuantumCode):

@@ -10,7 +10,6 @@ ea_extend turns the pairs into plain stabilizers on appended qubits.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ from . import qla
 from .codes import CodeParameters, EAParameters, PauliOperator, QuantumCode, min_distance
 from .errors import (ConsistencyError, ContractError, InvalidStabilizerError,
                      NotCorrectableError)
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- GF(2) kit
@@ -405,32 +402,6 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     return n_dim == s_dim
 
 
-def _sender_logical_weight(group: StabilizerGroup, subset) -> int | None:
-    """Minimum weight of a nontrivial logical supported on the kept qubits."""
-    n = group.n
-    kept = tuple(q for q in range(1, n + 1) if q not in set(subset))
-    nbasis = _normalizer_basis(group)
-    cols = _outside_columns(n, kept)  # vanish on the erased qubits
-    if cols and nbasis.shape[0]:
-        coeffs = gf2_nullspace(nbasis[:, cols].T)
-        vectors = (coeffs @ nbasis) % 2 if coeffs.shape[0] else np.zeros((0, 2 * n), np.uint8)
-    else:
-        vectors = nbasis
-    t = vectors.shape[0]
-    if t == 0 or (1 << t) > 4096:
-        return None
-    stab_rows = group.gf2_matrix()
-    best = None
-    for mask in range(1, 1 << t):
-        v = np.bitwise_xor.reduce(
-            [vectors[i] for i in range(t) if mask & (1 << i)])
-        if gf2_in_rowspace(stab_rows, v):
-            continue
-        w = int(np.count_nonzero(v[:n] | v[n:]))
-        best = w if best is None else min(best, w)
-    return best
-
-
 def ea_params_stab(group: StabilizerGroup, subset) -> CodeParameters:
     """EA parameters from handing the receiver the qubits in `subset`.
 
@@ -449,10 +420,6 @@ def ea_params_stab(group: StabilizerGroup, subset) -> CodeParameters:
     d = min_distance(code)
     if d is None:
         raise ContractError("distance search found no undetected Pauli; cannot report parameters")
-    if group.n <= 10:
-        w = _sender_logical_weight(group, subset)
-        if w is not None:
-            log.info("smallest sender-supported logical weight for subset %s: %d", subset, w)
     return CodeParameters(
         n=group.n, k_dim=code.k_dim, distance=d,
         ea=EAParameters(n_sent=group.n - b, k_dim=code.k_dim, distance=d,

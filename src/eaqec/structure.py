@@ -21,8 +21,7 @@ import numpy as np
 from . import analysis, qla
 from .codes import CodeParameters, EAParameters, QuantumCode
 from .config import RANK_TOL, RESIDUAL_TOL, UNITARITY_TOL
-from .errors import (ConsistencyError, ContractError, NotCorrectableError,
-                     StructureViolationError)
+from .errors import ConsistencyError, ContractError, StructureViolationError
 
 PRESEND = "presend"
 STRUCTURE = "structure"
@@ -220,14 +219,12 @@ def ea_presend(code: QuantumCode, subset, distance: int,
                residual_tol: float = RESIDUAL_TOL) -> EACode:
     """EA description where the receiver's qubits are sent ahead noiselessly.
 
-    Checks correctability first (clean NotCorrectableError), then certifies
-    the factorization to size the entanglement cost.
+    Checks correctability first (analysis.require_correctable, a clean
+    NotCorrectableError), then certifies the factorization to size the
+    entanglement cost.
     """
     subset = tuple(subset)
-    report = analysis.kl_matrix(code, subset, residual_tol=residual_tol,
-                                rank_tol=rank_tol)
-    if not report.correctable:
-        raise NotCorrectableError(f"subset {subset} is not correctable")
+    analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = decompose(code, subset, rank_tol=rank_tol)
     return presend_from_decomposition(dec, code, distance)
 

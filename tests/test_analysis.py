@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from eaqec import analysis, codes, qla
-from eaqec.config import MAX_SCAN_QUBITS, MAX_SUBSET
+from eaqec.config import MAX_SCAN_QUBITS, MAX_SUBSET, RESIDUAL_TOL
 from eaqec.errors import NotCorrectableError, SizeError
 
 from conftest import cached_fixture
@@ -100,6 +100,24 @@ KNOWN_CASES = [
     ("steane", (5, 6, 7), analysis.PURE, 8, (0.125,) * 8),
     ("steane", (4, 5, 6, 7), analysis.DEGENERATE, 4, (0.25,) * 4),
 ]
+
+
+def oracle_pair_residual(code, subset, lam) -> float:
+    """max ||V^dag E_a^dag E_b V - lam_ab I||_F over all 16^b pairs of the basis.
+
+    The pairwise form of the correctability condition, kept as the reference
+    for the 4^b single-Pauli residual the library computes.
+    """
+    v = code.basis_matrix
+    applied = np.stack([e.apply(v) for e in analysis.pauli_basis_on(code.n, subset)])
+    eye = np.eye(code.k_dim)
+    worst = 0.0
+    for a in range(applied.shape[0]):
+        blocks = np.einsum("ik,bil->bkl", applied[a].conj(), applied)
+        dev = blocks - lam[a, :, None, None] * eye
+        worst = max(worst, float(np.linalg.norm(dev.reshape(dev.shape[0], -1),
+                                                axis=1).max()))
+    return worst
 
 
 def impure_example() -> codes.QuantumCode:
@@ -196,6 +214,34 @@ class TestCoefficientMatrix:
     def test_size_cap(self):
         with pytest.raises(SizeError):
             analysis.kl_matrix(cached_fixture("steane"), (1, 2, 3, 4, 5, 6))
+
+
+class TestResidual:
+    @pytest.mark.parametrize("name", [
+        "five_qubit", "steane", "pi_4_2_2", "pi_7_2_3", "xp_7_8_2"])
+    def test_matches_pair_oracle(self, name):
+        # every subset with b <= 3: same verdict and residual as the 16^b
+        # pair loop, with c_F from the matrix row and with c_F = tr/K
+        code = cached_fixture(name)
+        for b in range(1, 4):
+            for subset in itertools.combinations(range(1, code.n + 1), b):
+                report = analysis.kl_matrix(code, subset)
+                want = oracle_pair_residual(code, subset, report.matrix)
+                trace_coeff = analysis.erasure_residual(code, subset)
+                assert abs(report.residual_max - want) <= 1e-13
+                assert abs(trace_coeff - want) <= 1e-13
+                assert report.correctable == (want <= RESIDUAL_TOL)
+                try:
+                    analysis.require_correctable(code, subset)
+                    gate_passed = True
+                except NotCorrectableError:
+                    gate_passed = False
+                assert gate_passed == report.correctable
+
+    def test_gate_skips_wide_sets(self):
+        # above MAX_SUBSET the gate defers to the structure certificate
+        steane = cached_fixture("steane")
+        analysis.require_correctable(steane, (2, 3, 4, 5, 6, 7))
 
 
 class TestMarginal:
@@ -302,6 +348,17 @@ class TestFindCorrectableSets:
     def test_subset_size_cap(self):
         with pytest.raises(SizeError):
             analysis.find_correctable_sets(cached_fixture("steane"), MAX_SUBSET + 1)
+
+    def test_wide_sets_are_certified_structurally(self):
+        code = cached_fixture("steane")
+        subset = (1, 2, 3, 4, 5, 6)
+        report = analysis.analyze_subset(code, subset)
+        assert not report.correctable and report.trichotomy is None
+        assert report.matrix is None and report.matrix_rank is None
+        assert report.residual_max is None and report.kernel is None
+        oracle_spec = np.sort(np.linalg.eigvalsh(oracle_erased_marginal(code, subset)))[::-1]
+        np.testing.assert_allclose(report.marginal_spectrum, oracle_spec, atol=1e-10)
+        assert report.marginal_rank == np.count_nonzero(oracle_spec > 1e-9)
 
     def test_scan_qubit_cap(self):
         n = MAX_SCAN_QUBITS + 1

@@ -22,6 +22,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def write_code(tmp_path, n, amplitudes, name="code.json"):
+    """A K = 1 code JSON with the given {bitstring: real amplitude} entries."""
+    entries = [{"bits": bits, "re": amp, "im": 0.0} for bits, amp in amplitudes.items()]
+    path = tmp_path / name
+    path.write_text(json.dumps({"n": n, "k_dim": 1, "basis": [entries]}))
+    return path
+
+
 class TestAnalyze:
     def test_pure_pair(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--fixture", "five_qubit",
@@ -51,6 +59,22 @@ class TestAnalyze:
         assert rc == 2
         assert "correctable: no" in out
         assert "structural certificate" in out
+
+    def test_wide_correctable_is_structural(self, capsys, tmp_path):
+        # |0000000> and |1111111> weighted 0.6 / 0.8: erasing six qubits
+        # leaves a rank-2 marginal, certified without the error basis
+        path = write_code(tmp_path, 7, {"0" * 7: 0.6, "1" * 7: 0.8})
+        rc, out, _ = run(capsys, "analyze", "--code", str(path),
+                         "--subset", "1,2,3,4,5,6")
+        assert rc == 0
+        assert "class: degenerate" in out
+        assert "C: 2" in out
+        rc, out, _ = run(capsys, "analyze", "--code", str(path),
+                         "--subset", "1,2,3,4,5,6", "--format", "json")
+        data = json.loads(out)
+        assert rc == 0 and data["method"] == "structural"
+        assert data["trichotomy"] == "degenerate" and data["C"] == 2
+        assert "residual_max" not in data
 
     def test_json_payload(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--fixture", "five_qubit",
@@ -222,6 +246,17 @@ class TestDistance:
         assert data == {"distance": None, "lower_bound": 3, "exact": False}
 
 
+    def test_nothing_undetected_gives_bound(self, capsys, tmp_path):
+        # K = 1: every Pauli is detected, so only a lower bound exists
+        path = write_code(tmp_path, 2, {"00": 1.0})
+        rc, out, _ = run(capsys, "distance", "--code", str(path))
+        assert rc == 0 and out.strip() == ">= 3"
+        rc, out, _ = run(capsys, "distance", "--code", str(path),
+                         "--max-weight", "1", "--format", "json")
+        assert rc == 0
+        assert json.loads(out) == {"distance": None, "lower_bound": 2, "exact": False}
+
+
 class TestScan:
     def test_five_qubit_pairs(self, capsys):
         rc, out, _ = run(capsys, "scan", "--fixture", "five_qubit", "--size", "2")
@@ -248,6 +283,12 @@ class TestScan:
         assert rc == 1
         rc, _, err = run(capsys, "scan", "--fixture", "steane", "--size", "6")
         assert rc == 1
+
+    def test_qubit_cap(self, capsys, tmp_path):
+        path = write_code(tmp_path, 13, {"0" * 13: 1.0})
+        rc, _, err = run(capsys, "scan", "--code", str(path), "--size", "1")
+        assert rc == 1
+        assert "scan capped at 12 qubits" in err
 
 
 class TestFixtures:
@@ -328,6 +369,22 @@ class TestInputSources:
         path.write_text("{not json")
         rc, _, err = run(capsys, "analyze", "--code", str(path), "--subset", "1")
         assert rc == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"bits": "0000", "re": 1.0}, {"re": 1.0, "im": 0.0}, "0000",
+        {"bits": 0, "re": 1.0, "im": 0.0}])
+    def test_malformed_basis_entry(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 4, "k_dim": 1, "basis": [[entry]]}))
+        rc, _, err = run(capsys, "analyze", "--code", str(path), "--subset", "1")
+        assert rc == 1
+        assert err.startswith("error:")
+
+    def test_oversized_code_refused_before_allocating(self, capsys, tmp_path):
+        path = write_code(tmp_path, 40, {"0" * 40: 1.0})
+        rc, _, err = run(capsys, "analyze", "--code", str(path), "--subset", "1")
+        assert rc == 1
+        assert "exceeds cap" in err
 
     @pytest.mark.parametrize("subset", ["0", "6", "4,4", "a,b"])
     def test_bad_subsets(self, capsys, subset):

@@ -181,6 +181,14 @@ class TestDistance:
     def test_fixture_distances(self, name, want):
         assert codes.min_distance(cached_fixture(name)) == want
 
+    def test_weight_enumeration_order(self):
+        # supports lexicographic, then X, Z, XZ per qubit, last qubit fastest;
+        # simulate's recovery sets index their errors in this order
+        got = [(p.x_bits, p.z_bits) for p in codes.paulis_of_weight(3, (3, 1), 2)]
+        assert got == [(0b101, 0), (0b100, 0b001), (0b101, 0b001),
+                       (0b001, 0b100), (0, 0b101), (0b001, 0b101),
+                       (0b101, 0b100), (0b100, 0b101), (0b101, 0b101)]
+
     def test_bounded_search_returns_none(self):
         c = cached_fixture("five_qubit")
         assert codes.min_distance(c, max_weight=2) is None
