@@ -78,7 +78,7 @@ class KLReport:
     matrix_rank: int | None
     residual_max: float | None
     correctable: bool
-    marginal_spectrum: np.ndarray         # eigenvalues of varrho_B, descending
+    marginal_spectrum: np.ndarray         # eigenvalues of varrho_B, descending, >= 0
     marginal_rank: int
     kept_marginal_ranks: tuple[int, ...]  # per-codeword rank on the kept side
     kernel: np.ndarray | None             # coefficient rows spanning ker(matrix)
@@ -86,11 +86,12 @@ class KLReport:
 
 
 def _marginal(code: QuantumCode, split: qla.SubsystemSplit, rank_tol: float):
-    """B-marginal varrho_B, its spectrum and rank, and per-codeword kept ranks."""
+    """B-marginal varrho_B, its spectrum (clamped at zero) and rank, and
+    per-codeword kept ranks."""
     mats = [qla.bipartite_matrix(v, split) for v in code.basis]
     rho = sum(m.T @ m.conj() for m in mats) / code.k_dim
-    spectrum, _ = qla.eig_hermitian(rho)
-    marginal_rank = qla.numerical_rank(np.maximum(spectrum, 0.0), rank_tol)
+    spectrum = np.maximum(qla.eig_hermitian(rho)[0], 0.0)
+    marginal_rank = qla.numerical_rank(spectrum, rank_tol)
     kept_ranks = tuple(qla.numerical_rank(np.linalg.svd(m, compute_uv=False), rank_tol)
                        for m in mats)
     return rho, spectrum, marginal_rank, kept_ranks
@@ -163,10 +164,7 @@ def kl_matrix(code: QuantumCode, subset,
 
 def _structural_report(code: QuantumCode, subset,
                        residual_tol: float, rank_tol: float) -> KLReport:
-    """Verdict from the structure certificate, for sets too wide for kl_matrix.
-
-    The marginal spectrum is reported clamped at zero.
-    """
+    """Verdict from the structure certificate, for sets too wide for kl_matrix."""
     from . import structure  # structure imports this module
 
     split = qla.SubsystemSplit(n=code.n, erased=subset)
@@ -179,7 +177,7 @@ def _structural_report(code: QuantumCode, subset,
         correctable = False
     return KLReport(
         split=split, matrix=None, matrix_rank=None, residual_max=None,
-        correctable=correctable, marginal_spectrum=np.maximum(spectrum, 0.0),
+        correctable=correctable, marginal_spectrum=spectrum,
         marginal_rank=marginal_rank, kept_marginal_ranks=kept_ranks, kernel=None)
 
 

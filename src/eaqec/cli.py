@@ -21,9 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, codes, simulate, stab, structure
+from . import analysis, codes, qla, simulate, stab, structure
 from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, EaqecError,
                      ModelMismatchError, NotCorrectableError,
@@ -112,10 +110,6 @@ def _subset_str(subset) -> str:
     return "{" + ",".join(str(q) for q in subset) + "}"
 
 
-def _c2(z) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _report_json(report: analysis.KLReport, full: bool) -> dict:
     data = {
         "n": report.split.n,
@@ -134,8 +128,8 @@ def _report_json(report: analysis.KLReport, full: bool) -> dict:
     data["matrix_dim"] = report.matrix.shape[0]
     data["residual_max"] = report.residual_max
     if full:
-        data["matrix"] = [[_c2(z) for z in row] for row in report.matrix]
-        data["kernel"] = [[_c2(z) for z in row] for row in report.kernel]
+        data["matrix"] = qla.to_re_im(report.matrix)
+        data["kernel"] = qla.to_re_im(report.kernel)
     return data
 
 

@@ -128,8 +128,8 @@ class PauliOperator:
 class QuantumCode:
     """A K-dimensional subspace of n qubits given by an explicit basis.
 
-    basis has shape (K, 2^n), one codeword per row.  Rows are expected to be
-    orthonormal; this is enforced where it matters (projector).
+    basis has shape (K, 2^n), one codeword per row; the rows must be
+    orthonormal within HERMITICITY_TOL.
     """
 
     n: int
@@ -144,6 +144,9 @@ class QuantumCode:
             raise ContractError("need at least one codeword")
         if not np.all(np.isfinite(b)):
             raise ContractError("basis contains non-finite entries")
+        gram = b.conj() @ b.T
+        if np.linalg.norm(gram - np.eye(b.shape[0])) > HERMITICITY_TOL * max(1.0, b.shape[0]):
+            raise ContractError("code basis is not orthonormal within tolerance")
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
@@ -161,12 +164,9 @@ class QuantumCode:
         return self.basis.T
 
 
-def projector(code: QuantumCode, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Codespace projector V V^dag; fails if the basis is not orthonormal."""
+def projector(code: QuantumCode) -> np.ndarray:
+    """Codespace projector V V^dag."""
     v = code.basis_matrix
-    gram = code.basis.conj() @ code.basis.T
-    if np.linalg.norm(gram - np.eye(code.k_dim)) > tol * max(1.0, code.k_dim):
-        raise ContractError("code basis is not orthonormal within tolerance")
     return v @ v.conj().T
 
 

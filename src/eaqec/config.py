@@ -6,7 +6,6 @@ UNITARITY_TOL = 1e-10
 RANK_TOL = 1e-9          # numerical-rank cutoff, relative to largest singular value
 RESIDUAL_TOL = 1e-8      # Frobenius, for correctability residuals and certification
 FIDELITY_SLACK = 1e-9    # recovery passes when fidelity >= 1 - FIDELITY_SLACK
-COMPLETION_TOL = 1e-12   # add a completion Kraus operator above this deficiency norm
 
 MAX_DIM = 2 ** 20        # dense vectors/operators beyond this dimension are refused
 MAX_SUBSET = 5           # largest erased-set size for full Pauli-basis analysis

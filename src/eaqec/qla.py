@@ -216,6 +216,12 @@ def is_isometry(m: CMatrix, tol: float = UNITARITY_TOL) -> bool:
     return bool(np.linalg.norm(gram - np.eye(m.shape[1])) <= tol * max(1.0, m.shape[1] ** 0.5))
 
 
+def to_re_im(a) -> list:
+    """A complex array as nested [re, im] pairs of Python floats, for JSON."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def sqrtm_psd(m: CMatrix, tol: float = HERMITICITY_TOL) -> CMatrix:
     """Principal square root of a positive semidefinite matrix; clamps tiny
     negative eigenvalues to zero."""

@@ -2,24 +2,24 @@
 
 Recovery follows the standard construction from the error correlation
 matrix: diagonalize it, rotate the error set into orthogonal channels F_k,
-and take Kraus operators P F_k^dag / sqrt(d_k), completed to a
-trace-preserving map on the full space.  Verification then drives encoded
-states through error + recovery and demands unit fidelity.
+and take Kraus operators P F_k^dag / sqrt(d_k).  Verification only asks how
+much of each recovered state lands on a code state, so the recovery is kept
+in the code basis as the K x 2^n decoders V^dag F_k^dag / sqrt(d_k), built
+from the images E_a V; no 2^n x 2^n operator is formed.  Verification then
+drives encoded states through error + recovery and demands unit fidelity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from . import analysis, qla, structure
-from .codes import PauliOperator, QuantumCode, paulis_of_weight, projector
-from .config import (COMPLETION_TOL, FIDELITY_SLACK, MAX_SUBSET, RANK_TOL,
-                     RESIDUAL_TOL)
-from .errors import (ContractError, ModelMismatchError, NotCorrectableError,
-                     SizeError)
+from .codes import PauliOperator, QuantumCode, paulis_of_weight
+from .config import FIDELITY_SLACK, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
+from .errors import (ConsistencyError, ContractError, ModelMismatchError,
+                     NotCorrectableError, SizeError)
 
 NOISELESS = "noiseless"
 NOISY = "noisy"
@@ -71,60 +71,50 @@ def replacer_channel(n: int, subset) -> KrausChannel:
     if len(subset) > MAX_SUBSET:
         raise SizeError(f"replacer channel on {len(subset)} qubits exceeds cap {MAX_SUBSET}")
     qla.check_dim(1 << n)
-    scale = 1.0 / (1 << len(subset))
-    ops = tuple(p.matrix() * scale for p in analysis.pauli_basis_on(n, subset))
+    scaled_eye = np.eye(1 << n, dtype=complex) / (1 << len(subset))
+    ops = tuple(p.apply(scaled_eye) for p in analysis.pauli_basis_on(n, subset))
     return KrausChannel(operators=ops, dim=1 << n)
 
 
 def kl_recovery(code: QuantumCode, errors,
                 residual_tol: float = RESIDUAL_TOL,
-                rank_tol: float = RANK_TOL) -> KrausChannel:
-    """Canonical recovery channel for a correctable discrete error set.
+                rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Canonical recovery for a correctable error set, read out in the code basis.
 
-    errors: dense matrices or PauliOperators.  Raises NotCorrectableError
-    when the correlation-matrix residual shows the set is not correctable.
+    errors: PauliOperators or dense matrices; the set should contain the
+    identity.  Returns D of shape (r, K, 2^n) with D_k = V^dag F_k^dag /
+    sqrt(d_k): Kraus operator k of the recovery followed by readout in the
+    codeword basis V, so a state |s> is recovered into the code state V w
+    with fidelity sum_k |w^dag D_k |s>|^2.  The trace-preserving completion
+    is left out: its range is orthogonal to span{F_k V}, which contains the
+    code space when the identity is an error, so it adds nothing to such a
+    fidelity.  Raises NotCorrectableError when the correlation-matrix
+    residual shows the set is not correctable, and ConsistencyError when
+    the r*K rows of D are not orthonormal.
     """
-    mats = [e.matrix() if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex)
-            for e in errors]
-    if not mats:
+    v = code.basis_matrix                          # 2^n x K
+    images = [e.apply(v) if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex) @ v
+              for e in errors]
+    if not images:
         raise ContractError("empty error set")
-    dim = 1 << code.n
-    k = code.k_dim
-    basis = code.basis_matrix                      # dim x K
-    images = [m @ basis for m in mats]             # each dim x K
-
-    lam = np.zeros((len(mats), len(mats)), dtype=complex)
-    worst = 0.0
-    eye_k = np.eye(k)
-    for a, b in product(range(len(mats)), repeat=2):
-        if b < a:
-            continue
-        block = images[a].conj().T @ images[b]     # K x K
-        lam[a, b] = np.trace(block) / k
-        lam[b, a] = np.conj(lam[a, b])
-        worst = max(worst, float(np.linalg.norm(block - lam[a, b] * eye_k)))
+    m, k = len(images), code.k_dim
+    flat = np.stack(images, axis=1).reshape(v.shape[0], m * k)   # column a*K + i: E_a V e_i
+    gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
+    lam = np.einsum("aibi->ab", gram) / k
+    defect = gram - lam[:, None, :, None] * np.eye(k)[None, :, None, :]
+    worst = float(np.max(np.linalg.norm(defect, axis=(1, 3))))
     if worst > residual_tol:
         raise NotCorrectableError(
             f"error set violates the correctability condition (residual {worst:.2e})")
 
     vals, vecs = qla.eig_hermitian(lam)
-    vals = np.maximum(vals, 0.0)
-    cutoff = rank_tol * vals[0] if vals.size and vals[0] > 0 else 0.0
-    proj = projector(code)
-    kraus = []
-    for idx in range(vals.size):
-        if vals[idx] <= cutoff:
-            break
-        f_op = sum(vecs[j, idx] * mats[j] for j in range(len(mats)))
-        kraus.append(proj @ f_op.conj().T / np.sqrt(vals[idx]))
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for op in kraus:
-        total += op.conj().T @ op
-    gap = np.eye(dim) - total
-    if float(np.linalg.norm(gap)) > COMPLETION_TOL * dim:
-        kraus.append(qla.sqrtm_psd(gap))
-    return KrausChannel(operators=tuple(kraus), dim=dim)
+    cutoff = rank_tol * vals[0] if vals[0] > 0 else 0.0
+    keep = vals > cutoff
+    # column k*K + i of the product is F_k V e_i / sqrt(d_k)
+    rows = (flat @ np.kron(vecs[:, keep] / np.sqrt(vals[keep]), np.eye(k))).conj().T
+    if not qla.is_isometry(rows.T):
+        raise ConsistencyError("recovery decoders are not orthonormal")
+    return rows.reshape(-1, k, v.shape[0])
 
 
 @dataclass(frozen=True)
@@ -148,11 +138,12 @@ def _paulis_up_to_weight(n: int, qubits, weight: int):
                                        for p in paulis_of_weight(n, qubits, w)]
 
 
-def _test_states(code: QuantumCode):
-    states = [(f"basis_{i}", code.basis[i]) for i in range(code.k_dim)]
-    if code.k_dim > 1:
-        sup = code.basis.sum(axis=0) / np.sqrt(code.k_dim)
-        states.append(("superposition", sup))
+def _test_states(k: int) -> list[np.ndarray]:
+    """Coefficient vectors w of the test states w @ code.basis: each
+    codeword, then their equal superposition."""
+    states = list(np.eye(k))
+    if k > 1:
+        states.append(np.full(k, 1.0 / np.sqrt(k)))
     return states
 
 
@@ -183,18 +174,14 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
 
     split = dec.split
     allowed = split.kept if model == NOISELESS else tuple(range(1, split.n + 1))
-    recovery_set = _paulis_up_to_weight(split.n, allowed, weight)
-    recovery = kl_recovery(code, recovery_set,
+    decoders = kl_recovery(code, _paulis_up_to_weight(split.n, allowed, weight),
                            residual_tol=residual_tol, rank_tol=rank_tol)
-    apply_errors = [p for p in recovery_set if p.weight == weight]
-    if not apply_errors:
-        apply_errors = [PauliOperator(split.n, 0, 0)]
 
-    states = _test_states(code)
+    states = _test_states(code.k_dim)
     if compressed:
-        prepared = _compressed_states(ea, dec, code, states)
+        prepared = [_compressed_state(ea, dec, w) for w in states]
     else:
-        prepared = [(label, s.copy()) for label, s in states]
+        prepared = [w @ code.basis for w in states]
 
     perm = qla.permutation_indices(split.n, split.order)
     inv = np.empty_like(perm)
@@ -203,11 +190,11 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     share_noise = compressed and model == NOISY
     n_kept = len(split.kept)
     if share_noise:
-        n_virtual = n_kept + ea.ebit_cost
-        virt = _paulis_up_to_weight(n_virtual, range(1, n_virtual + 1), weight)
-        apply_errors = [p for p in virt if p.weight == weight]
-        if not apply_errors:
-            apply_errors = [PauliOperator(n_virtual, 0, 0)]
+        n_err = n_kept + ea.ebit_cost
+        sites = range(1, n_err + 1)
+    else:
+        n_err, sites = split.n, allowed
+    apply_errors = list(paulis_of_weight(n_err, sites, weight)) or [PauliOperator(n_err, 0, 0)]
 
     cases = 0
     min_fid = 1.0
@@ -218,7 +205,7 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
             err_label = letters[:n_kept] + "|" + letters[n_kept:]
         else:
             err_label = letters
-        for (label, target), (_, sent) in zip(states, prepared):
+        for w, sent in zip(states, prepared):
             if compressed:
                 if model == NOISELESS:
                     corrupted = _restrict_to_kept(err, split).apply(sent)
@@ -227,10 +214,7 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
                 full = _compressed_expand(corrupted, ea, inv)
             else:
                 full = err.apply(sent)
-            fid = 0.0
-            for op in recovery.operators:
-                amp = np.vdot(target, op @ full)
-                fid += float(np.abs(amp) ** 2)
+            fid = float(np.sum(np.abs((decoders @ full) @ w.conj()) ** 2))
             cases += 1
             min_fid = min(min_fid, fid)
             if fid < 1.0 - FIDELITY_SLACK:
@@ -241,17 +225,10 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
         failures=tuple(sorted(failures.items())), exploratory=exploratory and compressed)
 
 
-def _compressed_states(ea, dec, code, states):
-    """Compressed-representation states as kept x receiver matrices."""
-    r, c = dec.ancilla_dim, ea.receiver_dim
-    psi_small = ea.shared_state.reshape(r, c)
-    blocks = dec.blocks()
-    out = []
-    for label, s in states:
-        weights = code.basis.conj() @ s        # coefficients in the codeword basis
-        mat = sum(w * (blk @ psi_small) for w, blk in zip(weights, blocks))
-        out.append((label, mat))
-    return out
+def _compressed_state(ea, dec, w: np.ndarray) -> np.ndarray:
+    """The code state w @ code.basis in compressed form, a kept x receiver matrix."""
+    psi_small = ea.shared_state.reshape(dec.ancilla_dim, ea.receiver_dim)
+    return sum(wi * (blk @ psi_small) for wi, blk in zip(w, dec.blocks()))
 
 
 def _restrict_to_kept(err: PauliOperator, split: qla.SubsystemSplit) -> PauliOperator:

@@ -262,27 +262,20 @@ def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
 
 
 def decomposition_to_json(dec: StructureDecomposition) -> dict:
-    def c2(z):
-        return [float(np.real(z)), float(np.imag(z))]
-
     return {
         "n": dec.split.n,
         "subset": list(dec.split.erased),
         "k_dim": dec.k_dim,
         "dim_A": dec.ancilla_dim,
         "ancilla_spectrum": [float(x) for x in dec.ancilla_spectrum],
-        "shared_state": [c2(z) for z in dec.shared_state],
-        "isometry_columns": [[c2(z) for z in dec.isometry[:, j]]
-                             for j in range(dec.isometry.shape[1])],
+        "shared_state": qla.to_re_im(dec.shared_state),
+        "isometry_columns": qla.to_re_im(dec.isometry.T),
         "residual": dec.residual,
         "isometry_defect": dec.isometry_defect,
     }
 
 
 def eacode_to_json(ea: EACode) -> dict:
-    def c2(z):
-        return [float(np.real(z)), float(np.imag(z))]
-
     data = {
         "parameters": ea.params.dimension_form(),
         "stabilizer_form": ea.params.stabilizer_form(),
@@ -292,10 +285,8 @@ def eacode_to_json(ea: EACode) -> dict:
         "receiver_dim": ea.receiver_dim,
         "schmidt_rank": ea.schmidt_rank,
         "ebit_cost": ea.ebit_cost,
-        "shared_state": [c2(z) for z in ea.shared_state],
+        "shared_state": qla.to_re_im(ea.shared_state),
     }
     if ea.compress_isometry is not None:
-        data["compress_isometry_columns"] = [
-            [c2(z) for z in ea.compress_isometry[:, j]]
-            for j in range(ea.compress_isometry.shape[1])]
+        data["compress_isometry_columns"] = qla.to_re_im(ea.compress_isometry.T)
     return data

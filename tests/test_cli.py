@@ -380,6 +380,16 @@ class TestInputSources:
         assert rc == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("second_row", ["empty", "duplicate"])
+    def test_nonorthonormal_basis_refused(self, capsys, tmp_path, second_row):
+        data = codes.code_to_json(cached_fixture("pi_4_2_2"))
+        data["basis"][1] = [] if second_row == "empty" else data["basis"][0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, _, err = run(capsys, "analyze", "--code", str(path), "--subset", "4")
+        assert rc == 1
+        assert err.startswith("error:")
+
     def test_oversized_code_refused_before_allocating(self, capsys, tmp_path):
         path = write_code(tmp_path, 40, {"0" * 40: 1.0})
         rc, _, err = run(capsys, "analyze", "--code", str(path), "--subset", "1")

@@ -3,18 +3,24 @@
 The replacer channel is checked entry by entry against an independent
 construction (kept entries copied under an erased-index delta, scaled by
 1/2^b), and recovery channels are validated operationally: every error in
-the set must be undone exactly on a spanning family of code states.
+the set must be undone exactly on a spanning family of code states.  The
+code-basis recovery is compared with the dense trace-preserving channel it
+replaces, kept here as the oracle.
 """
+
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, qla, simulate, structure
+from eaqec import analysis, codes, qla, simulate, stab, structure
 from eaqec.codes import PauliOperator
-from eaqec.errors import (ContractError, ModelMismatchError,
+from eaqec.config import RANK_TOL
+from eaqec.errors import (ConsistencyError, ContractError, ModelMismatchError,
                           NotCorrectableError, SizeError)
 
-from conftest import cached_fixture, random_density
+from conftest import cached_fixture, random_density, random_state
 from test_analysis import oracle_projector
 
 
@@ -51,12 +57,50 @@ def oracle_replacer_output(rho: np.ndarray, n: int, subset) -> np.ndarray:
     return out
 
 
-def _code_states(code):
-    states = [code.basis[i] for i in range(code.k_dim)]
-    if code.k_dim > 1:
-        states.append((code.basis[0] + code.basis[1]) / np.sqrt(2))
-        states.append((code.basis[0] + 1j * code.basis[1]) / np.sqrt(2))
-    return states
+def _code_coefficients(k):
+    """Coefficient vectors w of a spanning family of code states w @ basis."""
+    eye = np.eye(k, dtype=complex)
+    ws = list(eye)
+    if k > 1:
+        ws.append((eye[0] + eye[1]) / np.sqrt(2))
+        ws.append((eye[0] + 1j * eye[1]) / np.sqrt(2))
+    return ws
+
+
+def _fidelity(decoders, w, state):
+    """Overlap of the recovered state with the code state w @ basis."""
+    return float(np.sum(np.abs((decoders @ state) @ w.conj()) ** 2))
+
+
+def oracle_kl_recovery(code, errors, rank_tol=RANK_TOL):
+    """Dense canonical recovery channel on the full 2^n-dimensional space.
+
+    Kraus operators P F_k^dag / sqrt(d_k) from the eigen-decomposition of
+    the correlation matrix, completed to a trace-preserving map by
+    sqrt(I - sum K^dag K).  Assumes the error set is correctable.
+    """
+    mats = [e.matrix() if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex)
+            for e in errors]
+    dim = 1 << code.n
+    k = code.k_dim
+    images = [m @ code.basis_matrix for m in mats]
+    lam = np.zeros((len(mats), len(mats)), dtype=complex)
+    for a, b in product(range(len(mats)), repeat=2):
+        if b < a:
+            continue
+        lam[a, b] = np.trace(images[a].conj().T @ images[b]) / k
+        lam[b, a] = np.conj(lam[a, b])
+    vals, vecs = np.linalg.eigh(lam)
+    cutoff = rank_tol * vals.max() if vals.max() > 0 else 0.0
+    proj = oracle_projector(code)
+    kraus = []
+    for idx in np.flatnonzero(vals > cutoff):
+        f_op = sum(vecs[j, idx] * mats[j] for j in range(len(mats)))
+        kraus.append(proj @ f_op.conj().T / np.sqrt(vals[idx]))
+    gap = np.eye(dim) - sum(op.conj().T @ op for op in kraus)
+    if np.linalg.norm(gap) > 1e-12 * dim:
+        kraus.append(qla.sqrtm_psd(gap))
+    return kraus
 
 
 class TestKrausChannel:
@@ -133,21 +177,21 @@ class TestKlRecovery:
     def test_corrects_every_single_qubit_error(self):
         code = cached_fixture("five_qubit")
         errors = self._weight_one_set(5)
-        ch = simulate.kl_recovery(code, errors)
-        assert len(ch.operators) == 16  # one per error channel, no completion
+        d = simulate.kl_recovery(code, errors)
+        assert d.shape == (16, code.k_dim, 32)  # one decoder per error channel
         for err in errors:
             e = err.matrix()
-            for psi in _code_states(code):
-                hit = e @ psi
-                fid = sum(abs(np.vdot(psi, op @ hit)) ** 2 for op in ch.operators)
+            for w in _code_coefficients(code.k_dim):
+                fid = _fidelity(d, w, e @ (w @ code.basis))
                 assert fid >= 1 - 1e-9, str(err)
 
     def test_kraus_action_proportional_to_projector(self):
         code = cached_fixture("five_qubit")
         errors = [PauliOperator.from_string(s) for s in ["IIIII", "XIIII", "IIZII"]]
-        ch = simulate.kl_recovery(code, errors)
+        d = simulate.kl_recovery(code, errors)
         p = oracle_projector(code)
-        for op in ch.operators[:len(errors)]:
+        for dk in d:
+            op = code.basis_matrix @ dk   # the Kraus operator P F_k^dag / sqrt(d_k)
             for err in errors:
                 prod = op @ err.matrix() @ p
                 coeff = np.trace(prod @ p) / code.k_dim
@@ -157,16 +201,13 @@ class TestKlRecovery:
         code = cached_fixture("steane")
         stab_err = PauliOperator.from_string("IIIZZZZ")
         errors = [PauliOperator(7, 0, 0), stab_err]
-        ch = simulate.kl_recovery(code, errors)
-        # correlation matrix has rank one, so a single primary operator
-        # plus the trace-preserving completion
-        assert len(ch.operators) == 2
+        d = simulate.kl_recovery(code, errors)
+        # correlation matrix has rank one, so a single decoder
+        assert d.shape[0] == 1
         for err in errors:
             e = err.matrix()
-            for psi in _code_states(code):
-                hit = e @ psi
-                fid = sum(abs(np.vdot(psi, op @ hit)) ** 2 for op in ch.operators)
-                assert fid >= 1 - 1e-9
+            for w in _code_coefficients(code.k_dim):
+                assert _fidelity(d, w, e @ (w @ code.basis)) >= 1 - 1e-9
 
     def test_logical_error_set_rejected(self):
         code = cached_fixture("five_qubit")
@@ -178,15 +219,47 @@ class TestKlRecovery:
         code = cached_fixture("five_qubit")
         dense = [np.eye(32, dtype=complex),
                  PauliOperator.from_string("XIIII").matrix()]
-        ch = simulate.kl_recovery(code, dense)
-        psi = code.basis[0]
-        hit = dense[1] @ psi
-        fid = sum(abs(np.vdot(psi, op @ hit)) ** 2 for op in ch.operators)
-        assert fid >= 1 - 1e-9
+        d = simulate.kl_recovery(code, dense)
+        w = np.eye(code.k_dim)[0]
+        assert _fidelity(d, w, dense[1] @ code.basis[0]) >= 1 - 1e-9
+
+    def test_nonorthonormal_decoders_refused(self):
+        # a residual tolerance loose enough to admit a logical error leaves
+        # decoders V^dag and V^dag X whose rows overlap through logical X
+        code = cached_fixture("five_qubit")
+        errors = [PauliOperator(5, 0, 0), PauliOperator.from_string("XXXXX")]
+        with pytest.raises(ConsistencyError):
+            simulate.kl_recovery(code, errors, residual_tol=10.0)
 
     def test_empty_error_set_rejected(self):
         with pytest.raises(ContractError):
             simulate.kl_recovery(cached_fixture("five_qubit"), [])
+
+
+class TestKlRecoveryAgainstDense:
+    @pytest.mark.parametrize("name,subset,model", [
+        ("five_qubit", (4, 5), simulate.NOISY), ("five_qubit", (4, 5), simulate.NOISELESS),
+        ("steane", (5, 6, 7), simulate.NOISY), ("pi_7_2_3", (6, 7), simulate.NOISY),
+        ("steane", (4, 5, 6, 7), simulate.NOISELESS)])
+    def test_fidelities_match_dense_channel(self, name, subset, model):
+        code = cached_fixture(name)
+        n = code.n
+        sites = (qla.SubsystemSplit(n=n, erased=subset).kept if model == simulate.NOISELESS
+                 else range(1, n + 1))
+        errors = [PauliOperator(n, 0, 0)] + list(codes.paulis_of_weight(n, sites, 1))
+        decoders = simulate.kl_recovery(code, errors)
+        kraus = oracle_kl_recovery(code, errors)
+        targets = _code_coefficients(code.k_dim)
+        # code states, and one random input outside the code space
+        inputs = [w @ code.basis for w in targets]
+        inputs.append(random_state(np.random.default_rng(7), 1 << n))
+        for err in errors:
+            for state in inputs:
+                hit = err.apply(state)
+                for w in targets:
+                    t = w @ code.basis
+                    want = sum(abs(np.vdot(t, op @ hit)) ** 2 for op in kraus)
+                    assert abs(_fidelity(decoders, w, hit) - want) <= 1e-12, str(err)
 
 
 class TestVerifyEa:
@@ -254,6 +327,24 @@ class TestVerifyEa:
             report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 0)
             assert report.passed
             assert report.cases_run == 3
+
+    def test_eleven_qubit_code_in_small_memory(self):
+        # the 11 cyclic shifts of XXZZXXIXIXI: K = 2, distance 3; a dense
+        # recovery channel here would take 34 operators of 2^11 x 2^11
+        seed = "XXZZXXIXIXI"
+        gens = [seed[i:] + seed[:i] for i in range(len(seed))]
+        code = stab.codewords(stab.StabilizerGroup.from_strings(gens))
+        dec = structure.decompose(code, (1, 2))
+        ea = structure.ea_from_structure(dec, distance=3)
+        tracemalloc.start()
+        try:
+            report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert report.cases_run == 99   # 33 errors x 3 states
+        assert peak < 32 * 2 ** 20
 
     def test_bad_model_and_weight(self):
         code, dec = self._setup("five_qubit", (4, 5), 3)
