@@ -61,6 +61,8 @@ def _load_code(args) -> codes.QuantumCode:
             "exactly one input source required: --fixture, --code, "
             "--stabilizers, or --stab-json")
     name, value = given[0]
+    if args.phases is not None and name != "--stabilizers":
+        raise ContractError(f"--phases applies only to --stabilizers, not {name}")
     if name == "--fixture":
         return codes.fixture(value)
     if name == "--code":

@@ -290,23 +290,47 @@ def ea_extend(form: SymplecticForm) -> StabilizerGroup:
 
 # ------------------------------------------------------- codespace and sets
 
+def _project(group: StabilizerGroup, vecs: np.ndarray) -> np.ndarray:
+    """Apply prod (I + g)/2 to a state vector, one generator at a time."""
+    for g in group.generators:
+        vecs = (vecs + g.apply(vecs)) / 2
+    return vecs
+
+
+def _projector_diagonal(group: StabilizerGroup) -> np.ndarray:
+    """<j|P|j> for every basis state j, from the Z-type subgroup alone.
+
+    P is the average of the 2^r group elements, and only elements without
+    an X part have diagonal entries, so with h_1..h_t generating those,
+    <j|P|j> = 2^-r prod_i (1 + <j|h_i|j>), which is 0 or 2^(t-r).  Every
+    factor is exactly 0 or 2, so the result is exact.
+    """
+    n, r = group.n, group.num_generators
+    ones = np.ones(1 << n)
+    diag = np.full(1 << n, 2.0 ** -r)
+    for h in _vanishing_products(group, range(n)):
+        diag *= 1 + h.apply(ones).real
+    return diag
+
+
 def codewords(group: StabilizerGroup, logical_basis=None, label: str = "") -> QuantumCode:
     """Orthonormal basis of the joint +1 eigenspace of an abelian group.
 
-    Builds the projector prod (I + g)/2 densely.  Without logical_basis the
-    basis comes from pivoted column selection with the package gauge
-    convention; with it, the given vectors are projected and orthonormalized
-    in order, pinning the logical labeling.
+    The projector P = prod (I + g)/2 is never formed: each column P e_j is
+    one pass of the generators over e_j, and the diagonal of P comes from the
+    Z-type subgroup, so memory stays O(K 2^n) and K 2^n is size-checked
+    before anything is built.  Without logical_basis the basis comes from
+    pivoted column selection (largest remaining diagonal first, deflated in
+    order) with the package gauge convention; with it, the given vectors are
+    projected and orthonormalized in order, pinning the logical labeling.
     """
     if not group.is_abelian:
         raise ContractError("codewords requires an abelian group; run ea_extend first")
     n = group.n
     dim = 1 << n
-    qla.check_dim(dim)
-    proj = np.eye(dim, dtype=complex)
-    for g in group.generators:
-        proj = (proj + g.apply(proj)) / 2
-    k_float = float(np.trace(proj).real)
+    qla.check_dim((1 << (n - group.num_generators)) * dim)
+    diag = _projector_diagonal(group)
+    k_float = float(diag.sum())
     k = round(k_float)
     if abs(k_float - k) > 1e-6:
         raise ConsistencyError(f"projector trace {k_float} is not an integer")
@@ -316,7 +340,7 @@ def codewords(group: StabilizerGroup, logical_basis=None, label: str = "") -> Qu
     if logical_basis is not None:
         rows = []
         for w in logical_basis:
-            u = proj @ np.asarray(w, dtype=complex)
+            u = _project(group, np.asarray(w, dtype=complex))
             for v in rows:
                 u = u - v * (v.conj() @ u)
             norm = np.linalg.norm(u)
@@ -327,16 +351,21 @@ def codewords(group: StabilizerGroup, logical_basis=None, label: str = "") -> Qu
             raise ContractError(f"logical basis gives {len(rows)} vectors, eigenspace has {k}")
         return QuantumCode(n, np.array(rows), label=label)
 
-    cols = proj.copy()
+    rem = diag
     rows = []
     for _ in range(k):
-        norms = np.linalg.norm(cols, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] < 1e-8:
+        j = int(np.argmax(rem))
+        col = np.zeros(dim, dtype=complex)
+        col[j] = 1.0
+        col = _project(group, col)
+        for v in rows:
+            col = col - v * (v.conj() @ col)
+        norm = np.linalg.norm(col)
+        if norm < 1e-8:
             raise ConsistencyError("projector rank fell short of its trace")
-        v = cols[:, j] / norms[j]
+        v = col / norm
         rows.append(v)
-        cols = cols - np.outer(v, v.conj() @ cols)
+        rem = rem - np.abs(v) ** 2
     basis = qla.gauge_fix_columns(np.array(rows).T).T
     return QuantumCode(n, basis, label=label)
 
@@ -345,6 +374,23 @@ def _outside_columns(n: int, subset) -> list[int]:
     inside = set(subset)
     outside = [q for q in range(1, n + 1) if q not in inside]
     return [q - 1 for q in outside] + [n + q - 1 for q in outside]
+
+
+def _vanishing_products(group: StabilizerGroup, cols) -> list[PauliOperator]:
+    """Independent generator products whose GF(2) rows vanish on `cols`.
+
+    One product per nullspace basis vector of the restricted generator
+    matrix, composed in ascending generator order (order-free when the
+    group is abelian).
+    """
+    coeffs = gf2_nullspace(group.gf2_matrix()[:, list(cols)].T)
+    gens = []
+    for alpha in coeffs:
+        prod = _identity(group.n)
+        for i in np.flatnonzero(alpha):
+            prod = prod.compose(group.generators[int(i)])
+        gens.append(prod)
+    return gens
 
 
 def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
@@ -363,15 +409,7 @@ def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
     cols = _outside_columns(group.n, subset)
     if not cols:
         return group
-    restricted = group.gf2_matrix()[:, cols]
-    coeffs = gf2_nullspace(restricted.T)
-    gens = []
-    for alpha in coeffs:
-        prod = _identity(group.n)
-        for i in np.flatnonzero(alpha):
-            prod = prod.compose(group.generators[int(i)])
-        gens.append(prod)
-    return StabilizerGroup.from_generators(gens, n=group.n)
+    return StabilizerGroup.from_generators(_vanishing_products(group, cols), n=group.n)
 
 
 def _normalizer_basis(group: StabilizerGroup) -> np.ndarray:

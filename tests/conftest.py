@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from eaqec import codes
+from eaqec import codes, stab
 
 settings.register_profile(
     "suite", deadline=None,
@@ -78,3 +79,29 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
+
+
+def _symplectic_product(x1: int, z1: int, x2: int, z2: int) -> int:
+    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1
+
+
+@st.composite
+def abelian_groups(draw, max_n: int) -> stab.StabilizerGroup:
+    """Random abelian stabilizer groups on 1..max_n qubits.
+
+    Starts from Z on the first r qubits (independent and commuting) and
+    applies random symplectic transvections v -> v + <v, h> h, which keep
+    both properties; each generator then gets its Hermitian phase and a
+    random sign.
+    """
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(0, n))
+    rows = [(0, 1 << (n - 1 - i)) for i in range(r)]
+    masks = st.integers(0, (1 << n) - 1)
+    for hx, hz in draw(st.lists(st.tuples(masks, masks), max_size=3 * n)):
+        rows = [(x ^ hx, z ^ hz) if _symplectic_product(x, z, hx, hz) else (x, z)
+                for x, z in rows]
+    signs = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    gens = [codes.PauliOperator(n, x, z, (x & z).bit_count() % 2 + 2 * minus)
+            for (x, z), minus in zip(rows, signs)]
+    return stab.StabilizerGroup.from_generators(gens, n=n)

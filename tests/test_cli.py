@@ -7,6 +7,7 @@ installed module entry point through a real subprocess.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,51 @@ class TestInputSources:
                          "--phases=-,+", "--subset", "2")
         assert rc == 0
         assert "C: 2" in out
+
+    @pytest.mark.parametrize("source", ["fixture", "stab-json"])
+    def test_phases_need_inline_stabilizers(self, capsys, tmp_path, source):
+        if source == "fixture":
+            argv = ["--fixture", "steane"]
+        else:
+            path = tmp_path / "group.json"
+            path.write_text(json.dumps(stab.group_to_json(
+                stab.StabilizerGroup.from_strings(["XX", "ZZ"]))))
+            argv = ["--stab-json", str(path)]
+        rc, out, err = run(capsys, "analyze", *argv, "--phases=-,+,+", "--subset", "1")
+        assert rc == 1
+        assert err.startswith("error:") and "--phases" in err
+        assert out == ""
+
+    def test_codespace_too_large_refused(self, capsys):
+        # n = 12 with one generator: K 2^n = 2^23 is over MAX_DIM
+        rc, out, err = run(capsys, "analyze", "--stabilizers", "Z" + "I" * 11,
+                           "--subset", "1")
+        assert rc == 1
+        assert err.startswith("error:") and "exceeds cap" in err
+
+    def test_sixteen_qubit_shor_in_small_memory(self, capsys):
+        # generalized Shor [[16,1,4]] on a 4 x 4 grid: ZZ on neighbours in
+        # each row, X on all eight qubits of each pair of adjacent rows; a
+        # dense 2^16 x 2^16 projector would take 64 GiB
+        gens = []
+        for row in range(4):
+            for col in range(3):
+                letters = ["I"] * 16
+                letters[4 * row + col] = letters[4 * row + col + 1] = "Z"
+                gens.append("".join(letters))
+        for row in range(3):
+            gens.append("I" * (4 * row) + "X" * 8 + "I" * (4 * (2 - row)))
+        tracemalloc.start()
+        try:
+            rc, out, _ = run(capsys, "analyze", "--stabilizers", ",".join(gens),
+                             "--subset", "1,5,9", "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = json.loads(out)
+        assert rc == 0
+        assert data["trichotomy"] == "pure" and data["C"] == 8
+        assert peak < 32 * 2 ** 20
 
     def test_stab_json_file(self, capsys, tmp_path):
         group = stab.StabilizerGroup.from_strings(

@@ -330,14 +330,15 @@ class TestVerifyEa:
 
     def test_eleven_qubit_code_in_small_memory(self):
         # the 11 cyclic shifts of XXZZXXIXIXI: K = 2, distance 3; a dense
-        # recovery channel here would take 34 operators of 2^11 x 2^11
+        # recovery channel here would take 34 operators of 2^11 x 2^11, and
+        # the dense codespace projector alone 64 MiB
         seed = "XXZZXXIXIXI"
         gens = [seed[i:] + seed[:i] for i in range(len(seed))]
-        code = stab.codewords(stab.StabilizerGroup.from_strings(gens))
-        dec = structure.decompose(code, (1, 2))
-        ea = structure.ea_from_structure(dec, distance=3)
         tracemalloc.start()
         try:
+            code = stab.codewords(stab.StabilizerGroup.from_strings(gens))
+            dec = structure.decompose(code, (1, 2))
+            ea = structure.ea_from_structure(dec, distance=3)
             report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

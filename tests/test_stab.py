@@ -3,9 +3,12 @@ subgroup extraction, correctability, codeword synthesis.
 
 Correctability and subgroup results are oracled against exhaustive dense
 computations (group-element scans, projector-based coefficient checks)
-that share no code with the GF(2) implementation.
+that share no code with the GF(2) implementation.  Codeword synthesis is
+oracled against the dense 2^n x 2^n projector route it replaced, and the
+GF(2) verdicts against the numerical analysis on random abelian groups.
 """
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -13,14 +16,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eaqec import codes, qla, stab
+from eaqec import analysis, codes, qla, stab
 from eaqec.codes import PauliOperator
-from eaqec.errors import ConsistencyError, ContractError, InvalidStabilizerError, NotCorrectableError
+from eaqec.errors import (ConsistencyError, ContractError, InvalidStabilizerError,
+                          NotCorrectableError, SizeError)
 
-from conftest import cached_fixture, oracle_matrix
+from conftest import abelian_groups, cached_fixture, oracle_matrix
 
 FIVE_GENS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 STEANE_GENS = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
+SHOR_GENS = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
+             "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX")
+CYCLIC11_GENS = tuple("XXZZXXIXIXI"[i:] + "XXZZXXIXIXI"[:i] for i in range(11))
 
 
 def group_elements(group: stab.StabilizerGroup):
@@ -212,6 +219,83 @@ class TestEaExtend:
         assert sorted(str(p) for p in ext.generators) == ["-XX", "ZZ"]
 
 
+def oracle_codewords(group: stab.StabilizerGroup, logical_basis=None) -> np.ndarray:
+    """The dense projector route: build prod (I + g)/2 as a 2^n x 2^n matrix,
+    then select pivoted columns (or project the logical basis) from it."""
+    dim = 1 << group.n
+    proj = np.eye(dim, dtype=complex)
+    for g in group.generators:
+        proj = (proj + g.apply(proj)) / 2
+    k = round(float(np.trace(proj).real))
+    if logical_basis is not None:
+        rows = []
+        for w in logical_basis:
+            u = proj @ np.asarray(w, dtype=complex)
+            for v in rows:
+                u = u - v * (v.conj() @ u)
+            rows.append(u / np.linalg.norm(u))
+        return np.array(rows)
+    cols = proj.copy()
+    rows = []
+    for _ in range(k):
+        norms = np.linalg.norm(cols, axis=0)
+        j = int(np.argmax(norms))
+        v = cols[:, j] / norms[j]
+        rows.append(v)
+        cols = cols - np.outer(v, v.conj() @ cols)
+    return qla.gauge_fix_columns(np.array(rows).T).T
+
+
+def _extended(gens, phases=None) -> stab.StabilizerGroup:
+    g = stab.StabilizerGroup.from_strings(gens, phases=phases)
+    return stab.ea_extend(stab.symplectic_gram_schmidt(g))
+
+
+class TestCodewordsAgainstDense:
+    @pytest.mark.parametrize("group", [
+        pytest.param(lambda: stab.StabilizerGroup.from_strings(FIVE_GENS), id="five_gens"),
+        pytest.param(lambda: stab.StabilizerGroup.from_strings(codes._FIVE_QUBIT_GENERATORS),
+                     id="five_qubit"),
+        pytest.param(lambda: stab.StabilizerGroup.from_strings(STEANE_GENS), id="steane_gens"),
+        pytest.param(lambda: stab.StabilizerGroup.from_strings(codes._STEANE_GENERATORS),
+                     id="steane"),
+        pytest.param(lambda: stab.StabilizerGroup.from_strings(SHOR_GENS), id="shor"),
+        pytest.param(lambda: stab.StabilizerGroup.from_strings(CYCLIC11_GENS), id="cyclic11"),
+        pytest.param(lambda: _extended(("XZZ", "ZYY", "ZZX", "YYZ")), id="ext_five"),
+        pytest.param(lambda: _extended(("X", "Z")), id="ext_bell"),
+        pytest.param(lambda: _extended(("X", "Z"), phases=["-", "+"]), id="ext_bell_minus"),
+        pytest.param(lambda: _extended(("XII", "ZII", "IZZ")), id="ext_mixed"),
+    ])
+    def test_bit_identical(self, group):
+        g = group()
+        assert np.array_equal(stab.codewords(g).basis, oracle_codewords(g))
+
+    @given(abelian_groups(max_n=8))
+    def test_random_groups(self, g):
+        got = stab.codewords(g).basis
+        want = oracle_codewords(g)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_logical_basis(self):
+        g = stab.StabilizerGroup.from_strings(STEANE_GENS)
+        seeds = np.zeros((2, 128), dtype=complex)
+        seeds[0, 0b0000000] = seeds[1, 0b1111111] = 1.0
+        got = stab.codewords(g, logical_basis=seeds).basis
+        assert np.abs(got - oracle_codewords(g, logical_basis=seeds)).max() <= 1e-12
+
+    def test_size_refused_before_allocating(self):
+        # K 2^n = 2^12 * 2^12 is over MAX_DIM; refused from the generator count
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                stab.codewords(stab.StabilizerGroup(n=12, generators=()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 class TestCodewords:
     def test_trace_formula(self):
         # K = 2^(n - c - s) for the extended group: n=5, c+s after extension is 4
@@ -331,6 +415,18 @@ class TestCorrectability:
         g = stab.StabilizerGroup.from_strings(FIVE_GENS)
         for subset in combinations(range(1, 6), 2):
             assert stab.is_correctable_stab(g, subset)
+
+
+class TestGf2AgainstAnalysis:
+    @given(abelian_groups(max_n=7), st.data())
+    def test_verdict_and_receiver_dim(self, g, data):
+        b = data.draw(st.integers(1, min(3, g.n)))
+        subset = tuple(sorted(data.draw(st.permutations(range(1, g.n + 1)))[:b]))
+        report = analysis.analyze_subset(stab.codewords(g), subset)
+        assert stab.is_correctable_stab(g, subset) == report.correctable
+        if report.correctable:
+            s = stab.subgroup_on(g, subset).num_generators
+            assert report.marginal_rank == 1 << (b - s)
 
 
 class TestEaParamsStab:
