@@ -6,7 +6,8 @@ on B is, up to phase, one of the 4^b Paulis E_F on B, so B is correctable
 exactly when each E_F is detected: ||P E_F P - c_F P||_F <= residual_tol
 with c_F = Tr(varrho_B E_F), varrho_B the B-marginal of the normalized
 codespace projector.  The norm is measured in the code basis, where it
-collapses to a K x K computation (codes.detection_residual).  The
+collapses to the K x K moments V^dag E_F V, all 4^b of them from one
+partial trace (codes.pauli_moments, codes.moment_residuals).  The
 coefficient matrix lambda_ij = Tr(varrho_B E_i^dag E_j) carries the
 spectral data.  Correctable sets classify three ways: pure (marginal
 maximally mixed), impure nondegenerate (full rank, not maximally mixed),
@@ -22,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qla
-from .codes import PauliOperator, QuantumCode, detection_residual
+from .codes import (PauliOperator, QuantumCode, moment_residuals, pauli_moments,
+                    pauli_tables)
 from .config import MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, NotCorrectableError, SizeError,
                      StructureViolationError)
@@ -103,9 +105,10 @@ def erasure_residual(code: QuantumCode, subset, coefficients=None) -> float:
     coefficients[j] is c_F for the j-th Pauli of pauli_basis_on; without
     them each Pauli uses tr(V^dag E_F V) / K.
     """
-    v = code.basis_matrix
-    return max(detection_residual(v, e, None if coefficients is None else coefficients[j])
-               for j, e in enumerate(pauli_basis_on(code.n, subset)))
+    subset = tuple(subset)
+    if len(subset) > MAX_SUBSET:
+        raise SizeError(f"subset size {len(subset)} exceeds cap {MAX_SUBSET}")
+    return float(moment_residuals(pauli_moments(code, subset), coefficients).max())
 
 
 def require_correctable(code: QuantumCode, subset,
@@ -145,8 +148,10 @@ def kl_matrix(code: QuantumCode, subset,
 
     rho, spectrum, marginal_rank, kept_ranks = _marginal(code, split, rank_tol)
     sqrt_rho = qla.sqrtm_psd(rho)
-    local = [PauliOperator(b, x_loc, z_loc) for x_loc, z_loc in _basis_patterns(b)]
-    g = np.array([(p.matrix() @ sqrt_rho).ravel() for p in local])
+    # row F = x + 2^b z is vec(X^x Z^z sqrt_rho), row g of which is
+    # sign[z, g ^ x] * sqrt_rho[g ^ x]
+    xor, sign = pauli_tables(b)
+    g = (sign[:, xor][..., None] * sqrt_rho[xor]).reshape(4 ** b, -1)
     lam = g.conj() @ g.T
     lam = (lam + lam.conj().T) / 2
 

@@ -74,9 +74,12 @@ def _load_code(args) -> codes.QuantumCode:
         if args.phases is not None:
             phases = [p.strip() for p in args.phases.split(",")]
         group = stab.StabilizerGroup.from_strings(gens, phases=phases)
-        return stab.codewords(group)
-    data = json.loads(Path(value).read_text())
-    return stab.codewords(stab.group_from_json(data))
+    else:
+        group = stab.group_from_json(json.loads(Path(value).read_text()))
+    if not group.is_abelian:
+        # one fresh qubit per anticommuting pair, appended after qubit n
+        group = stab.ea_extend(stab.symplectic_gram_schmidt(group))
+    return stab.codewords(group)
 
 
 def _parse_subset(text: str, n: int) -> tuple[int, ...]:

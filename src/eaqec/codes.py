@@ -249,36 +249,83 @@ def paulis_of_weight(n: int, qubits, weight: int):
             yield PauliOperator(n, x, z)
 
 
-def detection_residual(v: np.ndarray, e: PauliOperator, c=None) -> float:
-    """||V^dag E V - c I||_F for codewords V as columns, shape (2^n, K).
+def pauli_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign tables of the phase-free Paulis X^x Z^z on b qubits.
 
-    This equals ||P E P - c P||_F for the codespace projector P = V V^dag.
-    c defaults to tr(V^dag E V) / K, the closest multiple of the identity;
-    E is detected when the residual is within the residual tolerance.
+    Over local b-bit patterns, xor[x, f] = f ^ x and sign[z, f] =
+    (-1)^|f & z|, so X^x Z^z |f> = sign[z, f] |xor[x, f]>.  Both tables
+    are symmetric, shape (2^b, 2^b).
     """
-    m = v.conj().T @ e.apply(v)
-    k = m.shape[0]
-    if c is None:
-        c = np.trace(m) / k
-    return float(np.linalg.norm(m - c * np.eye(k)))
+    f = np.arange(1 << b)
+    xor = f[:, None] ^ f[None, :]
+    sign = 1.0 - 2.0 * (np.bitwise_count(f[:, None] & f[None, :]) & 1)
+    return xor, sign
+
+
+def pauli_moments(code: QuantumCode, subset) -> np.ndarray:
+    """Every <v_i|E_F|v_j> for the 4^b phase-free Paulis E_F on the subset.
+
+    Returns shape (4^b, K, K).  E_F = X^x Z^z with F = x + 2^b z, where x and
+    z are local bit patterns over the subset in its given order (first
+    qubit most significant): identity first, x cycling fastest, the order
+    of analysis.pauli_basis_on.  Each codeword is reshaped to A_i, kept
+    qubits on rows and erased on columns (the qla.bipartite_matrix
+    convention); one partial trace T_ij = A_i^dag A_j then gives every
+    moment as <v_i|X^x Z^z|v_j> = sum_f (-1)^|f & z| T_ij[f ^ x, f].
+    The K^2 4^b entries are size-checked before anything is built.
+    """
+    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
+    k, de = code.k_dim, split.dim_erased
+    qla.check_dim(k * k * de * de)
+    axes = list(split.kept) + [0] + list(split.erased)   # axis q is qubit q
+    a = code.basis.reshape((k,) + (2,) * code.n).transpose(axes)
+    a = a.reshape(split.dim_kept, k * de)
+    t = (a.conj().T @ a).reshape(k, de, k, de)
+    xor, sign = pauli_tables(split.b)
+    u = t[:, xor, :, np.arange(de)]            # u[x, f, i, j] = T_ij[f ^ x, f]
+    m = sign @ u.transpose(1, 0, 2, 3).reshape(de, de * k * k)
+    return m.reshape(de * de, k, k)
+
+
+def moment_residuals(moments: np.ndarray, coefficients=None) -> np.ndarray:
+    """||m_F - c_F I||_F for each K x K moment matrix m_F = V^dag E_F V.
+
+    This equals ||P E_F P - c_F P||_F for the codespace projector P.
+    c_F defaults to tr(m_F) / K, the closest multiple of the identity;
+    E_F is detected when its residual is within the residual tolerance.
+    """
+    k = moments.shape[1]
+    if coefficients is None:
+        coefficients = np.trace(moments, axis1=1, axis2=2) / k
+    dev = moments - np.asarray(coefficients)[:, None, None] * np.eye(k)
+    return np.linalg.norm(dev, axis=(1, 2))
 
 
 def min_distance(code: QuantumCode, max_weight: int | None = None,
                  residual_tol: float = RESIDUAL_TOL) -> int | None:
     """Smallest weight of a Pauli the code fails to detect.
 
-    A weight-w operator E is detected when P E P is proportional to the
-    codespace projector P (see detection_residual).  Scans weights
-    1..max_weight (default n) exhaustively and returns the first weight
+    A Pauli E is detected when P E P is proportional to the codespace
+    projector P (see moment_residuals).  Scans weights 1..max_weight
+    (default n) exhaustively, one pauli_moments call per weight-w support
+    covering its 3^w Paulis of full support, and returns the first weight
     with a residual above residual_tol, or None if every scanned weight is
-    detected (distance is then at least max_weight + 1).
+    detected (distance is then at least max_weight + 1).  A K = 1 code
+    detects every Pauli, so it returns None without scanning; otherwise
+    the K^2 4^w moments of a weight-w support are size-checked before the
+    weight is scanned.
     """
+    if code.k_dim == 1:
+        return None
     n = code.n
-    v = code.basis_matrix
-    limit = n if max_weight is None else max_weight
+    limit = n if max_weight is None else min(max_weight, n)
     for w in range(1, limit + 1):
-        for e in paulis_of_weight(n, range(1, n + 1), w):
-            if detection_residual(v, e) > residual_tol:
+        qla.check_dim(code.k_dim ** 2 * 4 ** w)
+        mask = (1 << w) - 1
+        f = np.arange(1 << (2 * w))
+        full = np.flatnonzero(((f & mask) | (f >> w)) == mask)   # x | z covers the support
+        for support in itertools.combinations(range(1, n + 1), w):
+            if moment_residuals(pauli_moments(code, support)[full]).max() > residual_tol:
                 return w
     return None
 

@@ -134,22 +134,34 @@ def _require_hermitian(m: CMatrix, tol: float) -> None:
         raise ContractError("matrix is not Hermitian within tolerance")
 
 
+def _pivot_rows(vectors: np.ndarray) -> np.ndarray:
+    """Row of each column's first entry above 1e-12 of its largest magnitude;
+    vectors.shape[0] for an all-zero column."""
+    a = np.abs(vectors)
+    above = a > 1e-12 * np.maximum(a.max(axis=0, initial=0.0), 1e-300)
+    return np.where(above.any(axis=0), above.argmax(axis=0), vectors.shape[0])
+
+
+def _fix_phases(u: np.ndarray, vh: np.ndarray | None = None) -> None:
+    """In place: make each column's pivot real positive; rows of vh take the
+    conjugate factor.  Pivots are found for all columns at once; the scaling
+    stays one column at a time because numpy rounds a complex product
+    differently in the last bit depending on operand layout, and the
+    decompositions must stay bit-stable."""
+    rows = _pivot_rows(u)
+    for k in np.flatnonzero(rows < u.shape[0]):
+        pivot = u[rows[k], k]
+        factor = abs(pivot) / pivot
+        u[:, k] = u[:, k] * factor
+        if vh is not None:
+            vh[k, :] = vh[k, :] * np.conj(factor)
+
+
 def gauge_fix_columns(vectors: np.ndarray) -> np.ndarray:
     """Scale each column so its first nonzero entry is real positive."""
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        out[:, k] = col * (abs(pivot) / pivot)
+    _fix_phases(out)
     return out
-
-
-def _pivot_index(col: np.ndarray) -> int:
-    nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
-    return int(nz[0]) if nz.size else col.shape[0]
 
 
 def _degenerate_blocks(values: np.ndarray, tol: float) -> list[slice]:
@@ -162,6 +174,14 @@ def _degenerate_blocks(values: np.ndarray, tol: float) -> list[slice]:
     return blocks
 
 
+def _block_order(values: np.ndarray, tol: float, vectors: np.ndarray) -> np.ndarray:
+    """Column order sorting each degenerate block of values by pivot row, stably."""
+    block = np.zeros(len(values), dtype=int)
+    for i, blk in enumerate(_degenerate_blocks(values, tol)):
+        block[blk] = i
+    return np.lexsort((_pivot_rows(vectors), block))
+
+
 def eig_hermitian(m: CMatrix, tol: float = HERMITICITY_TOL):
     """Eigenvalues (descending) and gauge-fixed eigenvectors of a Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
@@ -169,13 +189,7 @@ def eig_hermitian(m: CMatrix, tol: float = HERMITICITY_TOL):
     w, v = np.linalg.eigh(m)
     w, v = w[::-1], v[:, ::-1]
     v = gauge_fix_columns(v)
-    for blk in _degenerate_blocks(w, tol):
-        if blk.stop - blk.start > 1:
-            sub = v[:, blk]
-            order = np.argsort([_pivot_index(sub[:, j]) for j in range(sub.shape[1])],
-                               kind="stable")
-            v[:, blk] = sub[:, order]
-    return w, v
+    return w, v[:, _block_order(w, tol, v)]
 
 
 def svd(m: CMatrix):
@@ -187,19 +201,10 @@ def svd(m: CMatrix):
     m = np.asarray(m, dtype=complex)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     r = min(m.shape)
-    for k in range(r):
-        col = u[:, k]
-        piv = _pivot_index(col)
-        if piv < col.shape[0]:
-            factor = abs(col[piv]) / col[piv]
-            u[:, k] = col * factor
-            vh[k, :] = vh[k, :] * np.conj(factor)
-    for blk in _degenerate_blocks(s[:r], RANK_TOL):
-        if blk.stop - blk.start > 1:
-            order = np.argsort([_pivot_index(u[:, j]) for j in range(blk.start, blk.stop)],
-                               kind="stable")
-            u[:, blk] = u[:, blk][:, order]
-            vh[blk, :] = vh[blk, :][order, :]
+    _fix_phases(u[:, :r], vh)
+    order = _block_order(s[:r], RANK_TOL, u[:, :r])
+    u[:, :r] = u[:, order]
+    vh[:r, :] = vh[order, :]
     return u, s, vh
 
 

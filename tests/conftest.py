@@ -12,6 +12,10 @@ settings.load_profile("suite")
 
 _CACHE: dict[str, codes.QuantumCode] = {}
 
+SHOR_GENS = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
+             "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX")
+CYCLIC11_GENS = tuple("XXZZXXIXIXI"[i:] + "XXZZXXIXIXI"[:i] for i in range(11))
+
 
 def cached_fixture(name: str) -> codes.QuantumCode:
     if name not in _CACHE:

@@ -9,12 +9,13 @@ the library's linear-algebra helpers.
 
 import itertools
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, qla
-from eaqec.config import MAX_SCAN_QUBITS, MAX_SUBSET, RESIDUAL_TOL
+from eaqec import analysis, codes, qla, stab
+from eaqec.config import MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
 from eaqec.errors import NotCorrectableError, SizeError
 
 from conftest import cached_fixture
@@ -87,6 +88,27 @@ def oracle_erased_marginal(code, subset) -> np.ndarray:
     out = [row[q - 1] for q in subset] + [col[q - 1] for q in subset]
     marg = np.einsum("".join(row + col) + "->" + "".join(out), t)
     return marg.reshape(2 ** b, 2 ** b)
+
+
+def oracle_gram_matrix(code, subset) -> np.ndarray:
+    """The coefficient matrix as the Gram matrix of vec(E_j varrho_B^{1/2}),
+    each local Pauli applied as a dense matrix product."""
+    b = len(subset)
+    rho = analysis._marginal(code, qla.SubsystemSplit(code.n, subset), RANK_TOL)[0]
+    sqrt_rho = qla.sqrtm_psd(rho)
+    g = np.array([(codes.PauliOperator(b, m & ((1 << b) - 1), m >> b).matrix() @ sqrt_rho).ravel()
+                  for m in range(4 ** b)])
+    lam = g.conj() @ g.T
+    return (lam + lam.conj().T) / 2
+
+
+def local_unitaries(code, rng) -> codes.QuantumCode:
+    """The code with an independent random 2 x 2 unitary on every qubit."""
+    t = code.basis.reshape((code.k_dim,) + (2,) * code.n)
+    for q in range(1, code.n + 1):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
+    return codes.QuantumCode(code.n, t.reshape(code.k_dim, -1), label="rotated")
 
 
 # Named erasure patterns with frozen verdicts: class, marginal rank, and the
@@ -175,6 +197,17 @@ class TestCoefficientMatrix:
         want = oracle_coefficients(code, subset)
         np.testing.assert_allclose(report.matrix, want, atol=1e-10)
 
+    @pytest.mark.parametrize("name", [
+        "five_qubit", "steane", "pi_4_2_2", "pi_7_2_3", "xp_7_8_2"])
+    def test_gather_matches_matrix_products(self, name):
+        # the Gram rows are gathered from the sign and index tables; every
+        # entry must equal the dense-product route bit for bit
+        code = cached_fixture(name)
+        for b in range(4):
+            for subset in itertools.combinations(range(1, code.n + 1), b):
+                assert np.array_equal(analysis.kl_matrix(code, subset).matrix,
+                                      oracle_gram_matrix(code, subset))
+
     def test_five_qubit_single_erasure_is_identity(self):
         # any one qubit of the five-qubit code carries a maximally mixed
         # marginal, so the coefficient matrix collapses to the identity
@@ -237,6 +270,19 @@ class TestResidual:
                 except NotCorrectableError:
                     gate_passed = False
                 assert gate_passed == report.correctable
+
+    def test_moment_tensor_refused_before_allocating(self):
+        # K = 128 on 8 qubits, b = 4: the moments would hold K^2 4^b = 2^22
+        # entries, above MAX_DIM; refused before the partial trace is formed
+        code = stab.codewords(stab.StabilizerGroup.from_strings(["ZIIIIIII"]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                analysis.erasure_residual(code, (1, 2, 3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_gate_skips_wide_sets(self):
         # above MAX_SUBSET the gate defers to the structure certificate
@@ -330,6 +376,38 @@ class TestKernel:
     def test_kernel_empty_for_full_rank(self):
         report = analysis.kl_matrix(cached_fixture("five_qubit"), (4, 5))
         assert report.kernel.shape == (0, 16)
+
+
+class TestInvariance:
+    """Distance, verdict, class and C do not depend on how the qubits are
+    labelled or on a change of local basis on each qubit."""
+
+    CASES = [("five_qubit", (4, 5)), ("five_qubit", (1, 2, 3)),
+             ("pi_7_2_3", (6, 7)), ("steane", (4, 5, 6, 7)), ("xp_7_8_2", (7,))]
+
+    @staticmethod
+    def summary(code, subset):
+        report = analysis.analyze_subset(code, subset)
+        return (codes.min_distance(code), report.correctable, report.trichotomy,
+                report.marginal_rank)
+
+    @pytest.mark.parametrize("name,subset", CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_qubit_permutation(self, name, subset, seed):
+        code = cached_fixture(name)
+        order = tuple(int(q) for q in np.random.default_rng(seed).permutation(code.n) + 1)
+        moved = codes.QuantumCode(code.n, np.array(
+            [qla.permute_state(v, code.n, order) for v in code.basis]), label="permuted")
+        # qubit order[j] now sits at position j + 1
+        moved_subset = tuple(order.index(q) + 1 for q in subset)
+        assert self.summary(moved, moved_subset) == self.summary(code, subset)
+
+    @pytest.mark.parametrize("name,subset", CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_local_unitaries(self, name, subset, seed):
+        code = cached_fixture(name)
+        rotated = local_unitaries(code, np.random.default_rng(seed))
+        assert self.summary(rotated, subset) == self.summary(code, subset)
 
 
 class TestFindCorrectableSets:

@@ -332,6 +332,23 @@ class TestInputSources:
         assert rc == 0
         assert "C: 2" in out
 
+    @pytest.mark.parametrize("source", ["stabilizers", "stab-json"])
+    def test_nonabelian_group_is_extended(self, capsys, tmp_path, source):
+        # the README example: two anticommuting pairs add qubits 4 and 5, and
+        # the extended group stabilizes the five-qubit code
+        gens = ["XZZ", "ZYY", "ZZX", "YYZ"]
+        if source == "stabilizers":
+            argv = ["--stabilizers", ",".join(gens)]
+        else:
+            path = tmp_path / "group.json"
+            path.write_text(json.dumps(stab.group_to_json(
+                stab.StabilizerGroup.from_strings(gens))))
+            argv = ["--stab-json", str(path)]
+        rc, out, err = run(capsys, "analyze", *argv, "--subset", "4,5")
+        assert rc == 0, err
+        assert "class: pure" in out
+        assert "C: 4" in out
+
     @pytest.mark.parametrize("source", ["fixture", "stab-json"])
     def test_phases_need_inline_stabilizers(self, capsys, tmp_path, source):
         if source == "fixture":

@@ -6,21 +6,54 @@ commutation, and state application are all checked against an independent
 construction.
 """
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqec import codes, qla
+from eaqec import analysis, codes, qla, stab
 from eaqec.codes import PauliOperator, QuantumCode
-from eaqec.errors import ContractError
+from eaqec.config import MAX_DIM, RESIDUAL_TOL
+from eaqec.errors import ContractError, SizeError
 
-from conftest import cached_fixture, oracle_matrix, random_state
+from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
+                      oracle_matrix, random_state)
 
 letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=3)
+
+
+def oracle_detection_residual(v: np.ndarray, e: PauliOperator, c=None) -> float:
+    """||V^dag E V - c I||_F for one Pauli applied to the codewords V (columns).
+
+    c defaults to tr(V^dag E V) / K.  The per-Pauli form of the check that
+    codes.pauli_moments and codes.moment_residuals batch over a support.
+    """
+    m = v.conj().T @ e.apply(v)
+    k = m.shape[0]
+    if c is None:
+        c = np.trace(m) / k
+    return float(np.linalg.norm(m - c * np.eye(k)))
+
+
+def oracle_min_distance(code: QuantumCode, max_weight=None,
+                        residual_tol: float = RESIDUAL_TOL):
+    """First weight with an undetected Pauli, one Pauli at a time."""
+    v = code.basis_matrix
+    limit = code.n if max_weight is None else max_weight
+    for w in range(1, limit + 1):
+        for e in codes.paulis_of_weight(code.n, range(1, code.n + 1), w):
+            if oracle_detection_residual(v, e) > residual_tol:
+                return w
+    return None
+
+
+def stabilizer_code(gens) -> QuantumCode:
+    return stab.codewords(stab.StabilizerGroup.from_strings(gens))
 phase_strategy = st.sampled_from(["+", "+i", "-", "-i"])
 
 
@@ -204,6 +237,100 @@ class TestDistance:
         # the full 1-qubit space distinguishes nothing: distance 1
         c = QuantumCode(n=1, basis=np.eye(2, dtype=complex), label="trivial")
         assert codes.min_distance(c) == 1
+
+
+class TestPauliMoments:
+    """The batched moments and residuals against one apply per Pauli."""
+
+    @staticmethod
+    def check(code, subset):
+        v = code.basis_matrix
+        moments = codes.pauli_moments(code, subset)
+        residuals = codes.moment_residuals(moments)
+        paulis = analysis.pauli_basis_on(code.n, subset)
+        assert moments.shape == (len(paulis), code.k_dim, code.k_dim)
+        for j, e in enumerate(paulis):
+            assert np.abs(moments[j] - v.conj().T @ e.apply(v)).max() <= 1e-13
+            assert abs(residuals[j] - oracle_detection_residual(v, e)) <= 1e-13
+
+    @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
+    def test_fixture_subsets(self, name):
+        code = cached_fixture(name)
+        for b in range(4):
+            for subset in itertools.combinations(range(1, code.n + 1), b):
+                self.check(code, subset)
+        self.check(code, (code.n, 2, 1))   # the subset's own order sets the bits
+
+    def test_shor(self):
+        code = stabilizer_code(SHOR_GENS)
+        for b in range(1, 4):
+            for subset in itertools.combinations(range(1, 10), b):
+                self.check(code, subset)
+
+    @settings(max_examples=40)
+    @given(abelian_groups(max_n=8), st.data())
+    def test_random_stabilizer_codes(self, group, data):
+        code = stab.codewords(group)
+        b = data.draw(st.integers(0, min(3, code.n)))
+        subset = tuple(data.draw(st.permutations(range(1, code.n + 1)))[:b])
+        if code.k_dim ** 2 * 4 ** b > MAX_DIM:
+            with pytest.raises(SizeError):
+                codes.pauli_moments(code, subset)
+        else:
+            self.check(code, subset)
+
+    def test_coefficients_replace_the_trace(self):
+        code = cached_fixture("pi_7_2_3")
+        v = code.basis_matrix
+        lam = analysis.kl_matrix(code, (6, 7)).matrix
+        got = codes.moment_residuals(codes.pauli_moments(code, (6, 7)), lam[0])
+        want = [oracle_detection_residual(v, e, lam[0, j])
+                for j, e in enumerate(analysis.pauli_basis_on(7, (6, 7)))]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+class TestDistanceAgainstPerPauliScan:
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda name=name: cached_fixture(name), id=name)
+          for name in codes.FIXTURE_NAMES),
+        pytest.param(lambda: stabilizer_code(SHOR_GENS), id="shor"),
+        pytest.param(lambda: stabilizer_code(CYCLIC11_GENS), id="cyclic11"),
+    ])
+    def test_named_codes(self, make):
+        code = make()
+        for max_weight in (None, 1, 2, 3):
+            assert (codes.min_distance(code, max_weight=max_weight)
+                    == oracle_min_distance(code, max_weight=max_weight))
+
+    @settings(max_examples=60)
+    @given(abelian_groups(max_n=8), st.none() | st.integers(1, 3))
+    def test_random_stabilizer_codes(self, group, max_weight):
+        code = stab.codewords(group)
+        assert (codes.min_distance(code, max_weight=max_weight)
+                == oracle_min_distance(code, max_weight=max_weight))
+
+    def test_one_dimensional_code_is_not_scanned(self, monkeypatch):
+        # every 1 x 1 residual is exactly 0, so a K = 1 code detects everything
+        code = QuantumCode(n=3, basis=random_state(np.random.default_rng(3), 8)[None, :])
+        assert oracle_min_distance(code) is None
+
+        def refuse(*args):
+            raise AssertionError("a K = 1 code was scanned")
+
+        monkeypatch.setattr(codes, "pauli_moments", refuse)
+        assert codes.min_distance(code) is None
+
+    def test_oversized_search_refused_before_allocating(self):
+        # K = 2^10: the weight-1 moments alone would hold K^2 4 = 2^22 entries
+        code = QuantumCode(n=10, basis=np.eye(1 << 10, dtype=complex))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                codes.min_distance(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestParameters:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqec import qla
+from eaqec.config import HERMITICITY_TOL, RANK_TOL
 from eaqec.errors import ContractError, SizeError
 
 from conftest import random_density, random_hermitian, random_state
@@ -145,6 +146,81 @@ class TestPartialTrace:
         perm_rho = np.outer(v, v.conj())
         red = qla.partial_trace(perm_rho, split, "erased")
         assert np.allclose(red, m @ m.conj().T, atol=1e-12)
+
+
+def _loop_pivot_index(col):
+    nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
+    return int(nz[0]) if nz.size else col.shape[0]
+
+
+def oracle_gauge_fix_columns(vectors):
+    """Gauge fixing one column at a time, pivot by flatnonzero."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        piv = _loop_pivot_index(col)
+        if piv < col.shape[0]:
+            out[:, k] = col * (abs(col[piv]) / col[piv])
+    return out
+
+
+def oracle_eig_hermitian(m, tol=HERMITICITY_TOL):
+    """eigh, gauge fixing and a per-block pivot sort, all as column loops."""
+    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
+    w, v = w[::-1], oracle_gauge_fix_columns(v[:, ::-1])
+    for blk in qla._degenerate_blocks(w, tol):
+        sub = v[:, blk]
+        order = np.argsort([_loop_pivot_index(sub[:, j]) for j in range(sub.shape[1])],
+                           kind="stable")
+        v[:, blk] = sub[:, order]
+    return w, v
+
+
+def oracle_svd(m):
+    """The gauge-fixed SVD as column loops; vh rows take the conjugate phases."""
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=True)
+    r = min(u.shape[0], vh.shape[0])
+    for k in range(r):
+        col = u[:, k]
+        piv = _loop_pivot_index(col)
+        if piv < col.shape[0]:
+            factor = abs(col[piv]) / col[piv]
+            u[:, k] = col * factor
+            vh[k, :] = vh[k, :] * np.conj(factor)
+    for blk in qla._degenerate_blocks(s[:r], RANK_TOL):
+        order = np.argsort([_loop_pivot_index(u[:, j]) for j in range(blk.start, blk.stop)],
+                           kind="stable")
+        u[:, blk] = u[:, blk][:, order]
+        vh[blk, :] = vh[blk, :][order, :]
+    return u, s, vh
+
+
+def _gauge_cases(seed: int):
+    """Random complex matrices with zero rows and columns, and Hermitian
+    matrices with integer (so heavily degenerate) spectra."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        d, e = (int(x) for x in rng.integers(1, 12, size=2))
+        a = rng.normal(size=(d, e)) + 1j * rng.normal(size=(d, e))
+        a[:, rng.random(e) < 0.3] = 0
+        a[rng.random(d) < 0.3] = 0
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        yield a, (q * np.round(rng.normal(size=d))) @ q.conj().T
+
+
+class TestGaugeAgainstLoops:
+    """The vectorised pivot search and block sort give the loop results bit
+    for bit: downstream spectra, kernels and JSON payloads depend on it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical(self, seed):
+        for a, h in _gauge_cases(seed):
+            assert np.array_equal(qla.gauge_fix_columns(a), oracle_gauge_fix_columns(a))
+            for got, want in zip(qla.svd(a), oracle_svd(a)):
+                assert got.tobytes() == want.tobytes()
+            h = (h + h.conj().T) / 2
+            for got, want in zip(qla.eig_hermitian(h), oracle_eig_hermitian(h)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEigHermitian:

@@ -21,13 +21,11 @@ from eaqec.codes import PauliOperator
 from eaqec.errors import (ConsistencyError, ContractError, InvalidStabilizerError,
                           NotCorrectableError, SizeError)
 
-from conftest import abelian_groups, cached_fixture, oracle_matrix
+from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
+                      oracle_matrix)
 
 FIVE_GENS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 STEANE_GENS = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
-SHOR_GENS = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
-             "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX")
-CYCLIC11_GENS = tuple("XXZZXXIXIXI"[i:] + "XXZZXXIXIXI"[:i] for i in range(11))
 
 
 def group_elements(group: stab.StabilizerGroup):
