@@ -1,18 +1,20 @@
 """Erasure correctability of qubit subsets via error-correction conditions.
 
 This module alone decides whether an erased set B is correctable and how
-degenerately.  For erasures every product E_i^dag E_j over the Pauli basis
-on B is, up to phase, one of the 4^b Paulis E_F on B, so B is correctable
-exactly when each E_F is detected: ||P E_F P - c_F P||_F <= residual_tol
-with c_F = Tr(varrho_B E_F), varrho_B the B-marginal of the normalized
-codespace projector.  The norm is measured in the code basis, where it
-collapses to the K x K moments V^dag E_F V, all 4^b of them from one
-partial trace (codes.pauli_moments, codes.moment_residuals).  The
-coefficient matrix lambda_ij = Tr(varrho_B E_i^dag E_j) carries the
-spectral data.  Correctable sets classify three ways: pure (marginal
-maximally mixed), impure nondegenerate (full rank, not maximally mixed),
-degenerate (rank deficient, equivalently lambda rank below 4^b).  Sets
-wider than MAX_SUBSET are decided by the structure certificate instead.
+degenerately, by one route for every b.  For erasures every product
+E_i^dag E_j over the Pauli basis on B is, up to phase, one of the 4^b
+Paulis E_F on B, so B is correctable exactly when each E_F is detected:
+||P E_F P - c_F P||_F <= residual_tol with c_F = Tr(varrho_B E_F),
+varrho_B the B-marginal of the normalized codespace projector.  The norm
+is measured in the code basis, where it collapses to the K x K moments
+V^dag E_F V, all 4^b of them from one partial trace (codes.pauli_moments,
+codes.moment_residuals); their K^2 4^b entries are size-checked first.
+Correctable sets classify three ways from the marginal: pure (maximally
+mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
+(rank deficient).  The coefficient matrix lambda_ij = Tr(varrho_B E_i^dag
+E_j) has the spectrum of varrho_B scaled by 2^b, each value repeated 2^b
+times, so its rank is 2^b rank(varrho_B); kl_matrix builds the matrix and
+its kernel only on request, for sets of at most MAX_SUBSET qubits.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from . import qla
 from .codes import (PauliOperator, QuantumCode, moment_residuals, pauli_moments,
                     pauli_tables)
 from .config import MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
-from .errors import (ConsistencyError, NotCorrectableError, SizeError,
-                     StructureViolationError)
+from .errors import ConsistencyError, NotCorrectableError, SizeError
 
 PURE = "pure"
 IMPURE_NONDEGENERATE = "impure_nondegenerate"
@@ -71,20 +72,25 @@ def pauli_basis_on(n: int, subset) -> list[PauliOperator]:
 class KLReport:
     """Correctability verdict and spectral data for one erased set.
 
-    Sets wider than MAX_SUBSET are certified structurally; their matrix,
-    matrix_rank, residual_max and kernel are None.
+    matrix_rank is the rank of the 4^b x 4^b coefficient matrix.  matrix
+    and kernel are filled only by kl_matrix; analyze_subset reads the rank
+    off the marginal and leaves both None.
     """
 
     split: qla.SubsystemSplit
     matrix: np.ndarray | None             # 4^b x 4^b coefficient matrix
-    matrix_rank: int | None
-    residual_max: float | None
+    matrix_rank: int
+    residual_max: float
     correctable: bool
     marginal_spectrum: np.ndarray         # eigenvalues of varrho_B, descending, >= 0
     marginal_rank: int
     kept_marginal_ranks: tuple[int, ...]  # per-codeword rank on the kept side
     kernel: np.ndarray | None             # coefficient rows spanning ker(matrix)
     trichotomy: str | None = None
+
+    @property
+    def matrix_dim(self) -> int:
+        return self.split.dim_erased ** 2
 
 
 def _marginal(code: QuantumCode, split: qla.SubsystemSplit, rank_tol: float):
@@ -103,11 +109,9 @@ def erasure_residual(code: QuantumCode, subset, coefficients=None) -> float:
     """Largest detection residual over the 4^b Paulis on the subset.
 
     coefficients[j] is c_F for the j-th Pauli of pauli_basis_on; without
-    them each Pauli uses tr(V^dag E_F V) / K.
+    them each Pauli uses tr(V^dag E_F V) / K.  The K^2 4^b moments are
+    size-checked before they are built (codes.pauli_moments).
     """
-    subset = tuple(subset)
-    if len(subset) > MAX_SUBSET:
-        raise SizeError(f"subset size {len(subset)} exceeds cap {MAX_SUBSET}")
     return float(moment_residuals(pauli_moments(code, subset), coefficients).max())
 
 
@@ -115,13 +119,9 @@ def require_correctable(code: QuantumCode, subset,
                         residual_tol: float = RESIDUAL_TOL) -> None:
     """Raise NotCorrectableError when some Pauli on the subset goes undetected.
 
-    Computes only the residual (no marginal, matrix or eigensolve).  Sets
-    wider than MAX_SUBSET are not checked here; the structure certificate
-    still decides them.
+    Computes only the residual (no marginal, matrix or eigensolve).
     """
     subset = tuple(subset)
-    if len(subset) > MAX_SUBSET:
-        return
     residual = erasure_residual(code, subset)
     if residual > residual_tol:
         raise NotCorrectableError(
@@ -132,13 +132,17 @@ def require_correctable(code: QuantumCode, subset,
 def kl_matrix(code: QuantumCode, subset,
               residual_tol: float = RESIDUAL_TOL,
               rank_tol: float = RANK_TOL) -> KLReport:
-    """Coefficient matrix, residual, and marginal spectra for one subset.
+    """Coefficient matrix, its kernel, residual, and marginal spectra for one subset.
 
     The matrix is assembled as a Gram matrix of vec(E_j varrho_B^{1/2}), so
-    it is Hermitian PSD by construction with unit diagonal.  The residual
-    runs over the 4^b Paulis E_F on the subset with c_F = lambda_{0F} =
+    it is Hermitian PSD by construction with unit diagonal; it holds 16^b
+    entries, so sets wider than MAX_SUBSET are refused.  The residual runs
+    over the 4^b Paulis E_F on the subset with c_F = lambda_{0F} =
     Tr(varrho_B E_F), the matrix's identity row, so it cross-checks the
-    Gram route against the independent code-basis route.
+    Gram route against the independent code-basis route.  The matrix
+    spectrum is the marginal spectrum scaled by 2^b, each value repeated
+    2^b times, so the matrix has full rank exactly when the marginal does;
+    a disagreement raises ConsistencyError.
     """
     subset = tuple(subset)
     split = qla.SubsystemSplit(n=code.n, erased=subset)
@@ -157,6 +161,10 @@ def kl_matrix(code: QuantumCode, subset,
 
     eigs, vecs = qla.eig_hermitian(lam)
     matrix_rank = qla.numerical_rank(np.maximum(eigs, 0.0), rank_tol)
+    if (matrix_rank == 4 ** b) != (marginal_rank == split.dim_erased):
+        raise ConsistencyError(
+            f"rank mismatch: coefficient rank {matrix_rank} vs marginal rank "
+            f"{marginal_rank} disagree about fullness")
     kernel = vecs[:, matrix_rank:].T.copy()
 
     residual_max = erasure_residual(code, subset, lam[0])
@@ -167,43 +175,13 @@ def kl_matrix(code: QuantumCode, subset,
         kept_marginal_ranks=kept_ranks, kernel=kernel)
 
 
-def _structural_report(code: QuantumCode, subset,
-                       residual_tol: float, rank_tol: float) -> KLReport:
-    """Verdict from the structure certificate, for sets too wide for kl_matrix."""
-    from . import structure  # structure imports this module
-
-    split = qla.SubsystemSplit(n=code.n, erased=subset)
-    _, spectrum, marginal_rank, kept_ranks = _marginal(code, split, rank_tol)
-    try:
-        structure.decompose(code, split.erased, rank_tol=rank_tol,
-                            certify_tol=residual_tol)
-        correctable = True
-    except StructureViolationError:
-        correctable = False
-    return KLReport(
-        split=split, matrix=None, matrix_rank=None, residual_max=None,
-        correctable=correctable, marginal_spectrum=spectrum,
-        marginal_rank=marginal_rank, kept_marginal_ranks=kept_ranks, kernel=None)
-
-
 def classify(report: KLReport, atol: float = 1e-10) -> str:
-    """Place a correctable subset in the pure/impure/degenerate trichotomy.
-
-    Where the coefficient matrix exists this also cross-checks the rank
-    equivalence: the matrix has full rank 4^b exactly when the marginal has
-    full rank 2^b (their spectra are related by eigenvalue scaling and
-    2^b-fold multiplicity).
-    """
+    """Place a correctable subset in the pure/impure/degenerate trichotomy."""
     if not report.correctable:
         raise NotCorrectableError(
             f"subset {report.split.erased} is not correctable; no classification")
     dim = report.split.dim_erased
-    marg_full = report.marginal_rank == dim
-    if report.matrix is not None and (report.matrix_rank == dim * dim) != marg_full:
-        raise ConsistencyError(
-            f"rank mismatch: coefficient rank {report.matrix_rank} vs marginal rank "
-            f"{report.marginal_rank} disagree about fullness")
-    if not marg_full:
+    if report.marginal_rank != dim:
         return DEGENERATE
     if np.max(np.abs(report.marginal_spectrum - 1.0 / dim)) <= atol:
         return PURE
@@ -215,14 +193,21 @@ def analyze_subset(code: QuantumCode, subset,
                    rank_tol: float = RANK_TOL) -> KLReport:
     """Verdict plus classification when the subset turns out correctable.
 
-    Up to MAX_SUBSET erased qubits this is kl_matrix; wider sets are
-    decided by the structure certificate and carry no coefficient matrix.
+    One route for every b: the verdict is the erasure residual with c_F =
+    tr(V^dag E_F V) / K, whose K^2 4^b moment check is the only size
+    limit; C, the spectrum and the kept ranks come from the B-marginal,
+    and matrix_rank is 2^b rank(varrho_B) (see kl_matrix).  No coefficient
+    matrix or eigensolve of one is formed, so matrix and kernel are None.
     """
     subset = tuple(subset)
-    if len(subset) > MAX_SUBSET:
-        report = _structural_report(code, subset, residual_tol, rank_tol)
-    else:
-        report = kl_matrix(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
+    split = qla.SubsystemSplit(n=code.n, erased=subset)
+    residual_max = erasure_residual(code, subset)
+    _, spectrum, marginal_rank, kept_ranks = _marginal(code, split, rank_tol)
+    report = KLReport(
+        split=split, matrix=None, matrix_rank=split.dim_erased * marginal_rank,
+        residual_max=residual_max, correctable=bool(residual_max <= residual_tol),
+        marginal_spectrum=spectrum, marginal_rank=marginal_rank,
+        kept_marginal_ranks=kept_ranks, kernel=None)
     if report.correctable:
         report = replace(report, trichotomy=classify(report))
     return report
@@ -233,13 +218,13 @@ def scan_subsets(code: QuantumCode, size: int,
                  rank_tol: float = RANK_TOL):
     """analyze_subset for every subset of the given size, lexicographically.
 
-    The size caps are checked at the call, before any work; reports are
-    then produced one at a time, so a scan holds one coefficient matrix.
+    The qubit cap and the K^2 4^size moment check run at the call, before
+    any work; reports are then produced one at a time, so a scan holds one
+    subset's moments and marginal at a time.
     """
     if code.n > MAX_SCAN_QUBITS:
         raise SizeError(f"scan capped at {MAX_SCAN_QUBITS} qubits, code has {code.n}")
-    if size > MAX_SUBSET:
-        raise SizeError(f"scan size {size} exceeds cap {MAX_SUBSET}")
+    qla.check_dim(code.k_dim ** 2 * 4 ** size)
     return (analyze_subset(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
             for subset in itertools.combinations(range(1, code.n + 1), size))
 

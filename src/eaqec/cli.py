@@ -115,7 +115,8 @@ def _subset_str(subset) -> str:
     return "{" + ",".join(str(q) for q in subset) + "}"
 
 
-def _report_json(report: analysis.KLReport, full: bool) -> dict:
+def _report_json(report: analysis.KLReport,
+                 full: analysis.KLReport | None) -> dict:
     data = {
         "n": report.split.n,
         "subset": list(report.split.erased),
@@ -125,16 +126,13 @@ def _report_json(report: analysis.KLReport, full: bool) -> dict:
         "C": report.marginal_rank,
         "marginal_spectrum": [float(x) for x in report.marginal_spectrum],
         "kept_marginal_ranks": list(report.kept_marginal_ranks),
+        "matrix_rank": report.matrix_rank,
+        "matrix_dim": report.matrix_dim,
+        "residual_max": report.residual_max,
     }
-    if report.matrix is None:
-        data["method"] = "structural"
-        return data
-    data["matrix_rank"] = report.matrix_rank
-    data["matrix_dim"] = report.matrix.shape[0]
-    data["residual_max"] = report.residual_max
-    if full:
-        data["matrix"] = qla.to_re_im(report.matrix)
-        data["kernel"] = qla.to_re_im(report.kernel)
+    if full is not None:
+        data["matrix"] = qla.to_re_im(full.matrix)
+        data["kernel"] = qla.to_re_im(full.kernel)
     return data
 
 
@@ -142,6 +140,9 @@ def cmd_analyze(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     code = _load_code(args)
     subset = _parse_subset(args.subset, code.n)
+    # only --full builds the 16^b coefficient matrix, capped at MAX_SUBSET
+    full = (analysis.kl_matrix(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
+            if args.full else None)
     report = analysis.analyze_subset(code, subset, residual_tol=residual_tol,
                                      rank_tol=rank_tol)
     lines = [
@@ -153,15 +154,10 @@ def cmd_analyze(args) -> int:
     lines += [
         f"C: {report.marginal_rank}",
         f"marginal spectrum: {_fmt_floats(report.marginal_spectrum)}",
+        f"coefficient matrix rank: {report.matrix_rank} of {report.matrix_dim}",
+        f"max residual: {report.residual_max:.3e}",
     ]
-    if report.matrix is None:
-        lines.append("method: structural certificate (subset too wide for the error basis)")
-    else:
-        lines += [
-            f"coefficient matrix rank: {report.matrix_rank} of {report.matrix.shape[0]}",
-            f"max residual: {report.residual_max:.3e}",
-        ]
-    _emit(args, "\n".join(lines), _report_json(report, args.full))
+    _emit(args, "\n".join(lines), _report_json(report, full))
     return 0 if report.correctable else 2
 
 

@@ -308,24 +308,21 @@ def min_distance(code: QuantumCode, max_weight: int | None = None,
     A Pauli E is detected when P E P is proportional to the codespace
     projector P (see moment_residuals).  Scans weights 1..max_weight
     (default n) exhaustively, one pauli_moments call per weight-w support
-    covering its 3^w Paulis of full support, and returns the first weight
-    with a residual above residual_tol, or None if every scanned weight is
-    detected (distance is then at least max_weight + 1).  A K = 1 code
-    detects every Pauli, so it returns None without scanning; otherwise
-    the K^2 4^w moments of a weight-w support are size-checked before the
-    weight is scanned.
+    covering all 4^w Paulis on it; those of lower weight were detected at
+    an earlier weight (the identity always is), so the first weight with
+    a residual above residual_tol is the distance.  Returns None if every
+    scanned weight is detected (distance is then at least max_weight + 1).
+    A K = 1 code detects every Pauli, so it returns None without scanning;
+    otherwise pauli_moments size-checks the K^2 4^w moments of a support
+    before building them.
     """
     if code.k_dim == 1:
         return None
     n = code.n
     limit = n if max_weight is None else min(max_weight, n)
     for w in range(1, limit + 1):
-        qla.check_dim(code.k_dim ** 2 * 4 ** w)
-        mask = (1 << w) - 1
-        f = np.arange(1 << (2 * w))
-        full = np.flatnonzero(((f & mask) | (f >> w)) == mask)   # x | z covers the support
         for support in itertools.combinations(range(1, n + 1), w):
-            if moment_residuals(pauli_moments(code, support)[full]).max() > residual_tol:
+            if moment_residuals(pauli_moments(code, support)).max() > residual_tol:
                 return w
     return None
 

@@ -8,6 +8,6 @@ RESIDUAL_TOL = 1e-8      # Frobenius, for correctability residuals and certifica
 FIDELITY_SLACK = 1e-9    # recovery passes when fidelity >= 1 - FIDELITY_SLACK
 
 MAX_DIM = 2 ** 20        # dense vectors/operators beyond this dimension are refused
-MAX_SUBSET = 5           # largest erased-set size for full Pauli-basis analysis
+MAX_SUBSET = 5           # largest erased set for dense Pauli bases and the 16^b coefficient matrix
 MAX_SCAN_QUBITS = 12     # subset scans and logical enumeration cap
 

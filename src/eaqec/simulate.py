@@ -66,11 +66,10 @@ def replacer_channel(n: int, subset) -> KrausChannel:
 
     Kraus operators are the embedded Pauli basis on the subset scaled by
     1/2^b; the output marginal on the subset is I/2^b regardless of input.
+    The 4^b dense operators of 4^n entries each are size-checked first.
     """
     subset = tuple(subset)
-    if len(subset) > MAX_SUBSET:
-        raise SizeError(f"replacer channel on {len(subset)} qubits exceeds cap {MAX_SUBSET}")
-    qla.check_dim(1 << n)
+    qla.check_dim(4 ** len(subset) * 4 ** n)
     scaled_eye = np.eye(1 << n, dtype=complex) / (1 << len(subset))
     ops = tuple(p.apply(scaled_eye) for p in analysis.pauli_basis_on(n, subset))
     return KrausChannel(operators=ops, dim=1 << n)

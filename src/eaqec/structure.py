@@ -220,12 +220,12 @@ def ea_presend(code: QuantumCode, subset, distance: int,
     """EA description where the receiver's qubits are sent ahead noiselessly.
 
     Checks correctability first (analysis.require_correctable, a clean
-    NotCorrectableError), then certifies the factorization to size the
-    entanglement cost.
+    NotCorrectableError), then certifies the factorization at the same
+    residual_tol to size the entanglement cost.
     """
     subset = tuple(subset)
     analysis.require_correctable(code, subset, residual_tol=residual_tol)
-    dec = decompose(code, subset, rank_tol=rank_tol)
+    dec = decompose(code, subset, rank_tol=rank_tol, certify_tol=residual_tol)
     return presend_from_decomposition(dec, code, distance)
 
 

@@ -4,7 +4,8 @@ Every coefficient matrix checked here is recomputed through an independent
 route first: embedded error operators built by explicit kron products and
 lambda'_ij = Tr(P E_i^dag E_j P) / K through the dense codespace projector.
 Marginals are recomputed with an einsum-based partial trace that never calls
-the library's linear-algebra helpers.
+the library's linear-algebra helpers.  Verdicts on sets too wide for the
+coefficient matrix are checked against the structure certificate.
 """
 
 import itertools
@@ -14,9 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, qla, stab
-from eaqec.config import MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
-from eaqec.errors import NotCorrectableError, SizeError
+from eaqec import analysis, codes, qla, stab, structure
+from eaqec.config import MAX_DIM, MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
+from eaqec.errors import NotCorrectableError, SizeError, StructureViolationError
 
 from conftest import cached_fixture
 
@@ -148,6 +149,39 @@ def impure_example() -> codes.QuantumCode:
     v[0b00] = np.sqrt(0.8)
     v[0b11] = np.sqrt(0.2)
     return codes.QuantumCode(n=2, basis=v[None, :])
+
+
+def lopsided_ghz(n: int = 7) -> codes.QuantumCode:
+    """0.6|0...0> + 0.8|1...1>: K = 1, so every erased set is correctable."""
+    v = np.zeros(2 ** n, dtype=complex)
+    v[0], v[-1] = 0.6, 0.8
+    return codes.QuantumCode(n=n, basis=v[None, :])
+
+
+def oracle_structural_report(code, subset) -> tuple[bool, str | None, int]:
+    """(correctable, class, C) with the verdict from the structure certificate.
+
+    structure.decompose certifies a factorization exactly when the erased
+    set is correctable, independently of the Pauli-moment residual; C and
+    the class are read off the einsum marginal.
+    """
+    try:
+        structure.decompose(code, subset, rank_tol=RANK_TOL, certify_tol=RESIDUAL_TOL)
+        correctable = True
+    except StructureViolationError:
+        correctable = False
+    spec = np.sort(np.linalg.eigvalsh(oracle_erased_marginal(code, subset)))[::-1]
+    rank = int(np.count_nonzero(spec > RANK_TOL * spec[0]))
+    dim = 2 ** len(subset)
+    if not correctable:
+        cls = None
+    elif rank < dim:
+        cls = analysis.DEGENERATE
+    elif np.max(np.abs(spec - 1.0 / dim)) <= 1e-10:
+        cls = analysis.PURE
+    else:
+        cls = analysis.IMPURE_NONDEGENERATE
+    return correctable, cls, rank
 
 
 class TestPauliBasisOn:
@@ -284,10 +318,11 @@ class TestResidual:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_gate_skips_wide_sets(self):
-        # above MAX_SUBSET the gate defers to the structure certificate
-        steane = cached_fixture("steane")
-        analysis.require_correctable(steane, (2, 3, 4, 5, 6, 7))
+    def test_gate_decides_wide_sets(self):
+        # the residual decides sets wider than MAX_SUBSET as well
+        with pytest.raises(NotCorrectableError):
+            analysis.require_correctable(cached_fixture("steane"), (2, 3, 4, 5, 6, 7))
+        analysis.require_correctable(lopsided_ghz(), (1, 2, 3, 4, 5, 6))
 
 
 class TestMarginal:
@@ -343,8 +378,9 @@ class TestClassify:
         report = analysis.analyze_subset(cached_fixture("five_qubit"), ())
         assert report.correctable
         assert report.trichotomy == analysis.PURE
-        assert report.matrix.shape == (1, 1)
+        assert (report.matrix_rank, report.matrix_dim) == (1, 1)
         assert report.marginal_rank == 1
+        assert analysis.kl_matrix(cached_fixture("five_qubit"), ()).matrix.shape == (1, 1)
 
 
 class TestKernel:
@@ -389,7 +425,7 @@ class TestInvariance:
     def summary(code, subset):
         report = analysis.analyze_subset(code, subset)
         return (codes.min_distance(code), report.correctable, report.trichotomy,
-                report.marginal_rank)
+                report.marginal_rank, report.matrix_rank)
 
     @pytest.mark.parametrize("name,subset", CASES)
     @pytest.mark.parametrize("seed", range(2))
@@ -409,6 +445,20 @@ class TestInvariance:
         rotated = local_unitaries(code, np.random.default_rng(seed))
         assert self.summary(rotated, subset) == self.summary(code, subset)
 
+    @pytest.mark.parametrize("name,subset", CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_logical_rotation(self, name, subset, seed):
+        # basis -> U basis with a random K x K unitary U spans the same codespace
+        code = cached_fixture(name)
+        rng = np.random.default_rng(seed)
+        k = code.k_dim
+        u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        rotated = codes.QuantumCode(code.n, u @ code.basis, label="rotated")
+        assert self.summary(rotated, subset) == self.summary(code, subset)
+        np.testing.assert_allclose(
+            analysis.analyze_subset(rotated, subset).marginal_spectrum,
+            analysis.analyze_subset(code, subset).marginal_spectrum, rtol=0, atol=1e-12)
+
 
 class TestFindCorrectableSets:
     def test_five_qubit_pairs(self):
@@ -424,16 +474,34 @@ class TestFindCorrectableSets:
         assert all(r.marginal_rank == 2 for r in reports)
 
     def test_subset_size_cap(self):
-        with pytest.raises(SizeError):
-            analysis.find_correctable_sets(cached_fixture("steane"), MAX_SUBSET + 1)
+        # the cap on the scan size is the K^2 4^size moment check, nothing
+        # else: steane scans at MAX_SUBSET + 1, while K = 128 on 8 qubits at
+        # size 4 (2^22 moments) is refused before anything is built
+        assert analysis.find_correctable_sets(cached_fixture("steane"), MAX_SUBSET + 1) == []
+        code = stab.codewords(stab.StabilizerGroup.from_strings(["ZIIIIIII"]))
+        assert code.k_dim ** 2 * 4 ** 4 > MAX_DIM
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                analysis.scan_subsets(code, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_wide_sets_are_certified_structurally(self):
+        # the moment residual agrees with the structure certificate on a
+        # set wider than MAX_SUBSET, and the report carries every field
         code = cached_fixture("steane")
         subset = (1, 2, 3, 4, 5, 6)
         report = analysis.analyze_subset(code, subset)
         assert not report.correctable and report.trichotomy is None
-        assert report.matrix is None and report.matrix_rank is None
-        assert report.residual_max is None and report.kernel is None
+        assert (report.correctable, report.trichotomy, report.marginal_rank) == \
+            oracle_structural_report(code, subset)
+        assert report.matrix is None and report.kernel is None
+        assert report.matrix_rank == 2 ** 6 * report.marginal_rank
+        assert report.matrix_dim == 4 ** 6
+        assert report.residual_max > 0.1
         oracle_spec = np.sort(np.linalg.eigvalsh(oracle_erased_marginal(code, subset)))[::-1]
         np.testing.assert_allclose(report.marginal_spectrum, oracle_spec, atol=1e-10)
         assert report.marginal_rank == np.count_nonzero(oracle_spec > 1e-9)
@@ -445,3 +513,37 @@ class TestFindCorrectableSets:
         big = codes.QuantumCode(n=n, basis=v[None, :])
         with pytest.raises(SizeError):
             analysis.find_correctable_sets(big, 1)
+
+
+class TestSingleRoute:
+    """analyze_subset against the two routes it replaces: the coefficient
+    matrix for narrow sets and the structure certificate for wide ones."""
+
+    @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
+    def test_matches_coefficient_matrix(self, name):
+        # matrix_rank = 2^b rank(varrho_B) equals the rank of the 4^b x 4^b
+        # matrix itself on every subset with 1 <= b <= 4
+        code = cached_fixture(name)
+        for b in range(1, min(4, code.n) + 1):
+            for subset in itertools.combinations(range(1, code.n + 1), b):
+                got = analysis.analyze_subset(code, subset)
+                want = analysis.kl_matrix(code, subset)
+                assert got.matrix_rank == want.matrix_rank, subset
+                assert got.correctable == want.correctable, subset
+                assert got.marginal_rank == want.marginal_rank
+                assert got.kept_marginal_ranks == want.kept_marginal_ranks
+                assert np.array_equal(got.marginal_spectrum, want.marginal_spectrum)
+                assert abs(got.residual_max - want.residual_max) <= 1e-13
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda name=name: cached_fixture(name), id=name)
+          for name in codes.FIXTURE_NAMES),
+        pytest.param(lopsided_ghz, id="lopsided_ghz"),
+    ])
+    def test_wide_sets_match_structural_oracle(self, make):
+        code = make()
+        for b in range(6, code.n + 1):
+            for subset in itertools.combinations(range(1, code.n + 1), b):
+                report = analysis.analyze_subset(code, subset)
+                assert (report.correctable, report.trichotomy, report.marginal_rank) == \
+                    oracle_structural_report(code, subset), subset

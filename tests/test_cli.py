@@ -54,16 +54,19 @@ class TestAnalyze:
         assert rc == 2
         assert "correctable: no" in out
 
-    def test_whole_code_uses_structural_certificate(self, capsys):
+    def test_whole_code_reports_residual(self, capsys):
+        # every b takes the moment residual: erasing all seven qubits still
+        # reports the coefficient rank 2^b C and the residual
         rc, out, _ = run(capsys, "analyze", "--fixture", "steane",
                          "--subset", "1,2,3,4,5,6,7")
         assert rc == 2
         assert "correctable: no" in out
-        assert "structural certificate" in out
+        assert "coefficient matrix rank: 256 of 16384" in out
+        assert "max residual: 1.414e+00" in out
 
     def test_wide_correctable_is_structural(self, capsys, tmp_path):
         # |0000000> and |1111111> weighted 0.6 / 0.8: erasing six qubits
-        # leaves a rank-2 marginal, certified without the error basis
+        # leaves a rank-2 marginal; the structure certificate agrees
         path = write_code(tmp_path, 7, {"0" * 7: 0.6, "1" * 7: 0.8})
         rc, out, _ = run(capsys, "analyze", "--code", str(path),
                          "--subset", "1,2,3,4,5,6")
@@ -73,9 +76,20 @@ class TestAnalyze:
         rc, out, _ = run(capsys, "analyze", "--code", str(path),
                          "--subset", "1,2,3,4,5,6", "--format", "json")
         data = json.loads(out)
-        assert rc == 0 and data["method"] == "structural"
+        assert rc == 0 and "method" not in data
         assert data["trichotomy"] == "degenerate" and data["C"] == 2
-        assert "residual_max" not in data
+        assert data["matrix_rank"] == 2 ** 6 * 2 and data["matrix_dim"] == 4 ** 6
+        assert data["residual_max"] == 0.0
+        rc, out, _ = run(capsys, "decompose", "--code", str(path),
+                         "--subset", "1,2,3,4,5,6", "--distance", "1")
+        assert rc == 0 and "dim_A: 2" in out
+
+    def test_full_above_cap_exits_one(self, capsys):
+        # --full builds the 16^b coefficient matrix, which stops at MAX_SUBSET
+        rc, out, err = run(capsys, "analyze", "--fixture", "steane",
+                           "--subset", "1,2,3,4,5,6", "--format", "json", "--full")
+        assert rc == 1 and out == ""
+        assert "exceeds cap 5" in err
 
     def test_json_payload(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--fixture", "five_qubit",
@@ -159,11 +173,18 @@ class TestDecompose:
         assert "not correctable" in err
 
     def test_wide_violation_exits_three(self, capsys):
-        # six erased qubits skip the dense gate; certification then fails
+        # a residual threshold loose enough to pass six erased qubits; the
+        # certification still fails (K x dim_A exceeds the kept dimension)
         rc, _, err = run(capsys, "decompose", "--fixture", "steane",
-                         "--subset", "2,3,4,5,6,7")
+                         "--subset", "2,3,4,5,6,7", "--tol-residual", "2")
         assert rc == 3
         assert "structure violation" in err
+
+    def test_wide_not_correctable_exits_two(self, capsys):
+        rc, _, err = run(capsys, "decompose", "--fixture", "steane",
+                         "--subset", "2,3,4,5,6,7")
+        assert rc == 2
+        assert "not correctable" in err
 
 
 class TestVerify:
@@ -282,8 +303,18 @@ class TestScan:
     def test_size_out_of_range(self, capsys):
         rc, _, err = run(capsys, "scan", "--fixture", "five_qubit", "--size", "0")
         assert rc == 1
-        rc, _, err = run(capsys, "scan", "--fixture", "steane", "--size", "6")
+        rc, _, err = run(capsys, "scan", "--fixture", "steane", "--size", "8")
         assert rc == 1
+        assert "within 1..7" in err
+        # K = 128: the K^2 4^4 moments of one size-4 subset exceed MAX_DIM
+        rc, _, err = run(capsys, "scan", "--stabilizers", "ZIIIIIII", "--size", "4")
+        assert rc == 1
+        assert "exceeds cap" in err
+
+    def test_wider_than_coefficient_matrix(self, capsys):
+        rc, out, _ = run(capsys, "scan", "--fixture", "steane", "--size", "6")
+        assert rc == 0
+        assert "0 of 7 subsets correctable" in out
 
     def test_qubit_cap(self, capsys, tmp_path):
         path = write_code(tmp_path, 13, {"0" * 13: 1.0})

@@ -1,9 +1,13 @@
-"""Smoke test: each script under scripts/ runs to completion on the source tree."""
+"""Smoke tests: each script under scripts/ runs to completion on the source
+tree, and every function the benchmark's layer tracer wraps still exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,3 +21,18 @@ def test_script_exits_zero(script):
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_layertrace_targets_resolve():
+    # bench/layertrace.py wraps these functions by name; a rename or
+    # deletion in src/ would otherwise surface only in the bench suite
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    mods = SimpleNamespace(**{layer: importlib.import_module(f"eaqec.{layer}")
+                              for layer in layertrace.LAYERS})
+    targets = layertrace.current_targets(mods)
+    assert len(targets) == len(layertrace.TARGETS)
+    for name, raw in targets.items():
+        fn = raw.__func__ if isinstance(raw, classmethod) else raw
+        assert callable(fn), name

@@ -162,6 +162,17 @@ class TestReplacerChannel:
         with pytest.raises(SizeError):
             simulate.replacer_channel(7, (1, 2, 3, 4, 5, 6))
 
+    def test_operators_refused_before_allocating(self):
+        # n = 10, b = 1: four dense operators of 4^10 entries exceed MAX_DIM
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                simulate.replacer_channel(10, (1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestKlRecovery:
     @staticmethod

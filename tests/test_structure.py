@@ -196,6 +196,20 @@ class TestPresend:
         with pytest.raises(NotCorrectableError):
             structure.ea_presend(cached_fixture("five_qubit"), (1, 2, 3), distance=3)
 
+    def test_residual_tol_reaches_the_certificate(self):
+        # a basis perturbed by 1e-6 and re-orthonormalised has residual ~6e-6:
+        # a caller's 1e-4 tolerance must admit it at the gate and certificate
+        code = cached_fixture("five_qubit")
+        rng = np.random.default_rng(0)
+        noise = rng.normal(size=code.basis.shape) + 1j * rng.normal(size=code.basis.shape)
+        q, _ = np.linalg.qr((code.basis + 1e-6 * noise).T)
+        perturbed = codes.QuantumCode(code.n, q.T)
+        assert 1e-6 < analysis.erasure_residual(perturbed, (4, 5)) < 1e-4
+        with pytest.raises(StructureViolationError):
+            structure.decompose(perturbed, (4, 5))
+        ea = structure.ea_presend(perturbed, (4, 5), distance=3, residual_tol=1e-4)
+        assert ea.schmidt_rank == 4
+
 
 class TestEACodeValidation:
     @staticmethod
