@@ -16,6 +16,7 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,10 +230,9 @@ def cmd_verify(args) -> int:
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
     d = _distance_for(code, args, residual_tol)
-    strategy = "compressed" if args.compressed else args.strategy
-    if strategy == structure.COMPRESSED:
+    if args.strategy == structure.COMPRESSED:
         ea = structure.compress(dec, d, rank_tol=rank_tol)
-    elif strategy == structure.PRESEND:
+    elif args.strategy == structure.PRESEND:
         ea = structure.presend_from_decomposition(dec, code, d)
     else:
         ea = structure.ea_from_structure(dec, d)
@@ -392,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=(structure.STRUCTURE, structure.PRESEND,
                             structure.COMPRESSED),
                    default=structure.STRUCTURE)
-    p.add_argument("--compressed", action="store_true",
-                   help="shorthand for --strategy compressed")
     p.add_argument("--exploratory", action="store_true",
                    help="run unsupported model/strategy combinations anyway")
     p.add_argument("--distance", type=int, default=None)
@@ -422,10 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args builds a fresh namespace per call, so one parser serves them all
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

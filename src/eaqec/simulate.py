@@ -7,6 +7,10 @@ much of each recovered state lands on a code state, so the recovery is kept
 in the code basis as the K x 2^n decoders V^dag F_k^dag / sqrt(d_k), built
 from the images E_a V; no 2^n x 2^n operator is formed.  Verification then
 drives encoded states through error + recovery and demands unit fidelity.
+Every EA strategy is verified on the register it actually transmits: the n
+code qubits, or for the compressed strategy the kept qubits plus the
+carrier qubits of the compressed share; errors act there, and one receiver
+map brings the result back to the code qubits for decoding.
 """
 
 from __future__ import annotations
@@ -87,16 +91,21 @@ def kl_recovery(code: QuantumCode, errors,
     with fidelity sum_k |w^dag D_k |s>|^2.  The trace-preserving completion
     is left out: its range is orthogonal to span{F_k V}, which contains the
     code space when the identity is an error, so it adds nothing to such a
-    fidelity.  Raises NotCorrectableError when the correlation-matrix
-    residual shows the set is not correctable, and ConsistencyError when
-    the r*K rows of D are not orthonormal.
+    fidelity.  Raises SizeError before building anything when the
+    #errors*K*2^n images or their (#errors*K)^2 Gram matrix exceed MAX_DIM,
+    NotCorrectableError when the correlation-matrix residual shows the set
+    is not correctable, and ConsistencyError when the r*K rows of D are not
+    orthonormal.
     """
+    errors = list(errors)
+    if not errors:
+        raise ContractError("empty error set")
+    m, k = len(errors), code.k_dim
+    qla.check_dim(m * k * code.dim)                # the images E_a V
+    qla.check_dim((m * k) ** 2)                    # and their Gram matrix
     v = code.basis_matrix                          # 2^n x K
     images = [e.apply(v) if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex) @ v
               for e in errors]
-    if not images:
-        raise ContractError("empty error set")
-    m, k = len(images), code.k_dim
     flat = np.stack(images, axis=1).reshape(v.shape[0], m * k)   # column a*K + i: E_a V e_i
     gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
     lam = np.einsum("aibi->ab", gram) / k
@@ -137,12 +146,12 @@ def _paulis_up_to_weight(n: int, qubits, weight: int):
                                        for p in paulis_of_weight(n, qubits, w)]
 
 
-def _test_states(k: int) -> list[np.ndarray]:
-    """Coefficient vectors w of the test states w @ code.basis: each
+def _test_states(k: int) -> np.ndarray:
+    """Coefficient rows w of the test states w @ code.basis: each
     codeword, then their equal superposition."""
-    states = list(np.eye(k))
+    states = np.eye(k)
     if k > 1:
-        states.append(np.full(k, 1.0 / np.sqrt(k)))
+        states = np.vstack([states, np.full(k, 1.0 / np.sqrt(k))])
     return states
 
 
@@ -153,13 +162,24 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
               rank_tol: float = RANK_TOL) -> VerificationReport:
     """Drive encoded states through weight-w errors and canonical recovery.
 
+    Every strategy runs on the register that is actually transmitted: the
+    n code qubits for structure and presend; for compressed, the kept
+    qubits followed by ebit_cost carrier qubits that hold the receiver's
+    C-dimensional share, padded to 2^ebit_cost.  The codewords and their
+    equal superposition are prepared there together, each error hits all
+    of them at once, and the receiver maps the result back to the code
+    qubits before the canonical recovery decodes it.  For compressed that
+    map reads the first C carrier amplitudes and re-expands them through
+    compress_isometry; amplitude an error pushes outside them is lost.
+
     noiseless: errors act on the kept qubits only (the receiver's share is
-    pristine).  noisy: errors act anywhere.  The compressed strategy only
-    supports the noiseless model; pass exploratory=True to run it under
-    noise anyway: errors then act on the kept qubits and on the carrier
-    qubits of the compressed share before the receiver re-expands it, and
-    the results are reported without any guarantee (fidelities below one
-    are expected; that is the cost the compression trades away).
+    pristine).  noisy: errors act on every transmitted qubit.  The
+    compressed strategy only supports the noiseless model; pass
+    exploratory=True to run it under noise anyway: errors then also hit
+    the carrier qubits, and the results are reported without any guarantee
+    (fidelities below one are expected; that is the cost the compression
+    trades away).  Failures are named by the error's letters on the
+    transmitted register, split as kept|carrier for the compressed strategy.
     """
     if model not in (NOISELESS, NOISY):
         raise ContractError(f"unknown error model {model!r}")
@@ -175,99 +195,51 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     allowed = split.kept if model == NOISELESS else tuple(range(1, split.n + 1))
     decoders = kl_recovery(code, _paulis_up_to_weight(split.n, allowed, weight),
                            residual_tol=residual_tol, rank_tol=rank_tol)
+    targets = _test_states(code.k_dim)          # one test state w per row
 
-    states = _test_states(code.k_dim)
     if compressed:
-        prepared = [_compressed_state(ea, dec, w) for w in states]
+        n_kept, c, carrier_dim = len(split.kept), ea.receiver_dim, 1 << ea.ebit_cost
+        n_reg = n_kept + ea.ebit_cost
+        sites = range(1, (n_kept if model == NOISELESS else n_reg) + 1)
+        sent = np.zeros((split.dim_kept, carrier_dim, len(targets)), dtype=complex)
+        sent[:, :c] = np.einsum("si,kia,ac->kcs", targets,
+                                dec.isometry.reshape(split.dim_kept, code.k_dim, -1),
+                                ea.shared_state.reshape(ea.sender_dim, c))
+        sent = sent.reshape(-1, len(targets))
+        perm = qla.permutation_indices(split.n, split.order)
+
+        def receive(hit):
+            share = hit.reshape(split.dim_kept, carrier_dim, -1)[:, :c]
+            received = np.empty((perm.size, hit.shape[1]), dtype=complex)
+            received[perm] = np.einsum("kcs,ec->kes", share,
+                                       ea.compress_isometry).reshape(received.shape)
+            return received
+
+        def label(letters):
+            return letters[:n_kept] + "|" + letters[n_kept:]
     else:
-        prepared = [w @ code.basis for w in states]
+        n_reg, sites = split.n, allowed
+        sent = (targets @ code.basis).T
 
-    perm = qla.permutation_indices(split.n, split.order)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
+        def receive(hit):
+            return hit
 
-    share_noise = compressed and model == NOISY
-    n_kept = len(split.kept)
-    if share_noise:
-        n_err = n_kept + ea.ebit_cost
-        sites = range(1, n_err + 1)
-    else:
-        n_err, sites = split.n, allowed
-    apply_errors = list(paulis_of_weight(n_err, sites, weight)) or [PauliOperator(n_err, 0, 0)]
+        def label(letters):
+            return letters
 
-    cases = 0
+    errors = list(paulis_of_weight(n_reg, sites, weight)) or [PauliOperator(n_reg, 0, 0)]
     min_fid = 1.0
     failures: dict[str, float] = {}
-    for err in apply_errors:
-        letters = "".join(err.to_string()[1]) if err.n else "I"
-        if share_noise:
-            err_label = letters[:n_kept] + "|" + letters[n_kept:]
-        else:
-            err_label = letters
-        for w, sent in zip(states, prepared):
-            if compressed:
-                if model == NOISELESS:
-                    corrupted = _restrict_to_kept(err, split).apply(sent)
-                else:
-                    corrupted = _share_noise_corrupt(sent, err, ea)
-                full = _compressed_expand(corrupted, ea, inv)
-            else:
-                full = err.apply(sent)
-            fid = float(np.sum(np.abs((decoders @ full) @ w.conj()) ** 2))
-            cases += 1
-            min_fid = min(min_fid, fid)
-            if fid < 1.0 - FIDELITY_SLACK:
-                failures[err_label] = min(failures.get(err_label, 1.0), fid)
+    for err in errors:
+        amps = np.einsum("rks,sk->rs", decoders @ receive(err.apply(sent)), targets.conj())
+        worst = float(np.min(np.sum(np.abs(amps) ** 2, axis=0)))
+        min_fid = min(min_fid, worst)
+        if worst < 1.0 - FIDELITY_SLACK:
+            failures[label(err.to_string()[1] or "I")] = worst
     return VerificationReport(
         strategy=ea.strategy, model=model, error_weight=weight,
-        cases_run=cases, min_fidelity=min_fid,
+        cases_run=len(errors) * len(targets), min_fidelity=min_fid,
         failures=tuple(sorted(failures.items())), exploratory=exploratory and compressed)
-
-
-def _compressed_state(ea, dec, w: np.ndarray) -> np.ndarray:
-    """The code state w @ code.basis in compressed form, a kept x receiver matrix."""
-    psi_small = ea.shared_state.reshape(dec.ancilla_dim, ea.receiver_dim)
-    return sum(wi * (blk @ psi_small) for wi, blk in zip(w, dec.blocks()))
-
-
-def _restrict_to_kept(err: PauliOperator, split: qla.SubsystemSplit) -> PauliOperator:
-    """Rewrite a Pauli supported on kept qubits as an operator on the kept factor."""
-    kept = split.kept
-    pos = {q: j + 1 for j, q in enumerate(kept)}
-    m = len(kept)
-    x_loc = z_loc = 0
-    for q in err.support:
-        if q not in pos:
-            raise ContractError(f"error touches erased qubit {q}")
-        bit = 1 << (m - pos[q])
-        if err.x_bits >> (split.n - q) & 1:
-            x_loc |= bit
-        if err.z_bits >> (split.n - q) & 1:
-            z_loc |= bit
-    return PauliOperator(m, x_loc, z_loc, err.phase_exp)
-
-
-def _share_noise_corrupt(mat: np.ndarray, err: PauliOperator, ea) -> np.ndarray:
-    """Noise on the compressed share's carrier qubits, before re-expansion.
-
-    The C-dimensional share rides on ebit_cost qubits; the state is padded
-    to that register, hit by the error, and truncated back.  Amplitude
-    pushed outside the C-dimensional support is lost (the receiver's
-    re-expansion only reads that subspace), which is precisely how the
-    compression trades away noisy-model protection.
-    """
-    c = ea.receiver_dim
-    share_dim = 1 << ea.ebit_cost
-    padded = np.zeros((mat.shape[0], share_dim), dtype=complex)
-    padded[:, :c] = mat
-    hit = err.apply(padded.reshape(-1))
-    return hit.reshape(mat.shape[0], share_dim)[:, :c]
-
-
-def _compressed_expand(mat: np.ndarray, ea, inv: np.ndarray) -> np.ndarray:
-    """Re-expand the receiver's share through V and undo the qubit permutation."""
-    full_perm = (mat @ ea.compress_isometry.T).reshape(-1)
-    return full_perm[inv]
 
 
 def channel_form_check(dec: structure.StructureDecomposition,

@@ -547,3 +547,34 @@ class TestSingleRoute:
                 report = analysis.analyze_subset(code, subset)
                 assert (report.correctable, report.trichotomy, report.marginal_rank) == \
                     oracle_structural_report(code, subset), subset
+
+
+class TestCertificateDifferential:
+    """The structure certificate and the moment residual agree on every
+    narrow erased set once the fixture's frame is scrambled."""
+
+    @staticmethod
+    def frames(code):
+        # two random local-unitary frames and one random logical rotation
+        yield local_unitaries(code, np.random.default_rng(0))
+        yield local_unitaries(code, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        k = code.k_dim
+        u, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        yield codes.QuantumCode(code.n, u @ code.basis, label="rotated")
+
+    @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
+    def test_certifies_exactly_the_correctable_sets(self, name):
+        verdicts = set()
+        for code in self.frames(cached_fixture(name)):
+            for b in range(1, 4):
+                for subset in itertools.combinations(range(1, code.n + 1), b):
+                    correctable = analysis.analyze_subset(code, subset).correctable
+                    try:
+                        structure.decompose(code, subset)
+                        certified = True
+                    except StructureViolationError:
+                        certified = False
+                    assert certified == correctable, subset
+                    verdicts.add(correctable)
+        assert verdicts == {True, False}

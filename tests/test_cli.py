@@ -111,6 +111,15 @@ class TestAnalyze:
         assert len(data["matrix"]) == 16
         assert len(data["kernel"]) == 16 - data["matrix_rank"]
 
+    def test_consecutive_calls_share_no_state(self, capsys):
+        # main reuses one parser per process; --full must not reach the next call
+        run(capsys, "analyze", "--fixture", "pi_7_2_3", "--subset", "6,7",
+            "--format", "json", "--full")
+        rc, out, _ = run(capsys, "analyze", "--fixture", "pi_7_2_3",
+                         "--subset", "6,7", "--format", "json")
+        assert rc == 0
+        assert "matrix" not in json.loads(out)
+
     def test_text_and_json_agree(self, capsys):
         _, text_out, _ = run(capsys, "analyze", "--fixture", "steane",
                              "--subset", "4,5,6,7")
@@ -206,21 +215,27 @@ class TestVerify:
 
     def test_compressed_noiseless_pass(self, capsys):
         rc, out, _ = run(capsys, "verify", "--fixture", "steane",
-                         "--subset", "4,5,6,7", "--compressed")
+                         "--subset", "4,5,6,7", "--strategy", "compressed")
         assert rc == 0
         assert "strategy: compressed" in out
         assert "verdict: pass" in out
 
+    def test_compressed_alias_is_gone(self, capsys):
+        # the strategy has one spelling, so presend cannot silently turn compressed
+        rc, _, _ = run(capsys, "verify", "--fixture", "steane", "--subset", "4,5,6,7",
+                       "--strategy", "presend", "--compressed")
+        assert rc == 1
+
     def test_compressed_noisy_exits_four(self, capsys):
         rc, _, err = run(capsys, "verify", "--fixture", "steane",
-                         "--subset", "4,5,6,7", "--compressed",
+                         "--subset", "4,5,6,7", "--strategy", "compressed",
                          "--model", "noisy")
         assert rc == 4
         assert "model mismatch" in err
 
     def test_compressed_noisy_exploratory(self, capsys):
         rc, out, _ = run(capsys, "verify", "--fixture", "steane",
-                         "--subset", "4,5,6,7", "--compressed",
+                         "--subset", "4,5,6,7", "--strategy", "compressed",
                          "--model", "noisy", "--exploratory")
         assert rc == 0
         assert "exploratory: results reported without guarantee" in out

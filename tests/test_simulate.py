@@ -16,7 +16,7 @@ import pytest
 
 from eaqec import analysis, codes, qla, simulate, stab, structure
 from eaqec.codes import PauliOperator
-from eaqec.config import RANK_TOL
+from eaqec.config import FIDELITY_SLACK, RANK_TOL
 from eaqec.errors import (ConsistencyError, ContractError, ModelMismatchError,
                           NotCorrectableError, SizeError)
 
@@ -101,6 +101,81 @@ def oracle_kl_recovery(code, errors, rank_tol=RANK_TOL):
     if np.linalg.norm(gap) > 1e-12 * dim:
         kraus.append(qla.sqrtm_psd(gap))
     return kraus
+
+
+def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
+    """verify_ea as a loop over (error, test state) pairs, one route per case.
+
+    Uncompressed strategies apply each error to the code state itself.  The
+    compressed strategy holds each test state as a kept x C matrix: a
+    noiseless error is rewritten as an operator on the kept factor; a noisy
+    one acts on the kept qubits plus the padded carrier register, and the
+    share is truncated back to C.  Either way the receiver re-expands the
+    share through compress_isometry and undoes the qubit permutation.
+    """
+    split = dec.split
+    n, kept = split.n, split.kept
+    allowed = kept if model == simulate.NOISELESS else tuple(range(1, n + 1))
+    decoders = simulate.kl_recovery(
+        code, [PauliOperator(n, 0, 0)] + [p for w in range(1, weight + 1)
+                                          for p in codes.paulis_of_weight(n, allowed, w)])
+    states = list(np.eye(code.k_dim))
+    if code.k_dim > 1:
+        states.append(np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim)))
+    compressed = ea.strategy == structure.COMPRESSED
+    perm = qla.permutation_indices(n, split.order)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    c, m = ea.receiver_dim, len(kept)
+
+    def compressed_state(w):
+        psi_small = ea.shared_state.reshape(dec.ancilla_dim, c)
+        return sum(wi * (blk @ psi_small) for wi, blk in zip(w, dec.blocks()))
+
+    def restrict_to_kept(err):
+        x_loc = z_loc = 0
+        for j, q in enumerate(kept):
+            bit = 1 << (m - 1 - j)
+            x_loc |= bit * (err.x_bits >> (n - q) & 1)
+            z_loc |= bit * (err.z_bits >> (n - q) & 1)
+        return PauliOperator(m, x_loc, z_loc, err.phase_exp)
+
+    def share_noise_corrupt(mat, err):
+        padded = np.zeros((mat.shape[0], 1 << ea.ebit_cost), dtype=complex)
+        padded[:, :c] = mat
+        return err.apply(padded.reshape(-1)).reshape(padded.shape)[:, :c]
+
+    share_noise = compressed and model == simulate.NOISY
+    n_err, sites = (m + ea.ebit_cost, range(1, m + ea.ebit_cost + 1)) if share_noise \
+        else (n, allowed)
+    apply_errors = list(codes.paulis_of_weight(n_err, sites, weight)) \
+        or [PauliOperator(n_err, 0, 0)]
+    cases, min_fid, failures = 0, 1.0, {}
+    for err in apply_errors:
+        letters = err.to_string()[1] or "I"
+        if share_noise:
+            label = letters[:m] + "|" + letters[m:]
+        elif compressed:     # named on the transmitted register, carriers untouched
+            label = restrict_to_kept(err).to_string()[1] + "|" + "I" * ea.ebit_cost
+        else:
+            label = letters
+        for w in states:
+            if not compressed:
+                full = err.apply(w @ code.basis)
+            else:
+                sent = compressed_state(w)
+                hit = (share_noise_corrupt(sent, err) if share_noise
+                       else restrict_to_kept(err).apply(sent))
+                full = (hit @ ea.compress_isometry.T).reshape(-1)[inv]
+            fid = float(np.sum(np.abs((decoders @ full) @ w.conj()) ** 2))
+            cases += 1
+            min_fid = min(min_fid, fid)
+            if fid < 1.0 - FIDELITY_SLACK:
+                failures[label] = min(failures.get(label, 1.0), fid)
+    return simulate.VerificationReport(
+        strategy=ea.strategy, model=model, error_weight=weight, cases_run=cases,
+        min_fidelity=min_fid, failures=tuple(sorted(failures.items())),
+        exploratory=exploratory and compressed)
 
 
 class TestKrausChannel:
@@ -246,6 +321,25 @@ class TestKlRecovery:
         with pytest.raises(ContractError):
             simulate.kl_recovery(cached_fixture("five_qubit"), [])
 
+    def test_oversized_error_set_refused_before_allocating(self):
+        # 16 qubits, K = 2, noisy weight 2: the images of 1129 errors alone
+        # would take 1129 * 2 * 2^16 * 16 B, about 2.4 GB
+        n = 16
+        basis = np.zeros((2, 1 << n))
+        basis[0, 0] = basis[1, -1] = 1.0
+        code = codes.QuantumCode(n, basis)
+        errors = [PauliOperator(n, 0, 0)] + [
+            p for w in (1, 2) for p in codes.paulis_of_weight(n, range(1, n + 1), w)]
+        assert len(errors) == 1129
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                simulate.kl_recovery(code, errors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestKlRecoveryAgainstDense:
     @pytest.mark.parametrize("name,subset,model", [
@@ -365,6 +459,46 @@ class TestVerifyEa:
             simulate.verify_ea(ea, dec, code, "sometimes", 1)
         with pytest.raises(ContractError):
             simulate.verify_ea(ea, dec, code, simulate.NOISELESS, -1)
+
+
+EA_EXAMPLES = [("five_qubit", (4, 5)), ("steane", (4, 5, 6, 7)), ("steane", (5, 6, 7)),
+               ("pi_4_2_2", (4,)), ("pi_7_2_3", (6, 7)), ("xp_7_8_2", (7,))]
+
+
+class TestVerifyEaAgainstOracle:
+    """The transmitted-register path against the per-state oracle loop."""
+
+    @staticmethod
+    def _outcome(verify, *args, **kwargs):
+        try:
+            return verify(*args, **kwargs)
+        except (NotCorrectableError, SizeError) as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("name,subset", EA_EXAMPLES)
+    @pytest.mark.parametrize("strategy", [structure.STRUCTURE, structure.PRESEND,
+                                          structure.COMPRESSED])
+    @pytest.mark.parametrize("model", [simulate.NOISELESS, simulate.NOISY])
+    def test_matches_oracle(self, name, subset, strategy, model):
+        code = cached_fixture(name)
+        dec = structure.decompose(code, subset)
+        ea = {structure.STRUCTURE: lambda: structure.ea_from_structure(dec, 2),
+              structure.PRESEND: lambda: structure.presend_from_decomposition(dec, code, 2),
+              structure.COMPRESSED: lambda: structure.compress(dec, 2)}[strategy]()
+        exploratory = strategy == structure.COMPRESSED and model == simulate.NOISY
+        for weight in range(3):
+            got, want = (self._outcome(verify, ea, dec, code, model, weight,
+                                       exploratory=exploratory)
+                         for verify in (simulate.verify_ea, oracle_verify_ea))
+            if isinstance(want, type):
+                assert got is want, weight
+                continue
+            assert (got.cases_run, got.passed, got.exploratory) == \
+                (want.cases_run, want.passed, want.exploratory), weight
+            assert [p for p, _ in got.failures] == [p for p, _ in want.failures], weight
+            assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12
+            for (_, f), (_, g) in zip(got.failures, want.failures):
+                assert abs(f - g) <= 1e-12
 
 
 class TestChannelFormCheck:
