@@ -14,7 +14,8 @@ mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
 (rank deficient).  The coefficient matrix lambda_ij = Tr(varrho_B E_i^dag
 E_j) has the spectrum of varrho_B scaled by 2^b, each value repeated 2^b
 times, so its rank is 2^b rank(varrho_B); kl_matrix builds the matrix and
-its kernel only on request, for sets of at most MAX_SUBSET qubits.
+its kernel only on request, after qla.check_dim passes its 16^b entries,
+which refuses sets of more than 5 qubits.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from . import qla
 from .codes import (PauliOperator, QuantumCode, moment_residuals, pauli_moments,
                     pauli_tables)
-from .config import MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
-from .errors import ConsistencyError, NotCorrectableError, SizeError
+from .config import RANK_TOL, RESIDUAL_TOL
+from .errors import ConsistencyError, NotCorrectableError
 
 PURE = "pure"
 IMPURE_NONDEGENERATE = "impure_nondegenerate"
@@ -59,8 +60,7 @@ def pauli_basis_on(n: int, subset) -> list[PauliOperator]:
     """
     subset = tuple(subset)
     b = len(subset)
-    if b > MAX_SUBSET:
-        raise SizeError(f"subset size {b} exceeds cap {MAX_SUBSET}")
+    qla.check_dim(4 ** b)
     out = []
     for x_loc, z_loc in _basis_patterns(b):
         out.append(PauliOperator(n, _embed_bits(x_loc, b, n, subset),
@@ -135,8 +135,9 @@ def kl_matrix(code: QuantumCode, subset,
     """Coefficient matrix, its kernel, residual, and marginal spectra for one subset.
 
     The matrix is assembled as a Gram matrix of vec(E_j varrho_B^{1/2}), so
-    it is Hermitian PSD by construction with unit diagonal; it holds 16^b
-    entries, so sets wider than MAX_SUBSET are refused.  The residual runs
+    it is Hermitian PSD by construction with unit diagonal; its 16^b
+    entries are size-checked before anything is built, which refuses sets
+    of more than 5 qubits (16^5 = MAX_DIM).  The residual runs
     over the 4^b Paulis E_F on the subset with c_F = lambda_{0F} =
     Tr(varrho_B E_F), the matrix's identity row, so it cross-checks the
     Gram route against the independent code-basis route.  The matrix
@@ -147,8 +148,7 @@ def kl_matrix(code: QuantumCode, subset,
     subset = tuple(subset)
     split = qla.SubsystemSplit(n=code.n, erased=subset)
     b = split.b
-    if b > MAX_SUBSET:
-        raise SizeError(f"subset size {b} exceeds cap {MAX_SUBSET}")
+    qla.check_dim(16 ** b)
 
     rho, spectrum, marginal_rank, kept_ranks = _marginal(code, split, rank_tol)
     sqrt_rho = qla.sqrtm_psd(rho)
@@ -218,12 +218,10 @@ def scan_subsets(code: QuantumCode, size: int,
                  rank_tol: float = RANK_TOL):
     """analyze_subset for every subset of the given size, lexicographically.
 
-    The qubit cap and the K^2 4^size moment check run at the call, before
-    any work; reports are then produced one at a time, so a scan holds one
-    subset's moments and marginal at a time.
+    The K^2 4^size moment check runs at the call, before any work; reports
+    are then produced one at a time, so a scan holds one subset's moments
+    and marginal at a time.
     """
-    if code.n > MAX_SCAN_QUBITS:
-        raise SizeError(f"scan capped at {MAX_SCAN_QUBITS} qubits, code has {code.n}")
     qla.check_dim(code.k_dim ** 2 * 4 ** size)
     return (analyze_subset(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
             for subset in itertools.combinations(range(1, code.n + 1), size))

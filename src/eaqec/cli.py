@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,8 +49,10 @@ def _tolerances(args) -> tuple[float, float]:
     rank = _resolve_tol(getattr(args, "tol_rank", None), ENV_TOL_RANK, RANK_TOL)
     residual = _resolve_tol(getattr(args, "tol_residual", None),
                             ENV_TOL_RESIDUAL, RESIDUAL_TOL)
-    if rank <= 0 or residual <= 0:
+    if not (rank > 0 and residual > 0):     # NaN fails this too
         raise ContractError("tolerances must be positive")
+    if math.inf in (rank, residual):
+        raise ContractError("tolerances must be finite")
     return rank, residual
 
 
@@ -141,7 +144,7 @@ def cmd_analyze(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     code = _load_code(args)
     subset = _parse_subset(args.subset, code.n)
-    # only --full builds the 16^b coefficient matrix, capped at MAX_SUBSET
+    # only --full builds the 16^b coefficient matrix, which MAX_DIM caps at b = 5
     full = (analysis.kl_matrix(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
             if args.full else None)
     report = analysis.analyze_subset(code, subset, residual_tol=residual_tol,

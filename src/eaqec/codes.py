@@ -120,7 +120,7 @@ class PauliOperator:
         return out
 
     def matrix(self) -> np.ndarray:
-        qla.check_dim(1 << self.n)
+        qla.check_dim(4 ** self.n)
         return self.apply(np.eye(1 << self.n, dtype=complex))
 
 
@@ -166,6 +166,7 @@ class QuantumCode:
 
 def projector(code: QuantumCode) -> np.ndarray:
     """Codespace projector V V^dag."""
+    qla.check_dim(code.dim ** 2)
     v = code.basis_matrix
     return v @ v.conj().T
 
@@ -314,8 +315,10 @@ def min_distance(code: QuantumCode, max_weight: int | None = None,
     scanned weight is detected (distance is then at least max_weight + 1).
     A K = 1 code detects every Pauli, so it returns None without scanning;
     otherwise pauli_moments size-checks the K^2 4^w moments of a support
-    before building them.
+    before building them.  A negative max_weight is a ContractError.
     """
+    if max_weight is not None and max_weight < 0:
+        raise ContractError(f"max_weight must be nonnegative, got {max_weight}")
     if code.k_dim == 1:
         return None
     n = code.n
@@ -348,7 +351,7 @@ def code_from_json(data: dict) -> QuantumCode:
         raise ContractError(f"malformed code JSON: {exc}") from exc
     if len(rows) != k_dim:
         raise ContractError(f"k_dim={k_dim} but basis has {len(rows)} rows")
-    qla.check_dim(1 << n)
+    qla.check_dim(k_dim << n)
     basis = np.zeros((k_dim, 1 << n), dtype=complex)
     for i, entries in enumerate(rows):
         for entry in entries:

@@ -22,6 +22,7 @@ CMatrix = np.ndarray
 
 
 def check_dim(dim: int) -> None:
+    """The one size rule: refuse to allocate more than MAX_DIM dense entries."""
     if dim > MAX_DIM:
         raise SizeError(f"dense dimension {dim} exceeds cap {MAX_DIM}")
 
@@ -195,17 +196,16 @@ def eig_hermitian(m: CMatrix, tol: float = HERMITICITY_TOL):
 def svd(m: CMatrix):
     """Gauge-fixed singular value decomposition, values descending.
 
-    Returns (u, s, vh) with m = u @ diag(s) @ vh.  Phases are pinned through
-    the left vectors; degenerate blocks are reordered by left pivot index.
+    Returns the thin factorisation (u, s, vh) with m = u @ diag(s) @ vh:
+    for an a x b matrix u has min(a, b) orthonormal columns and vh as many
+    orthonormal rows.  Phases are pinned through the left vectors;
+    degenerate blocks are reordered by left pivot index.
     """
     m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = min(m.shape)
-    _fix_phases(u[:, :r], vh)
-    order = _block_order(s[:r], RANK_TOL, u[:, :r])
-    u[:, :r] = u[:, order]
-    vh[:r, :] = vh[order, :]
-    return u, s, vh
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    _fix_phases(u, vh)
+    order = _block_order(s, RANK_TOL, u)
+    return u[:, order], s, vh[order, :]
 
 
 def numerical_rank(singular_values: np.ndarray, tol: float = RANK_TOL) -> int:

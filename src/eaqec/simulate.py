@@ -21,9 +21,9 @@ import numpy as np
 
 from . import analysis, qla, structure
 from .codes import PauliOperator, QuantumCode, paulis_of_weight
-from .config import FIDELITY_SLACK, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
+from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, ModelMismatchError,
-                     NotCorrectableError, SizeError)
+                     NotCorrectableError)
 
 NOISELESS = "noiseless"
 NOISY = "noisy"
@@ -140,12 +140,6 @@ class VerificationReport:
         return self.min_fidelity >= 1.0 - FIDELITY_SLACK
 
 
-def _paulis_up_to_weight(n: int, qubits, weight: int):
-    """Identity first, then the phase-free Paulis of weight 1..weight in qubits."""
-    return [PauliOperator(n, 0, 0)] + [p for w in range(1, weight + 1)
-                                       for p in paulis_of_weight(n, qubits, w)]
-
-
 def _test_states(k: int) -> np.ndarray:
     """Coefficient rows w of the test states w @ code.basis: each
     codeword, then their equal superposition."""
@@ -193,8 +187,8 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
 
     split = dec.split
     allowed = split.kept if model == NOISELESS else tuple(range(1, split.n + 1))
-    decoders = kl_recovery(code, _paulis_up_to_weight(split.n, allowed, weight),
-                           residual_tol=residual_tol, rank_tol=rank_tol)
+    recovered = [p for w in range(weight + 1) for p in paulis_of_weight(split.n, allowed, w)]
+    decoders = kl_recovery(code, recovered, residual_tol=residual_tol, rank_tol=rank_tol)
     targets = _test_states(code.k_dim)          # one test state w per row
 
     if compressed:
@@ -250,11 +244,11 @@ def channel_form_check(dec: structure.StructureDecomposition,
     Tr_B(rho) otimes I/2^b against (U (rho_R otimes Gamma_A) U^dag) otimes
     I/2^b in the permuted frame.  Both sides share the I/2^b factor, so the
     comparison reduces to the kept-side operators; the returned number is
-    the full-space Frobenius deviation.
+    the full-space Frobenius deviation.  The dim_kept^2 entries of each
+    kept-side operator are size-checked first.
     """
     split = dec.split
-    if split.b > MAX_SUBSET:
-        raise SizeError(f"erased set of size {split.b} exceeds cap {MAX_SUBSET}")
+    qla.check_dim(split.dim_kept ** 2)
     k = dec.k_dim
     gamma = dec.ancilla_state
     u = dec.isometry

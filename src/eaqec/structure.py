@@ -236,8 +236,10 @@ def logical_unitary_on_complement(dec: StructureDecomposition,
 
     Returns U (V_R otimes I_A) U^dag completed by the identity on the
     orthogonal complement of range(U); acting with the result on the kept
-    factor maps encoded states exactly as V_R maps messages.
+    factor maps encoded states exactly as V_R maps messages.  The result's
+    dim_kept^2 entries are size-checked first.
     """
+    qla.check_dim(dec.split.dim_kept ** 2)
     k, r = dec.k_dim, dec.ancilla_dim
     v_r = np.asarray(message_unitary, dtype=complex)
     if v_r.shape != (k, k):

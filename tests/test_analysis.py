@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from eaqec import analysis, codes, qla, stab, structure
-from eaqec.config import MAX_DIM, MAX_SCAN_QUBITS, MAX_SUBSET, RANK_TOL, RESIDUAL_TOL
+from eaqec.config import MAX_DIM, RANK_TOL, RESIDUAL_TOL
 from eaqec.errors import NotCorrectableError, SizeError, StructureViolationError
 
 from conftest import cached_fixture
@@ -216,8 +216,12 @@ class TestPauliBasisOn:
         assert ops[0].is_identity()
 
     def test_size_cap(self):
-        with pytest.raises(SizeError):
-            analysis.pauli_basis_on(7, (1, 2, 3, 4, 5, 6))
+        # the cap counts the 4^b operators, so b = 6 builds all 4096 of them;
+        # the first refused set, b = 11, is in tests/test_size_rule.py
+        ops = analysis.pauli_basis_on(7, (1, 2, 3, 4, 5, 6))
+        assert len(ops) == 4 ** 6
+        assert len({(o.x_bits, o.z_bits) for o in ops}) == 4 ** 6
+        assert all(set(o.support) <= {1, 2, 3, 4, 5, 6} for o in ops)
 
 
 class TestCoefficientMatrix:
@@ -319,7 +323,7 @@ class TestResidual:
         assert peak < 1 << 20
 
     def test_gate_decides_wide_sets(self):
-        # the residual decides sets wider than MAX_SUBSET as well
+        # the residual decides sets too wide for the coefficient matrix as well
         with pytest.raises(NotCorrectableError):
             analysis.require_correctable(cached_fixture("steane"), (2, 3, 4, 5, 6, 7))
         analysis.require_correctable(lopsided_ghz(), (1, 2, 3, 4, 5, 6))
@@ -475,9 +479,9 @@ class TestFindCorrectableSets:
 
     def test_subset_size_cap(self):
         # the cap on the scan size is the K^2 4^size moment check, nothing
-        # else: steane scans at MAX_SUBSET + 1, while K = 128 on 8 qubits at
-        # size 4 (2^22 moments) is refused before anything is built
-        assert analysis.find_correctable_sets(cached_fixture("steane"), MAX_SUBSET + 1) == []
+        # else: steane scans at size 6, while K = 128 on 8 qubits at size 4
+        # (2^22 moments) is refused before anything is built
+        assert analysis.find_correctable_sets(cached_fixture("steane"), 6) == []
         code = stab.codewords(stab.StabilizerGroup.from_strings(["ZIIIIIII"]))
         assert code.k_dim ** 2 * 4 ** 4 > MAX_DIM
         tracemalloc.start()
@@ -491,7 +495,8 @@ class TestFindCorrectableSets:
 
     def test_wide_sets_are_certified_structurally(self):
         # the moment residual agrees with the structure certificate on a
-        # set wider than MAX_SUBSET, and the report carries every field
+        # set too wide for the coefficient matrix, and the report carries
+        # every field
         code = cached_fixture("steane")
         subset = (1, 2, 3, 4, 5, 6)
         report = analysis.analyze_subset(code, subset)
@@ -507,12 +512,16 @@ class TestFindCorrectableSets:
         assert report.marginal_rank == np.count_nonzero(oracle_spec > 1e-9)
 
     def test_scan_qubit_cap(self):
-        n = MAX_SCAN_QUBITS + 1
+        # scans have no qubit cap: in a 13-qubit K = 1 product state every
+        # single qubit is correctable, degenerate with C = 1
+        n = 13
         v = np.zeros(2 ** n, dtype=complex)
         v[0] = 1.0
         big = codes.QuantumCode(n=n, basis=v[None, :])
-        with pytest.raises(SizeError):
-            analysis.find_correctable_sets(big, 1)
+        reports = analysis.find_correctable_sets(big, 1)
+        assert [r.split.erased for r in reports] == [(q,) for q in range(1, n + 1)]
+        assert all(r.trichotomy == analysis.DEGENERATE and r.marginal_rank == 1
+                   for r in reports)
 
 
 class TestSingleRoute:

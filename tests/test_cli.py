@@ -23,6 +23,20 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def shor16_generators() -> str:
+    """Generalized Shor [[16,1,4]] on a 4 x 4 grid: ZZ on neighbours in
+    each row, X on all eight qubits of each pair of adjacent rows."""
+    gens = []
+    for row in range(4):
+        for col in range(3):
+            letters = ["I"] * 16
+            letters[4 * row + col] = letters[4 * row + col + 1] = "Z"
+            gens.append("".join(letters))
+    for row in range(3):
+        gens.append("I" * (4 * row) + "X" * 8 + "I" * (4 * (2 - row)))
+    return ",".join(gens)
+
+
 def write_code(tmp_path, n, amplitudes, name="code.json"):
     """A K = 1 code JSON with the given {bitstring: real amplitude} entries."""
     entries = [{"bits": bits, "re": amp, "im": 0.0} for bits, amp in amplitudes.items()]
@@ -85,11 +99,11 @@ class TestAnalyze:
         assert rc == 0 and "dim_A: 2" in out
 
     def test_full_above_cap_exits_one(self, capsys):
-        # --full builds the 16^b coefficient matrix, which stops at MAX_SUBSET
+        # --full builds the 16^b coefficient matrix: 16^6 entries exceed MAX_DIM
         rc, out, err = run(capsys, "analyze", "--fixture", "steane",
                            "--subset", "1,2,3,4,5,6", "--format", "json", "--full")
         assert rc == 1 and out == ""
-        assert "exceeds cap 5" in err
+        assert "16777216 exceeds cap 1048576" in err
 
     def test_json_payload(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--fixture", "five_qubit",
@@ -283,6 +297,12 @@ class TestDistance:
         assert data == {"distance": None, "lower_bound": 3, "exact": False}
 
 
+    def test_negative_max_weight_rejected(self, capsys):
+        rc, out, err = run(capsys, "distance", "--fixture", "five_qubit",
+                           "--max-weight", "-1")
+        assert rc == 1 and out == ""
+        assert "max_weight" in err
+
     def test_nothing_undetected_gives_bound(self, capsys, tmp_path):
         # K = 1: every Pauli is detected, so only a lower bound exists
         path = write_code(tmp_path, 2, {"00": 1.0})
@@ -332,10 +352,17 @@ class TestScan:
         assert "0 of 7 subsets correctable" in out
 
     def test_qubit_cap(self, capsys, tmp_path):
+        # scans have no qubit cap, only the K^2 4^size moment check
         path = write_code(tmp_path, 13, {"0" * 13: 1.0})
-        rc, _, err = run(capsys, "scan", "--code", str(path), "--size", "1")
-        assert rc == 1
-        assert "scan capped at 12 qubits" in err
+        rc, out, err = run(capsys, "scan", "--code", str(path), "--size", "1")
+        assert rc == 0 and err == ""
+        assert "13 of 13 subsets correctable" in out
+
+    def test_sixteen_qubit_shor_pairs(self, capsys):
+        rc, out, err = run(capsys, "scan", "--stabilizers", shor16_generators(),
+                           "--size", "2")
+        assert rc == 0 and err == ""
+        assert out.endswith("120 of 120 subsets correctable\n")
 
 
 class TestFixtures:
@@ -417,20 +444,10 @@ class TestInputSources:
         assert err.startswith("error:") and "exceeds cap" in err
 
     def test_sixteen_qubit_shor_in_small_memory(self, capsys):
-        # generalized Shor [[16,1,4]] on a 4 x 4 grid: ZZ on neighbours in
-        # each row, X on all eight qubits of each pair of adjacent rows; a
-        # dense 2^16 x 2^16 projector would take 64 GiB
-        gens = []
-        for row in range(4):
-            for col in range(3):
-                letters = ["I"] * 16
-                letters[4 * row + col] = letters[4 * row + col + 1] = "Z"
-                gens.append("".join(letters))
-        for row in range(3):
-            gens.append("I" * (4 * row) + "X" * 8 + "I" * (4 * (2 - row)))
+        # a dense 2^16 x 2^16 projector of the [[16,1,4]] code would take 64 GiB
         tracemalloc.start()
         try:
-            rc, out, _ = run(capsys, "analyze", "--stabilizers", ",".join(gens),
+            rc, out, _ = run(capsys, "analyze", "--stabilizers", shor16_generators(),
                              "--subset", "1,5,9", "--format", "json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -547,6 +564,26 @@ class TestTolerancePrecedence:
         rc, _, _ = run(capsys, "analyze", "--fixture", "pi_4_2_2",
                        "--subset", "4", "--tol-rank", "0")
         assert rc == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol-rank", "nan"), ("--tol-residual", "nan"),
+        ("--tol-rank", "inf"), ("--tol-residual", "inf")])
+    def test_nonfinite_flag_rejected(self, capsys, flag, value):
+        # NaN once read as C: 0, and an infinite residual tolerance called
+        # {1,2,3} of the five-qubit code correctable
+        rc, out, err = run(capsys, "analyze", "--fixture", "five_qubit",
+                           "--subset", "1,2,3", flag, value)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: tolerances must be")
+
+    @pytest.mark.parametrize("env", [cli.ENV_TOL_RANK, cli.ENV_TOL_RESIDUAL])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_env_rejected(self, capsys, monkeypatch, env, value):
+        monkeypatch.setenv(env, value)
+        rc, out, err = run(capsys, "analyze", "--fixture", "five_qubit",
+                           "--subset", "1,2,3")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: tolerances must be")
 
 
 class TestOutputFile:

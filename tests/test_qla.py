@@ -178,7 +178,7 @@ def oracle_eig_hermitian(m, tol=HERMITICITY_TOL):
 
 def oracle_svd(m):
     """The gauge-fixed SVD as column loops; vh rows take the conjugate phases."""
-    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=True)
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
     r = min(u.shape[0], vh.shape[0])
     for k in range(r):
         col = u[:, k]
@@ -261,12 +261,12 @@ class TestSvd:
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         u, s, vh = qla.svd(m)
+        r = min(rows, cols)
+        assert u.shape == (rows, r) and s.shape == (r,) and vh.shape == (r, cols)
         assert np.all(s >= -1e-15) and np.all(np.diff(s) <= 1e-12)
-        smat = np.zeros((rows, cols))
-        np.fill_diagonal(smat, s[: min(rows, cols)])
-        assert np.linalg.norm(u @ smat @ vh - m) < 1e-10 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(u.conj().T @ u - np.eye(rows)) < 1e-10
-        assert np.linalg.norm(vh @ vh.conj().T - np.eye(cols)) < 1e-10
+        assert np.linalg.norm(u @ np.diag(s) @ vh - m) < 1e-10 * max(1.0, np.linalg.norm(m))
+        assert np.linalg.norm(u.conj().T @ u - np.eye(r)) < 1e-10
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(r)) < 1e-10
 
     def test_gauge_pins_left_pivots(self):
         rng = np.random.default_rng(11)

@@ -535,9 +535,11 @@ class TestChannelFormCheck:
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_size_cap(self):
+        # the cap counts the dim_kept^2 kept-side entries, so a wide erased
+        # set is cheap; the first refused split, n = 12 at b = 1, is in
+        # tests/test_size_rule.py
         v = np.zeros(2 ** 7, dtype=complex)
         v[0] = 1.0
         product_code = codes.QuantumCode(n=7, basis=v[None, :])
         dec = structure.decompose(product_code, (2, 3, 4, 5, 6, 7))
-        with pytest.raises(SizeError):
-            simulate.channel_form_check(dec, product_code)
+        assert simulate.channel_form_check(dec, product_code) <= 1e-12
