@@ -39,6 +39,11 @@ def run_case(name: str, subset) -> None:
           f"{unc.receiver_dim}, {unc.ebit_cost} ebits")
     print(f"compressed:   {cmp_.params.dimension_form()}, receiver dim "
           f"{cmp_.receiver_dim}, {cmp_.ebit_cost} ebits")
+    if d < 3:
+        # every weight-1 error set is correctable only at distance 3 or more
+        print(f"weight-1 recovery does not apply at distance {d}: "
+              f"verifications skipped")
+        return
 
     rep = simulate.verify_ea(unc, dec, code, simulate.NOISY, 1)
     print(f"uncompressed, noisy weight 1: min fidelity {rep.min_fidelity:.9f} "

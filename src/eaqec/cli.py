@@ -2,7 +2,8 @@
 
 Commands: analyze, decompose, verify, distance, scan, fixtures.  Codes come
 from a built-in fixture, a code JSON file, inline stabilizer strings, or a
-stabilizer JSON file; reports go to stdout (or --output) as text or JSON.
+stabilizer JSON file; reports go to stdout (or --output) as text or as one
+compact JSON object on one line.
 
 Exit codes: 0 ok, 1 input error, 2 not correctable, 3 structure violation
 (also used for a failed verification), 4 model mismatch.  Qubit indices are
@@ -100,12 +101,10 @@ def _parse_subset(text: str, n: int) -> tuple[int, ...]:
     return subset
 
 
-def _emit(args, text: str, payload: dict) -> None:
-    if args.format == "json":
-        out = json.dumps(payload, indent=2)
-    else:
-        out = text
-    if getattr(args, "output", None):
+def _emit(args, text: str | None, payload: dict) -> None:
+    """Print or write the text, or the payload as one compact JSON line."""
+    out = json.dumps(payload) if text is None or args.format == "json" else text
+    if args.output:
         Path(args.output).write_text(out + "\n")
     else:
         print(out)
@@ -166,7 +165,7 @@ def cmd_analyze(args) -> int:
 
 
 def _distance_for(code, args, residual_tol) -> int:
-    if getattr(args, "distance", None) is not None:
+    if args.distance is not None:
         d = int(args.distance)
         if d < 1:
             raise ContractError("distance must be >= 1")
@@ -232,13 +231,13 @@ def cmd_verify(args) -> int:
     analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
-    d = _distance_for(code, args, residual_tol)
+    # the report prints no parameters, so the distance search is skipped
     if args.strategy == structure.COMPRESSED:
-        ea = structure.compress(dec, d, rank_tol=rank_tol)
+        ea = structure.compress(dec, None, rank_tol=rank_tol)
     elif args.strategy == structure.PRESEND:
-        ea = structure.presend_from_decomposition(dec, code, d)
+        ea = structure.presend_from_decomposition(dec, code, None)
     else:
-        ea = structure.ea_from_structure(dec, d)
+        ea = structure.ea_from_structure(dec, None)
     report = simulate.verify_ea(ea, dec, code, args.model, args.weight,
                                 exploratory=args.exploratory,
                                 residual_tol=residual_tol, rank_tol=rank_tol)
@@ -327,13 +326,8 @@ def cmd_fixtures(args) -> int:
         payload = {"fixtures": list(codes.FIXTURE_NAMES)}
         _emit(args, text, payload)
         return 0
-    code = codes.fixture(args.emit)
-    payload = codes.code_to_json(code)
-    out = json.dumps(payload, indent=2)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(out + "\n")
-    else:
-        print(out)
+    # a code has no text form: it is emitted as JSON under either --format
+    _emit(args, None, codes.code_to_json(codes.fixture(args.emit)))
     return 0
 
 
@@ -397,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=structure.STRUCTURE)
     p.add_argument("--exploratory", action="store_true",
                    help="run unsupported model/strategy combinations anyway")
-    p.add_argument("--distance", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("distance", help="brute-force minimum distance")

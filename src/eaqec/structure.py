@@ -115,9 +115,10 @@ def decompose(code: QuantumCode, subset,
 
 @dataclass(frozen=True)
 class EACode:
-    """An entanglement-assisted description of a code over a kept/erased split."""
+    """An entanglement-assisted description of a code over a kept/erased split;
+    params is None when built with distance=None, as `verify` does."""
 
-    params: CodeParameters
+    params: CodeParameters | None
     strategy: str
     shared_state: np.ndarray   # bipartite resource, sender index major
     sender_dim: int
@@ -142,18 +143,22 @@ def _ebits(schmidt_rank: int) -> int:
     return max(schmidt_rank - 1, 0).bit_length() if schmidt_rank >= 1 else 0
 
 
-def _ea_params(code_n: int, k: int, d: int, b: int, receiver_dim: int) -> CodeParameters:
+def _ea_params(code_n: int, k: int, d: int | None, b: int,
+               receiver_dim: int) -> CodeParameters | None:
+    if d is None:
+        return None
     return CodeParameters(
         n=code_n, k_dim=k, distance=d,
         ea=EAParameters(n_sent=code_n - b, k_dim=k, distance=d,
                         receiver_dim=receiver_dim))
 
 
-def ea_from_structure(dec: StructureDecomposition, distance: int) -> EACode:
+def ea_from_structure(dec: StructureDecomposition, distance: int | None) -> EACode:
     """Uncompressed EA description: the receiver simply holds the erased qubits.
 
     Valid under both error models since the encoded states are the original
-    codewords; the shared resource is psi_AB itself.
+    codewords; the shared resource is psi_AB itself.  distance=None gives a
+    description without parameters (params is None).
     """
     split = dec.split
     c = dec.ancilla_dim
@@ -164,14 +169,15 @@ def ea_from_structure(dec: StructureDecomposition, distance: int) -> EACode:
         ebit_cost=_ebits(c), model_validity=NOISELESS_AND_NOISY)
 
 
-def compress(dec: StructureDecomposition, distance: int,
+def compress(dec: StructureDecomposition, distance: int | None,
              rank_tol: float = RANK_TOL) -> EACode:
     """Shrink the receiver's share to the Schmidt rank of the shared state.
 
     The minimal purification psi' = sum_a sqrt(gamma_a) |a>|a> replaces
     psi_AB, and the isometry V (erased <- compressed) rebuilds the original
     share: (I otimes V) psi' = psi.  Only valid when the erased qubits see
-    no noise, since errors on B need not commute with V V^dag.
+    no noise, since errors on B need not commute with V V^dag.  distance=None
+    gives a description without parameters (params is None).
     """
     split = dec.split
     r = dec.ancilla_dim
@@ -197,12 +203,13 @@ def compress(dec: StructureDecomposition, distance: int,
 
 
 def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode,
-                               distance: int) -> EACode:
+                               distance: int | None) -> EACode:
     """Presend EA description from an already certified decomposition.
 
     The shared resource is the encoded reference codeword split kept/erased;
     the sender later steers the message with unitaries supported on the kept
-    qubits (see logical_unitary_on_complement).
+    qubits (see logical_unitary_on_complement).  distance=None gives a
+    description without parameters (params is None).
     """
     split = dec.split
     shared = qla.permute_state(code.basis[0], split.n, split.order)

@@ -271,6 +271,21 @@ class TestVerify:
         assert data["min_fidelity"] >= 1 - 1e-9
         assert data["failures"] == []
 
+    def test_needs_no_distance(self, capsys, tmp_path):
+        # a K = 1 code has no distance (every Pauli is detected), and verify
+        # prints no EA parameters, so it never searches for one
+        path = write_code(tmp_path, 3, {"000": 2 ** -0.5, "111": 2 ** -0.5})
+        rc, out, err = run(capsys, "verify", "--code", str(path),
+                           "--subset", "1", "--model", "noisy")
+        assert rc == 0, err
+        assert "verdict: pass" in out
+
+    def test_distance_option_is_gone(self, capsys):
+        rc, out, err = run(capsys, "verify", "--fixture", "five_qubit",
+                           "--subset", "4,5", "--distance", "3")
+        assert rc == 1 and out == ""
+        assert "unrecognized arguments: --distance 3" in err
+
 
 class TestDistance:
     def test_exact(self, capsys):
@@ -595,6 +610,52 @@ class TestOutputFile:
         assert rc == 0 and out == ""
         data = json.loads(path.read_text())
         assert data["C"] == 4
+
+
+JSON_REPORTS = {
+    "analyze": ["analyze", "--fixture", "five_qubit", "--subset", "4,5"],
+    "analyze-full": ["analyze", "--fixture", "pi_7_2_3", "--subset", "6,7", "--full"],
+    "scan": ["scan", "--fixture", "pi_4_2_2", "--size", "1"],
+    "distance": ["distance", "--fixture", "steane"],
+    "distance-bound": ["distance", "--fixture", "steane", "--max-weight", "2"],
+    "decompose": ["decompose", "--fixture", "pi_7_2_3", "--subset", "6,7"],
+    "verify": ["verify", "--fixture", "five_qubit", "--subset", "4,5",
+               "--model", "noisy"],
+    "fixtures-list": ["fixtures", "--list"],
+    "fixtures-emit": ["fixtures", "--emit", "five_qubit"],
+}
+
+
+class TestJsonReport:
+    @pytest.mark.parametrize("argv", JSON_REPORTS.values(), ids=JSON_REPORTS.keys())
+    def test_one_compact_line(self, capsys, monkeypatch, tmp_path, argv):
+        built = []
+        emit = cli._emit
+
+        def recording_emit(args, text, payload):
+            built.append(payload)
+            emit(args, text, payload)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        argv = [*argv, "--format", "json"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert out.endswith("\n") and "\n" not in out[:-1]
+        # the parsed report is the payload itself, floats bit for bit
+        assert json.loads(out) == built[0]
+        path = tmp_path / "report.json"
+        rc, file_out, _ = run(capsys, *argv, "--output", str(path))
+        assert rc == 0 and file_out == ""
+        assert path.read_bytes() == out.encode()
+
+    def test_emitted_fixture_reloads_through_code(self, capsys, tmp_path):
+        path = tmp_path / "steane.json"
+        rc, out, _ = run(capsys, "fixtures", "--emit", "steane", "--output", str(path))
+        assert rc == 0 and out == ""
+        argv = ["decompose", "--subset", "4,5,6,7", "--format", "json"]
+        _, from_file, _ = run(capsys, *argv, "--code", str(path))
+        _, from_fixture, _ = run(capsys, *argv, "--fixture", "steane")
+        assert json.loads(from_file) == json.loads(from_fixture)
 
 
 class TestEntryPoint:

@@ -23,6 +23,19 @@ def test_script_exits_zero(script):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_compression_tradeoff_skips_distance_two():
+    # xp_7_8_2 has distance 2, so no weight-1 error set is correctable: the
+    # case is reported and its verifications are skipped
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compression_tradeoff.py"),
+         "--cases", "xp_7_8_2:7"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "weight-1 recovery does not apply at distance 2" in proc.stdout
+
+
 def test_layertrace_targets_resolve():
     # bench/layertrace.py wraps these functions by name; a rename or
     # deletion in src/ would otherwise surface only in the bench suite

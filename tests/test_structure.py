@@ -140,6 +140,23 @@ class TestEAFromStructure:
         assert ea.schmidt_rank == dec.ancilla_dim
 
 
+@pytest.mark.parametrize("build", [
+    lambda dec, code, d: structure.ea_from_structure(dec, d),
+    lambda dec, code, d: structure.compress(dec, d),
+    lambda dec, code, d: structure.presend_from_decomposition(dec, code, d)],
+    ids=["structure", "compressed", "presend"])
+def test_no_distance_gives_no_parameters(build):
+    # verify builds with distance=None: only the parameters are left out
+    code = cached_fixture("pi_7_2_3")
+    dec = structure.decompose(code, (6, 7))
+    bare, full = build(dec, code, None), build(dec, code, 3)
+    assert bare.params is None and full.params is not None
+    fields = ("strategy", "sender_dim", "receiver_dim", "schmidt_rank",
+              "ebit_cost", "model_validity")
+    assert [getattr(bare, f) for f in fields] == [getattr(full, f) for f in fields]
+    assert np.array_equal(bare.shared_state, full.shared_state)
+
+
 class TestCompress:
     def test_degenerate_pair_code(self):
         code = cached_fixture("pi_7_2_3")
