@@ -7,8 +7,12 @@ Paulis E_F on B, so B is correctable exactly when each E_F is detected:
 ||P E_F P - c_F P||_F <= residual_tol with c_F = Tr(varrho_B E_F),
 varrho_B the B-marginal of the normalized codespace projector.  The norm
 is measured in the code basis, where it collapses to the K x K moments
-V^dag E_F V, all 4^b of them from one partial trace (codes.pauli_moments,
-codes.moment_residuals); their K^2 4^b entries are size-checked first.
+V^dag E_F V.  Everything about one erased set is read off a single
+partial trace T_ij = A_i^dag A_j of the codewords cut across B
+(codes.cut_trace, whose K^2 4^b entries are size-checked first): the
+moments and their residual, varrho_B = (sum_i T_ii)^T / K with its
+spectrum and rank C, and each codeword's kept-side rank from the
+eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
 Correctable sets classify three ways from the marginal: pure (maximally
 mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
 (rank deficient).  The coefficient matrix lambda_ij = Tr(varrho_B E_i^dag
@@ -26,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qla
-from .codes import (PauliOperator, QuantumCode, moment_residuals, pauli_moments,
-                    pauli_tables)
+from .codes import (PauliOperator, QuantumCode, cut_trace, moment_residuals,
+                    pauli_moments, pauli_tables, trace_moments)
 from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import ConsistencyError, NotCorrectableError
 
@@ -60,7 +64,7 @@ def pauli_basis_on(n: int, subset) -> list[PauliOperator]:
     """
     subset = tuple(subset)
     b = len(subset)
-    qla.check_dim(4 ** b)
+    qla.check_dim(8 * 4 ** b)    # a PauliOperator takes about 113 bytes, 7-8 entries
     out = []
     for x_loc, z_loc in _basis_patterns(b):
         out.append(PauliOperator(n, _embed_bits(x_loc, b, n, subset),
@@ -72,9 +76,9 @@ def pauli_basis_on(n: int, subset) -> list[PauliOperator]:
 class KLReport:
     """Correctability verdict and spectral data for one erased set.
 
-    matrix_rank is the rank of the 4^b x 4^b coefficient matrix.  matrix
-    and kernel are filled only by kl_matrix; analyze_subset reads the rank
-    off the marginal and leaves both None.
+    matrix_rank is the rank of the 4^b x 4^b coefficient matrix, read off
+    the marginal as 2^b rank(varrho_B).  matrix and kernel are filled only
+    by kl_matrix; analyze_subset leaves both None.
     """
 
     split: qla.SubsystemSplit
@@ -93,26 +97,34 @@ class KLReport:
         return self.split.dim_erased ** 2
 
 
-def _marginal(code: QuantumCode, split: qla.SubsystemSplit, rank_tol: float):
-    """B-marginal varrho_B, its spectrum (clamped at zero) and rank, and
-    per-codeword kept ranks."""
-    mats = [qla.bipartite_matrix(v, split) for v in code.basis]
-    rho = sum(m.T @ m.conj() for m in mats) / code.k_dim
+def _analyze(code: QuantumCode, split: qla.SubsystemSplit,
+             residual_tol: float, rank_tol: float) -> tuple[KLReport, np.ndarray]:
+    """The report for one erased set and its B-marginal varrho_B, all read
+    off the one partial trace T (codes.cut_trace)."""
+    t = cut_trace(code, split.erased)
+    k = code.k_dim
+    residual_max = float(moment_residuals(trace_moments(t)).max())
+    blocks = t[np.arange(k), :, np.arange(k), :]          # T_ii, shape (K, 2^b, 2^b)
+    rho = blocks.sum(axis=0).T / k
     spectrum = np.maximum(qla.eig_hermitian(rho)[0], 0.0)
     marginal_rank = qla.numerical_rank(spectrum, rank_tol)
-    kept_ranks = tuple(qla.numerical_rank(np.linalg.svd(m, compute_uv=False), rank_tol)
-                       for m in mats)
-    return rho, spectrum, marginal_rank, kept_ranks
+    kept_ranks = tuple(qla.numerical_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))
+    report = KLReport(
+        split=split, matrix=None, matrix_rank=split.dim_erased * marginal_rank,
+        residual_max=residual_max, correctable=bool(residual_max <= residual_tol),
+        marginal_spectrum=spectrum, marginal_rank=marginal_rank,
+        kept_marginal_ranks=kept_ranks, kernel=None)
+    if report.correctable:
+        report = replace(report, trichotomy=classify(report))
+    return report, rho
 
 
-def erasure_residual(code: QuantumCode, subset, coefficients=None) -> float:
-    """Largest detection residual over the 4^b Paulis on the subset.
-
-    coefficients[j] is c_F for the j-th Pauli of pauli_basis_on; without
-    them each Pauli uses tr(V^dag E_F V) / K.  The K^2 4^b moments are
-    size-checked before they are built (codes.pauli_moments).
+def erasure_residual(code: QuantumCode, subset) -> float:
+    """Largest detection residual over the 4^b Paulis on the subset, each
+    with c_F = tr(V^dag E_F V) / K.  The K^2 4^b moments are size-checked
+    before they are built (codes.cut_trace).
     """
-    return float(moment_residuals(pauli_moments(code, subset), coefficients).max())
+    return float(moment_residuals(pauli_moments(code, subset)).max())
 
 
 def require_correctable(code: QuantumCode, subset,
@@ -132,25 +144,23 @@ def require_correctable(code: QuantumCode, subset,
 def kl_matrix(code: QuantumCode, subset,
               residual_tol: float = RESIDUAL_TOL,
               rank_tol: float = RANK_TOL) -> KLReport:
-    """Coefficient matrix, its kernel, residual, and marginal spectra for one subset.
+    """analyze_subset's report with the coefficient matrix and its kernel.
 
     The matrix is assembled as a Gram matrix of vec(E_j varrho_B^{1/2}), so
     it is Hermitian PSD by construction with unit diagonal; its 16^b
     entries are size-checked before anything is built, which refuses sets
-    of more than 5 qubits (16^5 = MAX_DIM).  The residual runs
-    over the 4^b Paulis E_F on the subset with c_F = lambda_{0F} =
-    Tr(varrho_B E_F), the matrix's identity row, so it cross-checks the
-    Gram route against the independent code-basis route.  The matrix
-    spectrum is the marginal spectrum scaled by 2^b, each value repeated
-    2^b times, so the matrix has full rank exactly when the marginal does;
-    a disagreement raises ConsistencyError.
+    of more than 5 qubits (16^5 = MAX_DIM).  Its identity row lambda_{0F}
+    = Tr(varrho_B E_F) holds the coefficients c_F of the erasure residual.
+    The matrix spectrum is the marginal spectrum scaled by 2^b, each value
+    repeated 2^b times, so its own rank must equal matrix_rank = 2^b
+    rank(varrho_B); a disagreement raises ConsistencyError.
     """
     subset = tuple(subset)
     split = qla.SubsystemSplit(n=code.n, erased=subset)
     b = split.b
     qla.check_dim(16 ** b)
 
-    rho, spectrum, marginal_rank, kept_ranks = _marginal(code, split, rank_tol)
+    report, rho = _analyze(code, split, residual_tol, rank_tol)
     sqrt_rho = qla.sqrtm_psd(rho)
     # row F = x + 2^b z is vec(X^x Z^z sqrt_rho), row g of which is
     # sign[z, g ^ x] * sqrt_rho[g ^ x]
@@ -161,18 +171,11 @@ def kl_matrix(code: QuantumCode, subset,
 
     eigs, vecs = qla.eig_hermitian(lam)
     matrix_rank = qla.numerical_rank(np.maximum(eigs, 0.0), rank_tol)
-    if (matrix_rank == 4 ** b) != (marginal_rank == split.dim_erased):
+    if matrix_rank != report.matrix_rank:
         raise ConsistencyError(
-            f"rank mismatch: coefficient rank {matrix_rank} vs marginal rank "
-            f"{marginal_rank} disagree about fullness")
-    kernel = vecs[:, matrix_rank:].T.copy()
-
-    residual_max = erasure_residual(code, subset, lam[0])
-    return KLReport(
-        split=split, matrix=lam, matrix_rank=matrix_rank,
-        residual_max=residual_max, correctable=bool(residual_max <= residual_tol),
-        marginal_spectrum=spectrum, marginal_rank=marginal_rank,
-        kept_marginal_ranks=kept_ranks, kernel=kernel)
+            f"rank mismatch: coefficient rank {matrix_rank} vs 2^b times marginal "
+            f"rank {report.matrix_rank}")
+    return replace(report, matrix=lam, kernel=vecs[:, matrix_rank:].T.copy())
 
 
 def classify(report: KLReport, atol: float = 1e-10) -> str:
@@ -194,23 +197,15 @@ def analyze_subset(code: QuantumCode, subset,
     """Verdict plus classification when the subset turns out correctable.
 
     One route for every b: the verdict is the erasure residual with c_F =
-    tr(V^dag E_F V) / K, whose K^2 4^b moment check is the only size
-    limit; C, the spectrum and the kept ranks come from the B-marginal,
-    and matrix_rank is 2^b rank(varrho_B) (see kl_matrix).  No coefficient
-    matrix or eigensolve of one is formed, so matrix and kernel are None.
+    tr(V^dag E_F V) / K, and C, the spectrum and the kept ranks come from
+    the same partial trace (codes.cut_trace), whose K^2 4^b size check is
+    the only size limit; matrix_rank is 2^b rank(varrho_B) (see
+    kl_matrix).  No coefficient matrix or eigensolve of one is formed, so
+    matrix and kernel are None.
     """
     subset = tuple(subset)
-    split = qla.SubsystemSplit(n=code.n, erased=subset)
-    residual_max = erasure_residual(code, subset)
-    _, spectrum, marginal_rank, kept_ranks = _marginal(code, split, rank_tol)
-    report = KLReport(
-        split=split, matrix=None, matrix_rank=split.dim_erased * marginal_rank,
-        residual_max=residual_max, correctable=bool(residual_max <= residual_tol),
-        marginal_spectrum=spectrum, marginal_rank=marginal_rank,
-        kept_marginal_ranks=kept_ranks, kernel=None)
-    if report.correctable:
-        report = replace(report, trichotomy=classify(report))
-    return report
+    return _analyze(code, qla.SubsystemSplit(n=code.n, erased=subset),
+                    residual_tol, rank_tol)[0]
 
 
 def scan_subsets(code: QuantumCode, size: int,
@@ -225,12 +220,3 @@ def scan_subsets(code: QuantumCode, size: int,
     qla.check_dim(code.k_dim ** 2 * 4 ** size)
     return (analyze_subset(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
             for subset in itertools.combinations(range(1, code.n + 1), size))
-
-
-def find_correctable_sets(code: QuantumCode, size: int,
-                          residual_tol: float = RESIDUAL_TOL,
-                          rank_tol: float = RANK_TOL) -> list[KLReport]:
-    """Classified reports for every correctable subset of the given size."""
-    return [report for report in scan_subsets(code, size, residual_tol=residual_tol,
-                                              rank_tol=rank_tol)
-            if report.correctable]

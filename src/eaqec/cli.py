@@ -118,8 +118,7 @@ def _subset_str(subset) -> str:
     return "{" + ",".join(str(q) for q in subset) + "}"
 
 
-def _report_json(report: analysis.KLReport,
-                 full: analysis.KLReport | None) -> dict:
+def _report_json(report: analysis.KLReport) -> dict:
     data = {
         "n": report.split.n,
         "subset": list(report.split.erased),
@@ -133,9 +132,9 @@ def _report_json(report: analysis.KLReport,
         "matrix_dim": report.matrix_dim,
         "residual_max": report.residual_max,
     }
-    if full is not None:
-        data["matrix"] = qla.to_re_im(full.matrix)
-        data["kernel"] = qla.to_re_im(full.kernel)
+    if report.matrix is not None:
+        data["matrix"] = qla.to_re_im(report.matrix)
+        data["kernel"] = qla.to_re_im(report.kernel)
     return data
 
 
@@ -144,10 +143,8 @@ def cmd_analyze(args) -> int:
     code = _load_code(args)
     subset = _parse_subset(args.subset, code.n)
     # only --full builds the 16^b coefficient matrix, which MAX_DIM caps at b = 5
-    full = (analysis.kl_matrix(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
-            if args.full else None)
-    report = analysis.analyze_subset(code, subset, residual_tol=residual_tol,
-                                     rank_tol=rank_tol)
+    analyze = analysis.kl_matrix if args.full else analysis.analyze_subset
+    report = analyze(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
     lines = [
         f"subset: {_subset_str(subset)}",
         f"correctable: {'yes' if report.correctable else 'no'}",
@@ -160,7 +157,7 @@ def cmd_analyze(args) -> int:
         f"coefficient matrix rank: {report.matrix_rank} of {report.matrix_dim}",
         f"max residual: {report.residual_max:.3e}",
     ]
-    _emit(args, "\n".join(lines), _report_json(report, full))
+    _emit(args, "\n".join(lines), _report_json(report))
     return 0 if report.correctable else 2
 
 

@@ -1,4 +1,4 @@
-"""Code containers, Pauli operators, fixtures, and the distance search.
+"""Code containers, Pauli operators, fixtures, Pauli moments, and the distance search.
 
 A Pauli is stored as i^phase_exp * X^x Z^z with bit-packed x and z masks.
 Bit (n - q) of a mask belongs to qubit q, so masks read like the qubit
@@ -104,6 +104,9 @@ class PauliOperator:
         return PauliOperator(self.n, self.x_bits, self.z_bits, exp)
 
     def commutes_with(self, other: "PauliOperator") -> bool:
+        """Symplectic commutation test; phases are irrelevant here."""
+        if other.n != self.n:
+            raise ContractError(f"operator lengths differ: {self.n} vs {other.n}")
         s = (self.x_bits & other.z_bits).bit_count() + (self.z_bits & other.x_bits).bit_count()
         return s % 2 == 0
 
@@ -263,29 +266,42 @@ def pauli_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
     return xor, sign
 
 
-def pauli_moments(code: QuantumCode, subset) -> np.ndarray:
-    """Every <v_i|E_F|v_j> for the 4^b phase-free Paulis E_F on the subset.
+def cut_trace(code: QuantumCode, subset) -> np.ndarray:
+    """The partial traces T_ij = A_i^dag A_j of the codewords cut across a subset.
 
-    Returns shape (4^b, K, K).  E_F = X^x Z^z with F = x + 2^b z, where x and
-    z are local bit patterns over the subset in its given order (first
-    qubit most significant): identity first, x cycling fastest, the order
-    of analysis.pauli_basis_on.  Each codeword is reshaped to A_i, kept
-    qubits on rows and erased on columns (the qla.bipartite_matrix
-    convention); one partial trace T_ij = A_i^dag A_j then gives every
-    moment as <v_i|X^x Z^z|v_j> = sum_f (-1)^|f & z| T_ij[f ^ x, f].
-    The K^2 4^b entries are size-checked before anything is built.
+    A_i is codeword i as a kept x erased matrix (qla.bipartite_matrix), so
+    T has shape (K, 2^b, K, 2^b) and holds everything the erasure analysis
+    reads about the subset: the Pauli moments (trace_moments), the
+    B-marginal (sum_i T_ii)^T / K, and each codeword's kept-side spectrum,
+    that of T_ii.  Its K^2 4^b entries, as many as the moments', are
+    size-checked before anything is built.
     """
     split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
     k, de = code.k_dim, split.dim_erased
     qla.check_dim(k * k * de * de)
-    axes = list(split.kept) + [0] + list(split.erased)   # axis q is qubit q
-    a = code.basis.reshape((k,) + (2,) * code.n).transpose(axes)
-    a = a.reshape(split.dim_kept, k * de)
-    t = (a.conj().T @ a).reshape(k, de, k, de)
-    xor, sign = pauli_tables(split.b)
+    a = qla.bipartite_matrix(code.basis, split).reshape(split.dim_kept, k * de)
+    return (a.conj().T @ a).reshape(k, de, k, de)
+
+
+def trace_moments(t: np.ndarray) -> np.ndarray:
+    """Every <v_i|E_F|v_j> for the 4^b phase-free Paulis E_F on the subset,
+    read off the cut_trace T as <v_i|X^x Z^z|v_j> = sum_f (-1)^|f & z| T_ij[f ^ x, f].
+
+    Returns shape (4^b, K, K).  E_F = X^x Z^z with F = x + 2^b z, where x and
+    z are local bit patterns over the subset in its given order (first
+    qubit most significant): identity first, x cycling fastest, the order
+    of analysis.pauli_basis_on.
+    """
+    k, de = t.shape[:2]
+    xor, sign = pauli_tables(de.bit_length() - 1)
     u = t[:, xor, :, np.arange(de)]            # u[x, f, i, j] = T_ij[f ^ x, f]
     m = sign @ u.transpose(1, 0, 2, 3).reshape(de, de * k * k)
     return m.reshape(de * de, k, k)
+
+
+def pauli_moments(code: QuantumCode, subset) -> np.ndarray:
+    """trace_moments of the subset's cut_trace, size-checked first."""
+    return trace_moments(cut_trace(code, subset))
 
 
 def moment_residuals(moments: np.ndarray, coefficients=None) -> np.ndarray:

@@ -3,7 +3,7 @@
 # relative thresholds unless noted
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
-RANK_TOL = 1e-9          # numerical-rank cutoff, relative to largest singular value
+RANK_TOL = 1e-9          # rank cutoff on marginal eigenvalues, relative to the largest
 RESIDUAL_TOL = 1e-8      # Frobenius, for correctability residuals and certification
 FIDELITY_SLACK = 1e-9    # recovery passes when fidelity >= 1 - FIDELITY_SLACK
 

@@ -17,7 +17,6 @@ import numpy as np
 from .config import HERMITICITY_TOL, MAX_DIM, RANK_TOL, UNITARITY_TOL
 from .errors import ContractError, SizeError
 
-CVector = np.ndarray
 CMatrix = np.ndarray
 
 
@@ -74,59 +73,38 @@ class SubsystemSplit:
         return self.kept + self.erased
 
 
-def permutation_indices(n: int, order: tuple[int, ...]) -> np.ndarray:
-    """Index map p with v_permuted = v[p] for the qubit reordering `order`.
-
-    order[j] is the 1-based label of the qubit placed at position j+1.
-    """
-    if sorted(order) != list(range(1, n + 1)):
-        raise ContractError(f"{order} is not an ordering of 1..{n}")
-    axes = [q - 1 for q in order]
-    return np.arange(2 ** n).reshape((2,) * n).transpose(axes).ravel()
+def _cut_axes(split: SubsystemSplit) -> list[int]:
+    """Axis order [kept ascending, stack, erased as stored] for a stack of
+    states reshaped to (K, 2, ..., 2), where axis q is qubit q."""
+    return list(split.kept) + [0] + list(split.erased)
 
 
-def permute_state(state: CVector, n: int, order: tuple[int, ...]) -> CVector:
-    return np.asarray(state)[permutation_indices(n, order)]
-
-
-def bipartite_matrix(state: CVector, split: SubsystemSplit) -> CMatrix:
-    """Reshape a state vector to a dim_kept x dim_erased matrix.
+def bipartite_matrix(states, split: SubsystemSplit) -> np.ndarray:
+    """Cut one state, or each row of a (K, 2^n) stack, across the split.
 
     Row index runs over the kept qubits (ascending), column index over the
-    erased qubits in the split's stored order.
+    erased qubits in the split's stored order: one state gives a dim_kept x
+    dim_erased matrix, a stack a (dim_kept, K, dim_erased) array whose
+    [:, i, :] is row i's matrix.  The cut is one axis transpose, so the
+    stack reshapes to dim_kept x (K dim_erased) without a further copy.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (2 ** split.n,):
-        raise ContractError(f"state has shape {state.shape}, expected ({2 ** split.n},)")
-    permuted = permute_state(state, split.n, split.order)
-    return permuted.reshape(split.dim_kept, split.dim_erased)
+    states = np.asarray(states, dtype=complex)
+    dim = 2 ** split.n
+    if states.ndim not in (1, 2) or states.shape[-1] != dim:
+        raise ContractError(f"states have shape {states.shape}, expected ({dim},) "
+                            f"or (K, {dim})")
+    stack = states.reshape((-1,) + (2,) * split.n).transpose(_cut_axes(split))
+    out = stack.reshape(split.dim_kept, -1, split.dim_erased)
+    return out if states.ndim == 2 else out[:, 0]
 
 
-def partial_trace(rho: CMatrix, split: SubsystemSplit, traced: str) -> CMatrix:
-    """Trace out one side of the split; kept labels are relabeled ascending.
-
-    traced is "erased" (returns the operator on the kept qubits) or "kept".
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = split.n
-    dim = 2 ** n
-    if rho.shape != (dim, dim):
-        raise ContractError(f"operator has shape {rho.shape}, expected ({dim}, {dim})")
-    if traced == "erased":
-        gone = sorted(q - 1 for q in split.erased)
-    elif traced == "kept":
-        gone = sorted(q - 1 for q in split.kept)
-    else:
-        raise ContractError(f"traced must be 'erased' or 'kept', got {traced!r}")
-    t = rho.reshape((2,) * (2 * n))
-    # trace highest axis first so earlier positions stay valid
-    removed = 0
-    for q in reversed(gone):
-        m = n - removed
-        t = np.trace(t, axis1=q, axis2=m + q)
-        removed += 1
-    keep = n - removed
-    return t.reshape(2 ** keep, 2 ** keep)
+def unsplit(matrix: np.ndarray, split: SubsystemSplit) -> np.ndarray:
+    """Inverse of bipartite_matrix: a dim_kept x dim_erased matrix, or a
+    (dim_kept, K, dim_erased) stack, back to states in original qubit order."""
+    matrix = np.asarray(matrix)
+    stack = matrix.reshape((2,) * len(split.kept) + (-1,) + (2,) * split.b)
+    out = stack.transpose(np.argsort(_cut_axes(split))).reshape(-1, 2 ** split.n)
+    return out if matrix.ndim == 3 else out[0]
 
 
 def _require_hermitian(m: CMatrix, tol: float) -> None:
@@ -208,11 +186,15 @@ def svd(m: CMatrix):
     return u[:, order], s, vh[order, :]
 
 
-def numerical_rank(singular_values: np.ndarray, tol: float = RANK_TOL) -> int:
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] <= 0:
+def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int:
+    """The one rank rule across a cut: how many of the marginal eigenvalues
+    (squared Schmidt coefficients) exceed tol times the largest.  Callers
+    that hold singular values pass their squares."""
+    w = np.asarray(weights, dtype=float)
+    top = w.max(initial=0.0)
+    if top <= 0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(w > tol * top))
 
 
 def is_isometry(m: CMatrix, tol: float = UNITARITY_TOL) -> bool:

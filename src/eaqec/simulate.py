@@ -200,14 +200,11 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
                                 dec.isometry.reshape(split.dim_kept, code.k_dim, -1),
                                 ea.shared_state.reshape(ea.sender_dim, c))
         sent = sent.reshape(-1, len(targets))
-        perm = qla.permutation_indices(split.n, split.order)
 
         def receive(hit):
             share = hit.reshape(split.dim_kept, carrier_dim, -1)[:, :c]
-            received = np.empty((perm.size, hit.shape[1]), dtype=complex)
-            received[perm] = np.einsum("kcs,ec->kes", share,
-                                       ea.compress_isometry).reshape(received.shape)
-            return received
+            back = np.einsum("kcs,ec->kes", share, ea.compress_isometry)
+            return qla.unsplit(back.transpose(0, 2, 1), split).T
 
         def label(letters):
             return letters[:n_kept] + "|" + letters[n_kept:]
@@ -252,6 +249,7 @@ def channel_form_check(dec: structure.StructureDecomposition,
     k = dec.k_dim
     gamma = dec.ancilla_state
     u = dec.isometry
+    mats = qla.bipartite_matrix(code.basis, split)   # w @ mats cuts the state w @ basis
     worst = 0.0
     for i in range(k):
         for j in range(i, k):
@@ -261,8 +259,7 @@ def channel_form_check(dec: structure.StructureDecomposition,
                 e_i, e_j = np.eye(k)[i], np.eye(k)[j]
                 combos = [(e_i + e_j) / np.sqrt(2.0), (e_i + 1j * e_j) / np.sqrt(2.0)]
             for w in combos:
-                state = w @ code.basis
-                mat = qla.bipartite_matrix(state, split)
+                mat = w @ mats
                 lhs_kept = mat @ mat.conj().T
                 rho_r = np.outer(w, w.conj())
                 rhs_kept = u @ np.kron(rho_r, gamma) @ u.conj().T

@@ -74,20 +74,7 @@ def gf2_nullspace(a: np.ndarray) -> np.ndarray:
     return basis
 
 
-def gf2_in_rowspace(a: np.ndarray, v: np.ndarray) -> bool:
-    if a.size == 0:
-        return not v.any()
-    return gf2_rank(a) == gf2_rank(np.vstack([a, v]))
-
-
 # ------------------------------------------------------------------- groups
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    """Symplectic commutation test; phases are irrelevant here."""
-    if p.n != q.n:
-        raise ContractError(f"operator lengths differ: {p.n} vs {q.n}")
-    return p.commutes_with(q)
-
 
 def _identity(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 0, 0)
@@ -313,16 +300,15 @@ def _projector_diagonal(group: StabilizerGroup) -> np.ndarray:
     return diag
 
 
-def codewords(group: StabilizerGroup, logical_basis=None, label: str = "") -> QuantumCode:
+def codewords(group: StabilizerGroup, label: str = "") -> QuantumCode:
     """Orthonormal basis of the joint +1 eigenspace of an abelian group.
 
     The projector P = prod (I + g)/2 is never formed: each column P e_j is
     one pass of the generators over e_j, and the diagonal of P comes from the
     Z-type subgroup, so memory stays O(K 2^n) and K 2^n is size-checked
-    before anything is built.  Without logical_basis the basis comes from
-    pivoted column selection (largest remaining diagonal first, deflated in
-    order) with the package gauge convention; with it, the given vectors are
-    projected and orthonormalized in order, pinning the logical labeling.
+    before anything is built.  The basis comes from pivoted column selection
+    (largest remaining diagonal first, deflated in order) with the package
+    gauge convention.
     """
     if not group.is_abelian:
         raise ContractError("codewords requires an abelian group; run ea_extend first")
@@ -336,20 +322,6 @@ def codewords(group: StabilizerGroup, logical_basis=None, label: str = "") -> Qu
         raise ConsistencyError(f"projector trace {k_float} is not an integer")
     if k < 1:
         raise InvalidStabilizerError("joint eigenspace is empty (inconsistent phases)")
-
-    if logical_basis is not None:
-        rows = []
-        for w in logical_basis:
-            u = _project(group, np.asarray(w, dtype=complex))
-            for v in rows:
-                u = u - v * (v.conj() @ u)
-            norm = np.linalg.norm(u)
-            if norm < 1e-8:
-                raise ContractError("logical basis vector projects into the span so far")
-            rows.append(u / norm)
-        if len(rows) != k:
-            raise ContractError(f"logical basis gives {len(rows)} vectors, eigenspace has {k}")
-        return QuantumCode(n, np.array(rows), label=label)
 
     rem = diag
     rows = []

@@ -3,12 +3,13 @@
 For a correctable erased set B every codeword splits as
 |i~> = (U otimes I_B)(|i>_R otimes |psi>_AB): the kept qubits carry an
 isometric image of a message register R and an ancilla A, while B holds
-half of a fixed bipartite state psi_AB.  The construction is direct: reshape
-codeword 0 into a kept x erased matrix, SVD it to extract psi and the first
-isometry block, then solve the remaining blocks with the pseudoinverse of
-psi.  Everything is certified after the fact (isometry and reconstruction
-residuals), so a non-correctable set fails loudly rather than returning a
-bogus factorization.
+half of a fixed bipartite state psi_AB.  The construction is direct: cut
+the codewords into kept x erased matrices (qla.bipartite_matrix), SVD
+codeword 0's to extract psi and the first isometry block, then solve the
+remaining blocks with the pseudoinverse of psi.  Everything is certified
+after the fact (isometry and reconstruction residuals), so a
+non-correctable set fails loudly rather than returning a bogus
+factorization.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, qla
+from . import qla
 from .codes import CodeParameters, EAParameters, QuantumCode
 from .config import RANK_TOL, RESIDUAL_TOL, UNITARITY_TOL
 from .errors import ConsistencyError, ContractError, StructureViolationError
@@ -65,25 +66,28 @@ def decompose(code: QuantumCode, subset,
               certify_tol: float = RESIDUAL_TOL) -> StructureDecomposition:
     """Build and certify the factorization for one erased set.
 
-    Codeword 0 anchors the gauge.  Raises StructureViolationError when the
-    candidate fails certification, which is exactly what happens when the
-    subset is not correctable (no valid factorization exists then).
+    Codeword 0 anchors the gauge.  dim_A and each codeword's kept-side
+    rank follow the one rank rule, qla.numerical_rank on squared singular
+    values; the certificate reads nothing from analysis, so it stays an
+    independent check of its verdicts.  Raises StructureViolationError when
+    the candidate fails certification, which is exactly what happens when
+    the subset is not correctable (no valid factorization exists then).
     """
     subset = tuple(subset)
     split = qla.SubsystemSplit(n=code.n, erased=subset)
     k = code.k_dim
-    mats = [qla.bipartite_matrix(v, split) for v in code.basis]
+    mats = qla.bipartite_matrix(code.basis, split).transpose(1, 0, 2)   # A_i = mats[i]
 
     u0, s0, v0h = qla.svd(mats[0])
-    r = qla.numerical_rank(s0, rank_tol)
+    r = qla.numerical_rank(s0 ** 2, rank_tol)
     if r == 0:
         raise ContractError("codeword 0 vanishes; cannot anchor the factorization")
     if r * k > split.dim_kept:
         raise StructureViolationError(
             f"message x ancilla dimension {k}x{r} exceeds kept dimension "
             f"{split.dim_kept}; subset cannot be correctable")
-    for i, m in enumerate(mats[1:], start=1):
-        ri = qla.numerical_rank(np.linalg.svd(m, compute_uv=False), rank_tol)
+    for i, s in enumerate(np.linalg.svd(mats[1:], compute_uv=False), start=1):
+        ri = qla.numerical_rank(s ** 2, rank_tol)
         if ri > r:
             raise StructureViolationError(
                 f"codeword {i} has kept-side rank {ri} > anchor rank {r}")
@@ -183,7 +187,7 @@ def compress(dec: StructureDecomposition, distance: int | None,
     r = dec.ancilla_dim
     psi_mat = dec.shared_state.reshape(r, split.dim_erased)
     weights = np.linalg.norm(psi_mat, axis=1)
-    c = qla.numerical_rank(weights, rank_tol)
+    c = qla.numerical_rank(weights ** 2, rank_tol)
     if c != r:
         raise ConsistencyError(
             f"Schmidt rank {c} disagrees with ancilla dimension {r}")
@@ -212,28 +216,13 @@ def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode,
     description without parameters (params is None).
     """
     split = dec.split
-    shared = qla.permute_state(code.basis[0], split.n, split.order)
+    shared = qla.bipartite_matrix(code.basis[0], split).reshape(-1)
     c = dec.ancilla_dim
     return EACode(
         params=_ea_params(split.n, dec.k_dim, distance, split.b, split.dim_erased),
         strategy=PRESEND, shared_state=shared,
         sender_dim=split.dim_kept, receiver_dim=split.dim_erased, schmidt_rank=c,
         ebit_cost=_ebits(c), model_validity=NOISELESS_AND_NOISY)
-
-
-def ea_presend(code: QuantumCode, subset, distance: int,
-               rank_tol: float = RANK_TOL,
-               residual_tol: float = RESIDUAL_TOL) -> EACode:
-    """EA description where the receiver's qubits are sent ahead noiselessly.
-
-    Checks correctability first (analysis.require_correctable, a clean
-    NotCorrectableError), then certifies the factorization at the same
-    residual_tol to size the entanglement cost.
-    """
-    subset = tuple(subset)
-    analysis.require_correctable(code, subset, residual_tol=residual_tol)
-    dec = decompose(code, subset, rank_tol=rank_tol, certify_tol=residual_tol)
-    return presend_from_decomposition(dec, code, distance)
 
 
 def logical_unitary_on_complement(dec: StructureDecomposition,
@@ -262,12 +251,7 @@ def logical_unitary_on_complement(dec: StructureDecomposition,
 def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
                   kept_operator: np.ndarray) -> np.ndarray:
     """Apply an operator on the kept factor to a full state, original qubit order."""
-    mat = qla.bipartite_matrix(state, split)
-    out = (kept_operator @ mat).reshape(-1)
-    perm = qla.permutation_indices(split.n, split.order)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return out[inv]
+    return qla.unsplit(kept_operator @ qla.bipartite_matrix(state, split), split)
 
 
 def decomposition_to_json(dec: StructureDecomposition) -> dict:

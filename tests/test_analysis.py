@@ -95,7 +95,7 @@ def oracle_gram_matrix(code, subset) -> np.ndarray:
     """The coefficient matrix as the Gram matrix of vec(E_j varrho_B^{1/2}),
     each local Pauli applied as a dense matrix product."""
     b = len(subset)
-    rho = analysis._marginal(code, qla.SubsystemSplit(code.n, subset), RANK_TOL)[0]
+    rho = analysis._analyze(code, qla.SubsystemSplit(code.n, subset), RESIDUAL_TOL, RANK_TOL)[1]
     sqrt_rho = qla.sqrtm_psd(rho)
     g = np.array([(codes.PauliOperator(b, m & ((1 << b) - 1), m >> b).matrix() @ sqrt_rho).ravel()
                   for m in range(4 ** b)])
@@ -436,8 +436,9 @@ class TestInvariance:
     def test_qubit_permutation(self, name, subset, seed):
         code = cached_fixture(name)
         order = tuple(int(q) for q in np.random.default_rng(seed).permutation(code.n) + 1)
-        moved = codes.QuantumCode(code.n, np.array(
-            [qla.permute_state(v, code.n, order) for v in code.basis]), label="permuted")
+        # erasing every qubit in `order` cuts each codeword into one row in that order
+        moved = codes.QuantumCode(code.n, qla.bipartite_matrix(
+            code.basis, qla.SubsystemSplit(n=code.n, erased=order))[0], label="permuted")
         # qubit order[j] now sits at position j + 1
         moved_subset = tuple(order.index(q) + 1 for q in subset)
         assert self.summary(moved, moved_subset) == self.summary(code, subset)
@@ -464,16 +465,22 @@ class TestInvariance:
             analysis.analyze_subset(code, subset).marginal_spectrum, rtol=0, atol=1e-12)
 
 
+def correctable_sets(code, size):
+    return [report for report in analysis.scan_subsets(code, size) if report.correctable]
+
+
 class TestFindCorrectableSets:
+    """The correctable sets a scan finds, with their classification."""
+
     def test_five_qubit_pairs(self):
-        reports = analysis.find_correctable_sets(cached_fixture("five_qubit"), 2)
+        reports = correctable_sets(cached_fixture("five_qubit"), 2)
         assert len(reports) == 10  # every pair of qubits can be erased
         for report in reports:
             assert report.trichotomy == analysis.PURE
             assert report.marginal_rank == 4
 
     def test_five_qubit_singles(self):
-        reports = analysis.find_correctable_sets(cached_fixture("five_qubit"), 1)
+        reports = correctable_sets(cached_fixture("five_qubit"), 1)
         assert len(reports) == 5
         assert all(r.marginal_rank == 2 for r in reports)
 
@@ -481,7 +488,7 @@ class TestFindCorrectableSets:
         # the cap on the scan size is the K^2 4^size moment check, nothing
         # else: steane scans at size 6, while K = 128 on 8 qubits at size 4
         # (2^22 moments) is refused before anything is built
-        assert analysis.find_correctable_sets(cached_fixture("steane"), 6) == []
+        assert correctable_sets(cached_fixture("steane"), 6) == []
         code = stab.codewords(stab.StabilizerGroup.from_strings(["ZIIIIIII"]))
         assert code.k_dim ** 2 * 4 ** 4 > MAX_DIM
         tracemalloc.start()
@@ -518,7 +525,7 @@ class TestFindCorrectableSets:
         v = np.zeros(2 ** n, dtype=complex)
         v[0] = 1.0
         big = codes.QuantumCode(n=n, basis=v[None, :])
-        reports = analysis.find_correctable_sets(big, 1)
+        reports = correctable_sets(big, 1)
         assert [r.split.erased for r in reports] == [(q,) for q in range(1, n + 1)]
         assert all(r.trichotomy == analysis.DEGENERATE and r.marginal_rank == 1
                    for r in reports)

@@ -210,6 +210,33 @@ class TestDecompose:
         assert "not correctable" in err
 
 
+class TestRankRule:
+    def test_perturbed_code_keeps_one_rank(self, capsys, tmp_path):
+        # pi_7_2_3 perturbed by 1e-6 and re-orthonormalised: on {6,7} the
+        # marginal has three eigenvalues near 1/3 and one near 6e-11.  C,
+        # the kept ranks and dim_A all come from the one rule on marginal
+        # eigenvalues, so all are 3; a rule on singular values kept the
+        # 1e-6 Schmidt coefficient as a fourth kept rank and dim_A, whose
+        # pseudo-inverse broke the isometry (defect 9.11e-01, exit 3)
+        code = cached_fixture("pi_7_2_3")
+        rng = np.random.default_rng(0)
+        noise = rng.normal(size=code.basis.shape) + 1j * rng.normal(size=code.basis.shape)
+        q, _ = np.linalg.qr((code.basis + 1e-6 * noise).T)
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(codes.code_to_json(codes.QuantumCode(7, q.T))))
+        args = ("--code", str(path), "--subset", "6,7", "--tol-residual", "1e-2",
+                "--format", "json")
+        rc, out, _ = run(capsys, "analyze", *args)
+        data = json.loads(out)
+        assert rc == 0 and data["trichotomy"] == "degenerate"
+        assert data["C"] == 3 and data["kept_marginal_ranks"] == [3, 3]
+        rc, out, err = run(capsys, "decompose", *args)
+        assert rc == 0, err
+        data = json.loads(out)
+        assert data["decomposition"]["dim_A"] == 3
+        assert data["ea"]["compressed"]["receiver_dim"] == 3
+
+
 class TestVerify:
     def test_noiseless_pass(self, capsys):
         rc, out, _ = run(capsys, "verify", "--fixture", "five_qubit",

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: splits, permutations, spectra, ranks.
+"""Dense linear-algebra kernel: splits, the cut, spectra, ranks.
 
 Oracles here are written from first principles with einsum/kron index
 gymnastics, independent of the library's reshape-based implementations.
@@ -66,27 +66,40 @@ class TestSubsystemSplit:
 
 
 class TestPermutation:
+    """The cut is a qubit permutation, kept qubits first, then a reshape."""
+
     def test_two_qubit_swap_indices(self):
-        # hand-derived: swapping qubits 1,2 exchanges |01> and |10>
-        p = qla.permutation_indices(2, (2, 1))
-        assert list(p) == [0, 2, 1, 3]
+        # hand-derived: erasing qubit 1 of 2 puts qubit 2 first, which
+        # exchanges |01> and |10>
+        m = qla.bipartite_matrix(np.arange(4.0), qla.SubsystemSplit(n=2, erased=(1,)))
+        assert list(m.real.ravel()) == [0, 2, 1, 3]
 
     @given(st.integers(1, 5), st.randoms(use_true_random=False))
     def test_matches_bit_shuffle_oracle(self, n, rnd):
         order = list(range(1, n + 1))
         rnd.shuffle(order)
+        split = qla.SubsystemSplit(n=n, erased=tuple(order[rnd.randint(0, n):]))
+        order = list(split.order)
         rng = np.random.default_rng(rnd.randint(0, 2**32 - 1))
         v = random_state(rng, 1 << n)
-        got = qla.permute_state(v, n, tuple(order))
+        got = qla.bipartite_matrix(v, split).ravel()
         want = oracle_permute(v, n, order)
         assert np.allclose(got, want, atol=1e-14)
+        assert np.array_equal(qla.unsplit(qla.bipartite_matrix(v, split), split), v)
+        # a stack cuts row by row, and unsplit undoes it
+        stack = np.array([v, 2 * v, 1j * v])
+        cut = qla.bipartite_matrix(stack, split)
+        assert cut.shape == (split.dim_kept, 3, split.dim_erased)
+        for i, row in enumerate(stack):
+            assert np.array_equal(cut[:, i], qla.bipartite_matrix(row, split))
+        assert np.array_equal(qla.unsplit(cut, split), stack)
         # an operator relabelled by the same permutation acts consistently:
         # permute(a v) = (P a P^T) permute(v), P built column by column
         dim = 1 << n
         perm = np.array([oracle_permute(col, n, order) for col in np.eye(dim)]).T
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        lhs = perm @ a @ perm.T @ qla.permute_state(v, n, tuple(order))
-        assert np.allclose(lhs, qla.permute_state(a @ v, n, tuple(order)), atol=1e-12)
+        lhs = perm @ a @ perm.T @ got
+        assert np.allclose(lhs, qla.bipartite_matrix(a @ v, split).ravel(), atol=1e-12)
 
 
 class TestBipartiteMatrix:
@@ -107,20 +120,37 @@ class TestBipartiteMatrix:
         assert m.shape == (1 << (n - b), 1 << b)
         assert abs(np.linalg.norm(m) - 1.0) < 1e-12
 
+    def test_shape_contract(self):
+        split = qla.SubsystemSplit(n=2, erased=(1,))
+        for bad in (np.zeros(8), np.zeros((2, 8)), np.zeros((1, 2, 4))):
+            with pytest.raises(ContractError):
+                qla.bipartite_matrix(bad, split)
+
+
+def random_mixture(rng, n, k):
+    """k orthonormal n-qubit states (rows) and random weights summing to one."""
+    states, _ = np.linalg.qr(rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k)))
+    weights = rng.random(k) + 0.1
+    return states.T, weights / weights.sum()
+
 
 class TestPartialTrace:
+    """Both marginals of a mixture of cut states, against index contraction."""
+
     @given(st.integers(2, 6), st.data())
     def test_matches_contraction_oracle(self, n, data):
         b = data.draw(st.integers(1, n - 1))
         erased = tuple(sorted(data.draw(
             st.lists(st.integers(1, n), min_size=b, max_size=b, unique=True))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        rho = random_density(rng, 1 << n)
+        states, p = random_mixture(rng, n, data.draw(st.integers(1, 3)))
+        rho = (states.T * p) @ states.conj()
         split = qla.SubsystemSplit(n=n, erased=erased)
-        got = qla.partial_trace(rho, split, traced="erased")
+        a = qla.bipartite_matrix(states, split)
+        got = np.einsum("i,kif,lif->kl", p, a, a.conj())
         want = oracle_partial_trace(rho, n, list(erased))
         assert np.allclose(got, want, atol=1e-12)
-        got_k = qla.partial_trace(rho, split, traced="kept")
+        got_k = np.einsum("i,kif,kig->fg", p, a, a.conj())
         want_k = oracle_partial_trace(rho, n, list(split.kept))
         assert np.allclose(got_k, want_k, atol=1e-12)
 
@@ -130,8 +160,9 @@ class TestPartialTrace:
         erased = tuple(data.draw(
             st.lists(st.integers(1, n), min_size=b, max_size=b, unique=True)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        rho = random_density(rng, 1 << n)
-        red = qla.partial_trace(rho, qla.SubsystemSplit(n=n, erased=erased), "erased")
+        states, p = random_mixture(rng, n, data.draw(st.integers(1, 3)))
+        a = qla.bipartite_matrix(states, qla.SubsystemSplit(n=n, erased=erased))
+        red = np.einsum("i,kif,lif->kl", p, a, a.conj())
         assert abs(np.trace(red) - 1.0) < 1e-12
         assert np.linalg.norm(red - red.conj().T) < 1e-12
         evs = np.linalg.eigvalsh(red)
@@ -143,8 +174,7 @@ class TestPartialTrace:
         v = random_state(rng, 16)
         split = qla.SubsystemSplit(n=4, erased=(2, 4))
         m = qla.bipartite_matrix(v, split)
-        perm_rho = np.outer(v, v.conj())
-        red = qla.partial_trace(perm_rho, split, "erased")
+        red = oracle_partial_trace(np.outer(v, v.conj()), 4, [2, 4])
         assert np.allclose(red, m @ m.conj().T, atol=1e-12)
 
 

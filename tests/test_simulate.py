@@ -123,9 +123,10 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
     if code.k_dim > 1:
         states.append(np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim)))
     compressed = ea.strategy == structure.COMPRESSED
-    perm = qla.permutation_indices(n, split.order)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
+    # position of each amplitude in the kept x erased table: its bits read
+    # in the order kept qubits, then erased ones
+    inv = np.array([int("".join(format(idx, f"0{n}b")[q - 1] for q in split.order), 2)
+                    for idx in range(1 << n)])
     c, m = ea.receiver_dim, len(kept)
 
     def compressed_state(w):

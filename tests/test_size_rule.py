@@ -50,8 +50,8 @@ OVER_CAP = {
     "channel_form_check": lambda: (simulate.channel_form_check, _decomposed(12, (1,))),
     "logical_unitary_on_complement": lambda: (
         structure.logical_unitary_on_complement, (_decomposed(12, (1,))[0], np.eye(1))),
-    # 4^11 operators
-    "pauli_basis_on": lambda: (analysis.pauli_basis_on, (11, range(1, 12))),
+    # 4^9 operators of about 113 bytes, counted as 8 entries each: 2^21
+    "pauli_basis_on": lambda: (analysis.pauli_basis_on, (9, range(1, 10))),
     # 16^6 matrix entries
     "kl_matrix": lambda: (analysis.kl_matrix, (cached_fixture("steane"), (1, 2, 3, 4, 5, 6))),
 }

@@ -201,7 +201,8 @@ class TestCompress:
 class TestPresend:
     def test_five_qubit_pair(self):
         code = cached_fixture("five_qubit")
-        ea = structure.ea_presend(code, (4, 5), distance=3)
+        dec = structure.decompose(code, (4, 5))
+        ea = structure.presend_from_decomposition(dec, code, distance=3)
         assert ea.strategy == structure.PRESEND
         assert ea.model_validity == structure.NOISELESS_AND_NOISY
         assert (ea.sender_dim, ea.receiver_dim) == (8, 4)
@@ -210,8 +211,13 @@ class TestPresend:
         np.testing.assert_allclose(ea.shared_state, want, atol=1e-12)
 
     def test_not_correctable(self):
+        # no presend description without a decomposition, and a set that is
+        # not correctable fails the gate and the certificate alike
+        code = cached_fixture("five_qubit")
         with pytest.raises(NotCorrectableError):
-            structure.ea_presend(cached_fixture("five_qubit"), (1, 2, 3), distance=3)
+            analysis.require_correctable(code, (1, 2, 3))
+        with pytest.raises(StructureViolationError):
+            structure.decompose(code, (1, 2, 3))
 
     def test_residual_tol_reaches_the_certificate(self):
         # a basis perturbed by 1e-6 and re-orthonormalised has residual ~6e-6:
@@ -224,7 +230,9 @@ class TestPresend:
         assert 1e-6 < analysis.erasure_residual(perturbed, (4, 5)) < 1e-4
         with pytest.raises(StructureViolationError):
             structure.decompose(perturbed, (4, 5))
-        ea = structure.ea_presend(perturbed, (4, 5), distance=3, residual_tol=1e-4)
+        analysis.require_correctable(perturbed, (4, 5), residual_tol=1e-4)
+        dec = structure.decompose(perturbed, (4, 5), certify_tol=1e-4)
+        ea = structure.presend_from_decomposition(dec, perturbed, distance=3)
         assert ea.schmidt_rank == 4
 
 
