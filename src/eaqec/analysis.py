@@ -15,11 +15,13 @@ spectrum and rank C, and each codeword's kept-side rank from the
 eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
 Correctable sets classify three ways from the marginal: pure (maximally
 mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
-(rank deficient).  The coefficient matrix lambda_ij = Tr(varrho_B E_i^dag
-E_j) has the spectrum of varrho_B scaled by 2^b, each value repeated 2^b
-times, so its rank is 2^b rank(varrho_B); kl_matrix builds the matrix and
-its kernel only on request, after qla.check_dim passes its 16^b entries,
-which refuses sets of more than 5 qubits.
+(rank deficient).  The coefficient matrix lambda_FG = Tr(varrho_B E_F^dag
+E_G) has the spectrum of varrho_B scaled by 2^b, each value repeated 2^b
+times, so its rank is 2^b C; kl_matrix builds the matrix from the moment
+coefficients and its kernel from the eigenvectors of varrho_B past C, only
+on request, after qla.check_dim passes its 16^b entries, which refuses
+sets of more than 5 qubits.  E_F = X^x Z^z with F = x + 2^b z is the one
+local Pauli order (codes.pauli_tables).
 """
 
 from __future__ import annotations
@@ -30,46 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qla
-from .codes import (PauliOperator, QuantumCode, cut_trace, moment_residuals,
-                    pauli_moments, pauli_tables, trace_moments)
+from .codes import (QuantumCode, cut_trace, moment_residuals, pauli_moments,
+                    pauli_tables, trace_moments)
 from .config import RANK_TOL, RESIDUAL_TOL
-from .errors import ConsistencyError, NotCorrectableError
+from .errors import NotCorrectableError
 
 PURE = "pure"
 IMPURE_NONDEGENERATE = "impure_nondegenerate"
 DEGENERATE = "degenerate"
-
-
-def _basis_patterns(b: int):
-    """(x, z) bit patterns for the 4^b local Paulis, identity first, x fastest."""
-    mask = (1 << b) - 1
-    for m in range(1 << (2 * b)):
-        yield m & mask, m >> b
-
-
-def _embed_bits(local: int, b: int, n: int, subset) -> int:
-    out = 0
-    for j in range(1, b + 1):
-        if local & (1 << (b - j)):
-            out |= 1 << (n - subset[j - 1])
-    return out
-
-
-def pauli_basis_on(n: int, subset) -> list[PauliOperator]:
-    """All 4^b phase-free Paulis supported on the subset, embedded in n qubits.
-
-    Ordering is fixed: identity first, then by local (x, z) pattern with the
-    x part cycling fastest, so b = 1 gives [I, X, Z, XZ].  Operators are
-    unnormalized, hence pairwise trace-orthogonal with Tr(E^dag E) = 2^n.
-    """
-    subset = tuple(subset)
-    b = len(subset)
-    qla.check_dim(8 * 4 ** b)    # a PauliOperator takes about 113 bytes, 7-8 entries
-    out = []
-    for x_loc, z_loc in _basis_patterns(b):
-        out.append(PauliOperator(n, _embed_bits(x_loc, b, n, subset),
-                                 _embed_bits(z_loc, b, n, subset)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -77,8 +47,9 @@ class KLReport:
     """Correctability verdict and spectral data for one erased set.
 
     matrix_rank is the rank of the 4^b x 4^b coefficient matrix, read off
-    the marginal as 2^b rank(varrho_B).  matrix and kernel are filled only
-    by kl_matrix; analyze_subset leaves both None.
+    the marginal as 2^b C.  matrix and kernel are filled only by
+    kl_matrix, both from the moments and varrho_B; analyze_subset leaves
+    both None.
     """
 
     split: qla.SubsystemSplit
@@ -97,16 +68,18 @@ class KLReport:
         return self.split.dim_erased ** 2
 
 
-def _analyze(code: QuantumCode, split: qla.SubsystemSplit,
-             residual_tol: float, rank_tol: float) -> tuple[KLReport, np.ndarray]:
-    """The report for one erased set and its B-marginal varrho_B, all read
-    off the one partial trace T (codes.cut_trace)."""
+def _analyze(code: QuantumCode, split: qla.SubsystemSplit, residual_tol: float,
+             rank_tol: float) -> tuple[KLReport, np.ndarray, np.ndarray]:
+    """The report for one erased set, its Pauli moments and the gauge-fixed
+    eigenvectors of varrho_B (columns, in the order of marginal_spectrum),
+    all read off the one partial trace T (codes.cut_trace)."""
     t = cut_trace(code, split.erased)
     k = code.k_dim
-    residual_max = float(moment_residuals(trace_moments(t)).max())
+    moments = trace_moments(t)
+    residual_max = float(moment_residuals(moments).max())
     blocks = t[np.arange(k), :, np.arange(k), :]          # T_ii, shape (K, 2^b, 2^b)
-    rho = blocks.sum(axis=0).T / k
-    spectrum = np.maximum(qla.eig_hermitian(rho)[0], 0.0)
+    eigs, vecs = qla.eig_hermitian(blocks.sum(axis=0).T / k)
+    spectrum = np.maximum(eigs, 0.0)
     marginal_rank = qla.numerical_rank(spectrum, rank_tol)
     kept_ranks = tuple(qla.numerical_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))
     report = KLReport(
@@ -116,7 +89,7 @@ def _analyze(code: QuantumCode, split: qla.SubsystemSplit,
         kept_marginal_ranks=kept_ranks, kernel=None)
     if report.correctable:
         report = replace(report, trichotomy=classify(report))
-    return report, rho
+    return report, moments, vecs
 
 
 def erasure_residual(code: QuantumCode, subset) -> float:
@@ -146,36 +119,38 @@ def kl_matrix(code: QuantumCode, subset,
               rank_tol: float = RANK_TOL) -> KLReport:
     """analyze_subset's report with the coefficient matrix and its kernel.
 
-    The matrix is assembled as a Gram matrix of vec(E_j varrho_B^{1/2}), so
-    it is Hermitian PSD by construction with unit diagonal; its 16^b
-    entries are size-checked before anything is built, which refuses sets
-    of more than 5 qubits (16^5 = MAX_DIM).  Its identity row lambda_{0F}
-    = Tr(varrho_B E_F) holds the coefficients c_F of the erasure residual.
-    The matrix spectrum is the marginal spectrum scaled by 2^b, each value
-    repeated 2^b times, so its own rank must equal matrix_rank = 2^b
-    rank(varrho_B); a disagreement raises ConsistencyError.
+    Both are read off what the analysis already holds; their 16^b entries
+    are size-checked before anything is built, which refuses sets of more
+    than 5 qubits (16^5 = MAX_DIM).  With F = x + 2^b z, E_F^dag E_G =
+    (-1)^|z_F & (x_F ^ x_G)| E_{F ^ G}, so lambda_FG is that sign times c_{F ^
+    G}, where c_H = tr(m_H) / K = Tr(varrho_B E_H) are the moment
+    coefficients; the identity row lambda_{0F} is c_F itself.  lambda a = 0
+    exactly when sum_G a_G E_G annihilates varrho_B, so the kernel rows are
+    the Pauli coefficients of sqrt(2^b) |e><u_nu|, for every basis state e
+    of B and every eigenvector u_nu of varrho_B past its rank C: row e (2^b
+    - C) + nu, with a_G = conj(sign[z_G, e ^ x_G] u_nu[e ^ x_G]) / sqrt(2^b).
+    The 2^b (2^b - C) rows are orthonormal by construction, and
+    matrix_rank = 2^b C counts the rest.
     """
     subset = tuple(subset)
     split = qla.SubsystemSplit(n=code.n, erased=subset)
-    b = split.b
+    b, de = split.b, split.dim_erased
     qla.check_dim(16 ** b)
 
-    report, rho = _analyze(code, split, residual_tol, rank_tol)
-    sqrt_rho = qla.sqrtm_psd(rho)
-    # row F = x + 2^b z is vec(X^x Z^z sqrt_rho), row g of which is
-    # sign[z, g ^ x] * sqrt_rho[g ^ x]
+    report, moments, vecs = _analyze(code, split, residual_tol, rank_tol)
+    c = (np.trace(moments, axis1=1, axis2=2) / code.k_dim).reshape(de, de)  # [z, x]
     xor, sign = pauli_tables(b)
-    g = (sign[:, xor][..., None] * sqrt_rho[xor]).reshape(4 ** b, -1)
-    lam = g.conj() @ g.T
+    signs = sign[:, xor]                                  # signs[z, f, g] = sign[z, f ^ g]
+    # lam[zF, xF, zG, xG] = sign[zF, xF ^ xG] * c[zF ^ zG, xF ^ xG]
+    lam = signs[:, :, None, :] * c[xor[:, None, :, None], xor[None, :, None, :]]
+    lam = lam.reshape(de * de, de * de)
     lam = (lam + lam.conj().T) / 2
 
-    eigs, vecs = qla.eig_hermitian(lam)
-    matrix_rank = qla.numerical_rank(np.maximum(eigs, 0.0), rank_tol)
-    if matrix_rank != report.matrix_rank:
-        raise ConsistencyError(
-            f"rank mismatch: coefficient rank {matrix_rank} vs 2^b times marginal "
-            f"rank {report.matrix_rank}")
-    return replace(report, matrix=lam, kernel=vecs[:, matrix_rank:].T.copy())
+    # kernel[e, nu, z, x] = conj(sign[z, e ^ x] * u_nu[e ^ x]) / sqrt(2^b)
+    null = vecs[:, report.marginal_rank:]
+    kernel = (signs[..., None] * null[xor]).transpose(1, 3, 0, 2)
+    kernel = kernel.conj().reshape(-1, de * de) / np.sqrt(de)
+    return replace(report, matrix=lam, kernel=kernel)
 
 
 def classify(report: KLReport, atol: float = 1e-10) -> str:

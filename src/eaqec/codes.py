@@ -290,7 +290,7 @@ def trace_moments(t: np.ndarray) -> np.ndarray:
     Returns shape (4^b, K, K).  E_F = X^x Z^z with F = x + 2^b z, where x and
     z are local bit patterns over the subset in its given order (first
     qubit most significant): identity first, x cycling fastest, the order
-    of analysis.pauli_basis_on.
+    of pauli_tables.
     """
     k, de = t.shape[:2]
     xor, sign = pauli_tables(de.bit_length() - 1)
@@ -304,17 +304,16 @@ def pauli_moments(code: QuantumCode, subset) -> np.ndarray:
     return trace_moments(cut_trace(code, subset))
 
 
-def moment_residuals(moments: np.ndarray, coefficients=None) -> np.ndarray:
+def moment_residuals(moments: np.ndarray) -> np.ndarray:
     """||m_F - c_F I||_F for each K x K moment matrix m_F = V^dag E_F V.
 
-    This equals ||P E_F P - c_F P||_F for the codespace projector P.
-    c_F defaults to tr(m_F) / K, the closest multiple of the identity;
-    E_F is detected when its residual is within the residual tolerance.
+    This equals ||P E_F P - c_F P||_F for the codespace projector P, with
+    c_F = tr(m_F) / K, the closest multiple of the identity; E_F is
+    detected when its residual is within the residual tolerance.
     """
     k = moments.shape[1]
-    if coefficients is None:
-        coefficients = np.trace(moments, axis1=1, axis2=2) / k
-    dev = moments - np.asarray(coefficients)[:, None, None] * np.eye(k)
+    coefficients = np.trace(moments, axis1=1, axis2=2) / k
+    dev = moments - coefficients[:, None, None] * np.eye(k)
     return np.linalg.norm(dev, axis=(1, 2))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, qla, structure
+from . import qla, structure
 from .codes import PauliOperator, QuantumCode, paulis_of_weight
 from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, ModelMismatchError,
@@ -27,56 +27,6 @@ from .errors import (ConsistencyError, ContractError, ModelMismatchError,
 
 NOISELESS = "noiseless"
 NOISY = "noisy"
-
-_TRACE_PRESERVATION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators."""
-
-    operators: tuple[np.ndarray, ...]
-    dim: int
-
-    def __post_init__(self):
-        if not self.operators:
-            raise ContractError("channel needs at least one Kraus operator")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.operators:
-            if op.shape != (self.dim, self.dim):
-                raise ContractError(f"Kraus operator shape {op.shape} != {(self.dim,) * 2}")
-            total += op.conj().T @ op
-        defect = float(np.linalg.norm(total - np.eye(self.dim)))
-        if defect > _TRACE_PRESERVATION_TOL * max(1.0, np.sqrt(self.dim)):
-            raise ContractError(f"channel is not trace preserving (defect {defect:.2e})")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho, dtype=complex)
-        for op in self.operators:
-            out += op @ rho @ op.conj().T
-        return out
-
-    def apply_to_pure(self, state: np.ndarray) -> np.ndarray:
-        """Channel output on |state><state|, returned as a density matrix."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for op in self.operators:
-            v = op @ state
-            out += np.outer(v, v.conj())
-        return out
-
-
-def replacer_channel(n: int, subset) -> KrausChannel:
-    """Erasure modelled as replacement: the subset is reset to maximally mixed.
-
-    Kraus operators are the embedded Pauli basis on the subset scaled by
-    1/2^b; the output marginal on the subset is I/2^b regardless of input.
-    The 4^b dense operators of 4^n entries each are size-checked first.
-    """
-    subset = tuple(subset)
-    qla.check_dim(4 ** len(subset) * 4 ** n)
-    scaled_eye = np.eye(1 << n, dtype=complex) / (1 << len(subset))
-    ops = tuple(p.apply(scaled_eye) for p in analysis.pauli_basis_on(n, subset))
-    return KrausChannel(operators=ops, dim=1 << n)
 
 
 def kl_recovery(code: QuantumCode, errors,
@@ -231,38 +181,3 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
         strategy=ea.strategy, model=model, error_weight=weight,
         cases_run=len(errors) * len(targets), min_fidelity=min_fid,
         failures=tuple(sorted(failures.items())), exploratory=exploratory and compressed)
-
-
-def channel_form_check(dec: structure.StructureDecomposition,
-                       code: QuantumCode) -> float:
-    """Worst deviation between the erasure output and its structured form.
-
-    For a spanning set of pure code states compares
-    Tr_B(rho) otimes I/2^b against (U (rho_R otimes Gamma_A) U^dag) otimes
-    I/2^b in the permuted frame.  Both sides share the I/2^b factor, so the
-    comparison reduces to the kept-side operators; the returned number is
-    the full-space Frobenius deviation.  The dim_kept^2 entries of each
-    kept-side operator are size-checked first.
-    """
-    split = dec.split
-    qla.check_dim(split.dim_kept ** 2)
-    k = dec.k_dim
-    gamma = dec.ancilla_state
-    u = dec.isometry
-    mats = qla.bipartite_matrix(code.basis, split)   # w @ mats cuts the state w @ basis
-    worst = 0.0
-    for i in range(k):
-        for j in range(i, k):
-            if i == j:
-                combos = [np.eye(k)[i]]
-            else:
-                e_i, e_j = np.eye(k)[i], np.eye(k)[j]
-                combos = [(e_i + e_j) / np.sqrt(2.0), (e_i + 1j * e_j) / np.sqrt(2.0)]
-            for w in combos:
-                mat = w @ mats
-                lhs_kept = mat @ mat.conj().T
-                rho_r = np.outer(w, w.conj())
-                rhs_kept = u @ np.kron(rho_r, gamma) @ u.conj().T
-                dev = float(np.linalg.norm(lhs_kept - rhs_kept)) / np.sqrt(split.dim_erased)
-                worst = max(worst, dev)
-    return worst

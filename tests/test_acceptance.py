@@ -13,7 +13,7 @@ import pytest
 
 from eaqec import analysis, codes, qla, simulate, stab, structure
 
-from conftest import cached_fixture
+from conftest import cached_fixture, channel_form_check, replacer_channel
 from test_stab import FIVE_GENS, STEANE_GENS
 
 
@@ -233,7 +233,7 @@ def test_11_module_invariants(capsys):
                 assert np.linalg.eigvalsh(lam).min() >= -1e-10
                 np.testing.assert_allclose(np.diag(lam).real, 1.0, atol=1e-12)
         # channels preserve trace
-        ch = simulate.replacer_channel(3, (1, 3))
+        ch = replacer_channel(3, (1, 3))
         total = sum(op.conj().T @ op for op in ch.operators)
         assert np.linalg.norm(total - np.eye(8)) <= 1e-9
         # erasure output matches the structured form everywhere it is defined
@@ -243,7 +243,7 @@ def test_11_module_invariants(capsys):
                              ("steane", (5, 6, 7)), ("steane", (4, 5, 6, 7))]:
             code = cached_fixture(name)
             dec = structure.decompose(code, subset)
-            dev = simulate.channel_form_check(dec, code)
+            dev = channel_form_check(dec, code)
             worst = max(worst, dev)
             assert dev <= 1e-9, f"{name} {subset}: deviation {dev:.2e}"
         return f"reconstructions, Gram/PSD, trace, form check (worst {worst:.1e})"

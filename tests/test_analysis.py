@@ -19,7 +19,7 @@ from eaqec import analysis, codes, qla, stab, structure
 from eaqec.config import MAX_DIM, RANK_TOL, RESIDUAL_TOL
 from eaqec.errors import NotCorrectableError, SizeError, StructureViolationError
 
-from conftest import cached_fixture
+from conftest import cached_fixture, pauli_basis_on, perturbed_pi_7_2_3
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,10 +93,10 @@ def oracle_erased_marginal(code, subset) -> np.ndarray:
 
 def oracle_gram_matrix(code, subset) -> np.ndarray:
     """The coefficient matrix as the Gram matrix of vec(E_j varrho_B^{1/2}),
-    each local Pauli applied as a dense matrix product."""
+    varrho_B from the einsum marginal and each local Pauli applied as a
+    dense matrix product."""
     b = len(subset)
-    rho = analysis._analyze(code, qla.SubsystemSplit(code.n, subset), RESIDUAL_TOL, RANK_TOL)[1]
-    sqrt_rho = qla.sqrtm_psd(rho)
+    sqrt_rho = qla.sqrtm_psd(oracle_erased_marginal(code, subset))
     g = np.array([(codes.PauliOperator(b, m & ((1 << b) - 1), m >> b).matrix() @ sqrt_rho).ravel()
                   for m in range(4 ** b)])
     lam = g.conj() @ g.T
@@ -132,7 +132,7 @@ def oracle_pair_residual(code, subset, lam) -> float:
     for the 4^b single-Pauli residual the library computes.
     """
     v = code.basis_matrix
-    applied = np.stack([e.apply(v) for e in analysis.pauli_basis_on(code.n, subset)])
+    applied = np.stack([e.apply(v) for e in pauli_basis_on(code.n, subset)])
     eye = np.eye(code.k_dim)
     worst = 0.0
     for a in range(applied.shape[0]):
@@ -186,7 +186,7 @@ def oracle_structural_report(code, subset) -> tuple[bool, str | None, int]:
 
 class TestPauliBasisOn:
     def test_single_qubit_order(self):
-        ops = analysis.pauli_basis_on(1, (1,))
+        ops = pauli_basis_on(1, (1,))
         assert len(ops) == 4
         assert ops[0].is_identity()
         for got, want in zip(ops, _SINGLE):
@@ -194,31 +194,31 @@ class TestPauliBasisOn:
 
     def test_matches_dense_embedding(self):
         for n, subset in [(3, (2,)), (3, (1, 3)), (4, (2, 4)), (5, (4, 5))]:
-            ops = analysis.pauli_basis_on(n, subset)
+            ops = pauli_basis_on(n, subset)
             want = oracle_embedded_paulis(n, subset)
             assert len(ops) == 4 ** len(subset)
             for got, ref in zip(ops, want):
                 np.testing.assert_allclose(got.matrix(), ref, atol=1e-14)
 
     def test_pairwise_trace_orthogonal(self):
-        ops = analysis.pauli_basis_on(3, (1, 3))
+        ops = pauli_basis_on(3, (1, 3))
         dense = [o.matrix() for o in ops]
         gram = np.array([[np.vdot(a, b) for b in dense] for a in dense])
         np.testing.assert_allclose(gram, 8 * np.eye(16), atol=1e-12)
 
     def test_support_restricted_to_subset(self):
-        for op in analysis.pauli_basis_on(4, (2, 4)):
+        for op in pauli_basis_on(4, (2, 4)):
             assert set(op.support) <= {2, 4}
 
     def test_empty_subset(self):
-        ops = analysis.pauli_basis_on(3, ())
+        ops = pauli_basis_on(3, ())
         assert len(ops) == 1
         assert ops[0].is_identity()
 
     def test_size_cap(self):
-        # the cap counts the 4^b operators, so b = 6 builds all 4096 of them;
-        # the first refused set, b = 11, is in tests/test_size_rule.py
-        ops = analysis.pauli_basis_on(7, (1, 2, 3, 4, 5, 6))
+        # the cap counts 8 entries per operator, so b = 6 builds all 4096 of
+        # them; the first refused set is b = 9
+        ops = pauli_basis_on(7, (1, 2, 3, 4, 5, 6))
         assert len(ops) == 4 ** 6
         assert len({(o.x_bits, o.z_bits) for o in ops}) == 4 ** 6
         assert all(set(o.support) <= {1, 2, 3, 4, 5, 6} for o in ops)
@@ -238,13 +238,46 @@ class TestCoefficientMatrix:
     @pytest.mark.parametrize("name", [
         "five_qubit", "steane", "pi_4_2_2", "pi_7_2_3", "xp_7_8_2"])
     def test_gather_matches_matrix_products(self, name):
-        # the Gram rows are gathered from the sign and index tables; every
-        # entry must equal the dense-product route bit for bit
+        # lambda_FG = sign * c_{F ^ G} gathered from the sign and index
+        # tables, against the Gram matrix of vec(E_j varrho_B^{1/2}) built
+        # from dense products on the einsum marginal
         code = cached_fixture(name)
         for b in range(4):
             for subset in itertools.combinations(range(1, code.n + 1), b):
-                assert np.array_equal(analysis.kl_matrix(code, subset).matrix,
-                                      oracle_gram_matrix(code, subset))
+                got = analysis.kl_matrix(code, subset).matrix
+                assert np.abs(got - oracle_gram_matrix(code, subset)).max() <= 1e-14
+
+    @pytest.mark.parametrize("make,subsets,residual_tol", [
+        *(pytest.param(lambda name=name: cached_fixture(name), None, RESIDUAL_TOL, id=name)
+          for name in codes.FIXTURE_NAMES),
+        pytest.param(lambda: cached_fixture("steane"), [(1, 2, 3, 4, 5)], RESIDUAL_TOL,
+                     id="steane-b5"),
+        pytest.param(perturbed_pi_7_2_3, [(6, 7)], 1e-2, id="perturbed-pi_7_2_3"),
+    ])
+    def test_spectrum_rank_and_kernel(self, make, subsets, residual_tol):
+        # spec lambda = 2^b spec varrho_B, each value repeated 2^b times, so
+        # the one rank rule on lambda's eigenvalues gives matrix_rank = 2^b C;
+        # the kernel rows are orthonormal and lambda sends them to at most
+        # the largest eigenvalue the rank rule discards (2.4e-10 on the
+        # perturbed code, exact zero elsewhere)
+        code = make()
+        if subsets is None:
+            subsets = [s for b in range(4)
+                       for s in itertools.combinations(range(1, code.n + 1), b)]
+        for subset in subsets:
+            report = analysis.kl_matrix(code, subset, residual_tol=residual_tol)
+            d = report.split.dim_erased
+            eigs = np.linalg.eigvalsh(report.matrix)
+            marginal = np.linalg.eigvalsh(oracle_erased_marginal(code, subset))
+            assert np.abs(eigs - np.repeat(d * marginal, d)).max() <= 1e-12
+            assert qla.numerical_rank(eigs) == report.matrix_rank
+            kernel = report.kernel
+            assert kernel.shape == (d * d - report.matrix_rank, d * d)
+            np.testing.assert_allclose(kernel @ kernel.conj().T, np.eye(len(kernel)),
+                                       rtol=0, atol=1e-12)
+            if len(kernel):
+                discarded = np.sort(eigs)[::-1][report.matrix_rank:].max()
+                assert np.linalg.norm(report.matrix @ kernel.T, 2) <= 1e-12 + discarded
 
     def test_five_qubit_single_erasure_is_identity(self):
         # any one qubit of the five-qubit code carries a maximally mixed
@@ -389,14 +422,16 @@ class TestClassify:
 
 class TestKernel:
     def test_kernel_rows_annihilate_codespace(self):
-        code = cached_fixture("pi_7_2_3")
-        report = analysis.kl_matrix(code, (6, 7))
-        assert report.kernel.shape == (4, 16)
-        p = oracle_projector(code)
-        ops = oracle_embedded_paulis(code.n, (6, 7))
-        for row in report.kernel:
-            combo = sum(c * op for c, op in zip(row, ops))
-            assert np.linalg.norm(combo @ p) <= 1e-7
+        for name in codes.FIXTURE_NAMES:
+            code = cached_fixture(name)
+            p = oracle_projector(code)
+            for b in range(3):
+                for subset in itertools.combinations(range(1, code.n + 1), b):
+                    report = analysis.kl_matrix(code, subset)
+                    ops = oracle_embedded_paulis(code.n, subset)
+                    for row in report.kernel:
+                        combo = sum(c * op for c, op in zip(row, ops))
+                        assert np.linalg.norm(combo @ p) <= 1e-7, (name, subset)
 
     def test_kernel_rows_orthonormal(self):
         report = analysis.kl_matrix(cached_fixture("pi_7_2_3"), (6, 7))

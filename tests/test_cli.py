@@ -14,7 +14,7 @@ import pytest
 
 from eaqec import cli, codes, stab
 
-from conftest import cached_fixture
+from conftest import cached_fixture, perturbed_pi_7_2_3
 
 
 def run(capsys, *argv):
@@ -117,13 +117,18 @@ class TestAnalyze:
         assert "matrix" not in data
 
     def test_json_full_payload(self, capsys):
-        rc, out, _ = run(capsys, "analyze", "--fixture", "pi_7_2_3",
-                         "--subset", "6,7", "--format", "json", "--full")
-        data = json.loads(out)
-        assert rc == 0
-        assert data["trichotomy"] == "degenerate"
-        assert len(data["matrix"]) == 16
-        assert len(data["kernel"]) == 16 - data["matrix_rank"]
+        # Steane {1,...,5} is the widest set --full takes: a 1024 x 1024 matrix
+        for fixture, subset, want_rc, cls, b, c in [
+                ("pi_7_2_3", "6,7", 0, "degenerate", 2, 3),
+                ("steane", "1,2,3,4,5", 2, None, 5, 8)]:
+            rc, out, _ = run(capsys, "analyze", "--fixture", fixture,
+                             "--subset", subset, "--format", "json", "--full")
+            data = json.loads(out)
+            assert rc == want_rc
+            assert data["trichotomy"] == cls
+            assert data["C"] == c and data["matrix_rank"] == 2 ** b * c
+            assert len(data["matrix"]) == 4 ** b
+            assert len(data["kernel"]) == 4 ** b - data["matrix_rank"]
 
     def test_consecutive_calls_share_no_state(self, capsys):
         # main reuses one parser per process; --full must not reach the next call
@@ -212,18 +217,14 @@ class TestDecompose:
 
 class TestRankRule:
     def test_perturbed_code_keeps_one_rank(self, capsys, tmp_path):
-        # pi_7_2_3 perturbed by 1e-6 and re-orthonormalised: on {6,7} the
-        # marginal has three eigenvalues near 1/3 and one near 6e-11.  C,
-        # the kept ranks and dim_A all come from the one rule on marginal
-        # eigenvalues, so all are 3; a rule on singular values kept the
-        # 1e-6 Schmidt coefficient as a fourth kept rank and dim_A, whose
-        # pseudo-inverse broke the isometry (defect 9.11e-01, exit 3)
-        code = cached_fixture("pi_7_2_3")
-        rng = np.random.default_rng(0)
-        noise = rng.normal(size=code.basis.shape) + 1j * rng.normal(size=code.basis.shape)
-        q, _ = np.linalg.qr((code.basis + 1e-6 * noise).T)
+        # on {6,7} the perturbed marginal has three eigenvalues near 1/3
+        # and one near 6e-11.  C, the kept ranks and dim_A all come from the
+        # one rule on marginal eigenvalues, so all are 3; a rule on singular
+        # values kept the 1e-6 Schmidt coefficient as a fourth kept rank and
+        # dim_A, whose pseudo-inverse broke the isometry (defect 9.11e-01,
+        # exit 3)
         path = tmp_path / "perturbed.json"
-        path.write_text(json.dumps(codes.code_to_json(codes.QuantumCode(7, q.T))))
+        path.write_text(json.dumps(codes.code_to_json(perturbed_pi_7_2_3())))
         args = ("--code", str(path), "--subset", "6,7", "--tol-residual", "1e-2",
                 "--format", "json")
         rc, out, _ = run(capsys, "analyze", *args)

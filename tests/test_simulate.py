@@ -20,7 +20,8 @@ from eaqec.config import FIDELITY_SLACK, RANK_TOL
 from eaqec.errors import (ConsistencyError, ContractError, ModelMismatchError,
                           NotCorrectableError, SizeError)
 
-from conftest import cached_fixture, random_density, random_state
+from conftest import (KrausChannel, cached_fixture, channel_form_check, random_density,
+                      random_state, replacer_channel)
 from test_analysis import oracle_projector
 
 
@@ -182,7 +183,7 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
 class TestKrausChannel:
     def test_unitary_channel(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        ch = simulate.KrausChannel(operators=(x,), dim=2)
+        ch = KrausChannel(operators=(x,), dim=2)
         rho = random_density(np.random.default_rng(0), 2)
         np.testing.assert_allclose(ch.apply(rho), x @ rho @ x, atol=1e-14)
 
@@ -190,7 +191,7 @@ class TestKrausChannel:
         rng = np.random.default_rng(1)
         k0 = np.array([[1, 0], [0, np.sqrt(0.5)]], dtype=complex)
         k1 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
-        ch = simulate.KrausChannel(operators=(k0, k1), dim=2)
+        ch = KrausChannel(operators=(k0, k1), dim=2)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         np.testing.assert_allclose(ch.apply_to_pure(v),
@@ -198,35 +199,35 @@ class TestKrausChannel:
 
     def test_rejects_trace_decreasing(self):
         with pytest.raises(ContractError):
-            simulate.KrausChannel(operators=(0.5 * np.eye(2, dtype=complex),), dim=2)
+            KrausChannel(operators=(0.5 * np.eye(2, dtype=complex),), dim=2)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ContractError):
-            simulate.KrausChannel(operators=(np.eye(3, dtype=complex),), dim=2)
+            KrausChannel(operators=(np.eye(3, dtype=complex),), dim=2)
 
     def test_rejects_empty(self):
         with pytest.raises(ContractError):
-            simulate.KrausChannel(operators=(), dim=2)
+            KrausChannel(operators=(), dim=2)
 
 
 class TestReplacerChannel:
     @pytest.mark.parametrize("n,subset", [(3, (2,)), (3, (1, 3)), (4, (2, 4))])
     def test_matches_oracle(self, n, subset):
         rng = np.random.default_rng(5)
-        ch = simulate.replacer_channel(n, subset)
+        ch = replacer_channel(n, subset)
         rho = random_density(rng, 1 << n)
         np.testing.assert_allclose(ch.apply(rho),
                                    oracle_replacer_output(rho, n, subset),
                                    atol=1e-12)
 
     def test_idempotent(self):
-        ch = simulate.replacer_channel(3, (1, 3))
+        ch = replacer_channel(3, (1, 3))
         rho = random_density(np.random.default_rng(9), 8)
         once = ch.apply(rho)
         np.testing.assert_allclose(ch.apply(once), once, atol=1e-12)
 
     def test_pure_state_entry(self):
-        ch = simulate.replacer_channel(3, (2,))
+        ch = replacer_channel(3, (2,))
         rng = np.random.default_rng(11)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         v /= np.linalg.norm(v)
@@ -236,14 +237,14 @@ class TestReplacerChannel:
 
     def test_size_cap(self):
         with pytest.raises(SizeError):
-            simulate.replacer_channel(7, (1, 2, 3, 4, 5, 6))
+            replacer_channel(7, (1, 2, 3, 4, 5, 6))
 
     def test_operators_refused_before_allocating(self):
         # n = 10, b = 1: four dense operators of 4^10 entries exceed MAX_DIM
         tracemalloc.start()
         try:
             with pytest.raises(SizeError):
-                simulate.replacer_channel(10, (1,))
+                replacer_channel(10, (1,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -509,7 +510,7 @@ class TestChannelFormCheck:
     def test_within_tolerance(self, name, subset):
         code = cached_fixture(name)
         dec = structure.decompose(code, subset)
-        assert simulate.channel_form_check(dec, code) <= 1e-9
+        assert channel_form_check(dec, code) <= 1e-9
 
     def test_full_space_oracle(self):
         # the erasure output of any code state must equal the structured
@@ -537,10 +538,9 @@ class TestChannelFormCheck:
 
     def test_size_cap(self):
         # the cap counts the dim_kept^2 kept-side entries, so a wide erased
-        # set is cheap; the first refused split, n = 12 at b = 1, is in
-        # tests/test_size_rule.py
+        # set is cheap; the first refused split is n = 12 at b = 1
         v = np.zeros(2 ** 7, dtype=complex)
         v[0] = 1.0
         product_code = codes.QuantumCode(n=7, basis=v[None, :])
         dec = structure.decompose(product_code, (2, 3, 4, 5, 6, 7))
-        assert simulate.channel_form_check(dec, product_code) <= 1e-12
+        assert channel_form_check(dec, product_code) <= 1e-12

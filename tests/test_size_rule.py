@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, simulate, structure
+from eaqec import analysis, codes, structure
 from eaqec.errors import SizeError
 
 from conftest import cached_fixture
@@ -47,11 +47,8 @@ OVER_CAP = {
     "code_from_json": lambda: (codes.code_from_json,
                                ({"n": 16, "k_dim": 32, "basis": [[]] * 32},)),
     # dim_kept^2 = 4^11 entries
-    "channel_form_check": lambda: (simulate.channel_form_check, _decomposed(12, (1,))),
     "logical_unitary_on_complement": lambda: (
         structure.logical_unitary_on_complement, (_decomposed(12, (1,))[0], np.eye(1))),
-    # 4^9 operators of about 113 bytes, counted as 8 entries each: 2^21
-    "pauli_basis_on": lambda: (analysis.pauli_basis_on, (9, range(1, 10))),
     # 16^6 matrix entries
     "kl_matrix": lambda: (analysis.kl_matrix, (cached_fixture("steane"), (1, 2, 3, 4, 5, 6))),
 }

@@ -16,8 +16,8 @@ MODULES = sorted(p for p in (ROOT / "src" / "eaqec").glob("*.py") if p.name != "
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 KEPT_WITHOUT_CALLER = {
-    "replacer_channel": "acceptance oracle: erasure as a dense Kraus channel",
-    "channel_form_check": "acceptance oracle: erasure output against its structured form",
+    "sqrtm_psd": "bench/layertrace.py wraps it and tests/test_scripts.py requires every "
+                 "wrapped target to resolve (ROADMAP item 1)",
     "group_to_json": "the JSON inverse of group_from_json",
     "ea_params_stab": "GF(2) EA parameters that stabilizer inputs are to use (ROADMAP item 3)",
     "logical_unitary_on_complement": "presend steering: a message unitary on the kept qubits",
