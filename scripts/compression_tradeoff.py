@@ -32,12 +32,12 @@ def run_case(name: str, subset) -> None:
     code = codes.fixture(name)
     d = codes.min_distance(code)
     dec = structure.decompose(code, subset)
-    unc = structure.ea_from_structure(dec, d)
-    cmp_ = structure.compress(dec, d)
+    unc = structure.ea_from_structure(dec)
+    cmp_ = structure.compress(dec)
     print(f"\n=== {name}, erased B={set(subset)} ===")
-    print(f"uncompressed: {unc.params.dimension_form()}, receiver dim "
+    print(f"uncompressed: {structure.ea_parameters(dec, unc, d)[0]}, receiver dim "
           f"{unc.receiver_dim}, {unc.ebit_cost} ebits")
-    print(f"compressed:   {cmp_.params.dimension_form()}, receiver dim "
+    print(f"compressed:   {structure.ea_parameters(dec, cmp_, d)[0]}, receiver dim "
           f"{cmp_.receiver_dim}, {cmp_.ebit_cost} ebits")
     if d < 3:
         # every weight-1 error set is correctable only at distance 3 or more

@@ -45,13 +45,13 @@ def survey(name: str, max_size: int) -> None:
         if best is not None:
             subset, report = best
             dec = structure.decompose(code, subset)
-            unc = structure.ea_from_structure(dec, d)
-            cmp_ = structure.compress(dec, d)
+            unc = structure.ea_from_structure(dec)
+            cmp_ = structure.compress(dec)
             tag = "" if cmp_.receiver_dim == unc.receiver_dim else \
-                f" -> compressed {cmp_.params.dimension_form()}"
+                f" -> compressed {structure.ea_parameters(dec, cmp_, d)[0]}"
             print(f"    e.g. B={set(subset)}: {report.trichotomy}, "
                   f"C={report.marginal_rank}, "
-                  f"{unc.params.dimension_form()} at {unc.ebit_cost} ebits{tag}")
+                  f"{structure.ea_parameters(dec, unc, d)[0]} at {unc.ebit_cost} ebits{tag}")
 
 
 def main() -> None:

@@ -166,6 +166,8 @@ def _distance_for(code, args, residual_tol) -> int:
         d = int(args.distance)
         if d < 1:
             raise ContractError("distance must be >= 1")
+        if d > code.n:
+            raise ContractError(f"distance {d} outside 1..{code.n}")
         return d
     d = codes.min_distance(code, residual_tol=residual_tol)
     if d is None:
@@ -173,15 +175,12 @@ def _distance_for(code, args, residual_tol) -> int:
     return d
 
 
-def _ea_line(label: str, ea: structure.EACode) -> str:
-    form = ea.params.dimension_form()
-    stab_form = ea.params.stabilizer_form()
+def _ea_line(label: str, dec: structure.StructureDecomposition,
+             ea: structure.EACode, d: int) -> str:
+    forms = " = ".join(f for f in structure.ea_parameters(dec, ea, d) if f is not None)
     models = ("noiseless only" if ea.model_validity == structure.NOISELESS_ONLY
               else "noiseless+noisy")
-    parts = [form]
-    if stab_form is not None:
-        parts.append(stab_form)
-    return f"{label} {' = '.join(parts)}, ebit cost {ea.ebit_cost}, {models}"
+    return f"{label} {forms}, ebit cost {ea.ebit_cost}, {models}"
 
 
 def cmd_decompose(args) -> int:
@@ -192,9 +191,9 @@ def cmd_decompose(args) -> int:
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
     d = _distance_for(code, args, residual_tol)
-    ea_pre = structure.presend_from_decomposition(dec, code, d)
-    ea_unc = structure.ea_from_structure(dec, d)
-    ea_cmp = structure.compress(dec, d, rank_tol=rank_tol)
+    ea_pre = structure.presend_from_decomposition(dec, code)
+    ea_unc = structure.ea_from_structure(dec)
+    ea_cmp = structure.compress(dec)
     lines = [
         f"subset: {_subset_str(subset)}",
         f"kept qubits: {len(dec.split.kept)}",
@@ -204,17 +203,17 @@ def cmd_decompose(args) -> int:
         f"reconstruction residual: {dec.residual:.3e}",
         f"isometry defect: {dec.isometry_defect:.3e}",
         f"distance: {d}",
-        _ea_line("presend:     ", ea_pre),
-        _ea_line("uncompressed:", ea_unc),
-        _ea_line("compressed:  ", ea_cmp),
+        _ea_line("presend:     ", dec, ea_pre, d),
+        _ea_line("uncompressed:", dec, ea_unc, d),
+        _ea_line("compressed:  ", dec, ea_cmp, d),
     ]
     payload = {
         "decomposition": structure.decomposition_to_json(dec),
         "distance": d,
         "ea": {
-            "presend": structure.eacode_to_json(ea_pre),
-            "structure": structure.eacode_to_json(ea_unc),
-            "compressed": structure.eacode_to_json(ea_cmp),
+            "presend": structure.eacode_to_json(dec, ea_pre, d),
+            "structure": structure.eacode_to_json(dec, ea_unc, d),
+            "compressed": structure.eacode_to_json(dec, ea_cmp, d),
         },
     }
     _emit(args, "\n".join(lines), payload)
@@ -228,13 +227,12 @@ def cmd_verify(args) -> int:
     analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
-    # the report prints no parameters, so the distance search is skipped
     if args.strategy == structure.COMPRESSED:
-        ea = structure.compress(dec, None, rank_tol=rank_tol)
+        ea = structure.compress(dec)
     elif args.strategy == structure.PRESEND:
-        ea = structure.presend_from_decomposition(dec, code, None)
+        ea = structure.presend_from_decomposition(dec, code)
     else:
-        ea = structure.ea_from_structure(dec, None)
+        ea = structure.ea_from_structure(dec)
     report = simulate.verify_ea(ea, dec, code, args.model, args.weight,
                                 exploratory=args.exploratory,
                                 residual_tol=residual_tol, rank_tol=rank_tol)

@@ -174,54 +174,6 @@ def projector(code: QuantumCode) -> np.ndarray:
     return v @ v.conj().T
 
 
-@dataclass(frozen=True)
-class EAParameters:
-    """Parameter tuple of an entanglement-assisted code, dimension form."""
-
-    n_sent: int
-    k_dim: int
-    distance: int
-    receiver_dim: int
-
-
-@dataclass(frozen=True)
-class CodeParameters:
-    n: int
-    k_dim: int
-    distance: int
-    ea: EAParameters | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.distance <= self.n:
-            raise ContractError(f"distance {self.distance} outside 1..{self.n}")
-        if self.k_dim < 1:
-            raise ContractError("k_dim must be positive")
-        if self.ea is not None:
-            if self.ea.n_sent < 0 or self.ea.n_sent > self.n:
-                raise ContractError("sent-qubit count outside 0..n")
-            if self.ea.receiver_dim < 1:
-                raise ContractError("receiver dimension must be positive")
-
-    def dimension_form(self) -> str:
-        if self.ea is None:
-            return f"(({self.n},{self.k_dim},{self.distance}))"
-        e = self.ea
-        return f"(({e.n_sent},{e.k_dim},{e.distance};{e.receiver_dim}))"
-
-    def stabilizer_form(self) -> str | None:
-        """[[n,k,d]] or [[n,k,d;c]] when every dimension is a power of two."""
-        def log2_exact(m):
-            return m.bit_length() - 1 if m >= 1 and m & (m - 1) == 0 else None
-
-        if self.ea is None:
-            k = log2_exact(self.k_dim)
-            return None if k is None else f"[[{self.n},{k},{self.distance}]]"
-        k, c = log2_exact(self.ea.k_dim), log2_exact(self.ea.receiver_dim)
-        if k is None or c is None:
-            return None
-        return f"[[{self.ea.n_sent},{k},{self.ea.distance};{c}]]"
-
-
 def dicke(n: int, excitations: int) -> np.ndarray:
     """Symmetric n-qubit state with a fixed number of 1s, uniform amplitudes."""
     if not 0 <= excitations <= n:

@@ -34,15 +34,16 @@ def kl_recovery(code: QuantumCode, errors,
                 rank_tol: float = RANK_TOL) -> np.ndarray:
     """Canonical recovery for a correctable error set, read out in the code basis.
 
-    errors: PauliOperators or dense matrices; the set should contain the
-    identity.  Returns D of shape (r, K, 2^n) with D_k = V^dag F_k^dag /
-    sqrt(d_k): Kraus operator k of the recovery followed by readout in the
-    codeword basis V, so a state |s> is recovered into the code state V w
-    with fidelity sum_k |w^dag D_k |s>|^2.  The trace-preserving completion
-    is left out: its range is orthogonal to span{F_k V}, which contains the
-    code space when the identity is an error, so it adds nothing to such a
-    fidelity.  Raises SizeError before building anything when the
-    #errors*K*2^n images or their (#errors*K)^2 Gram matrix exceed MAX_DIM,
+    errors: PauliOperators; the set should contain the identity.  Returns
+    D of shape (r, K, 2^n) with D_k = V^dag F_k^dag / sqrt(d_k): Kraus
+    operator k of the recovery followed by readout in the codeword basis
+    V, so a state |s> is recovered into the code state V w with fidelity
+    sum_k |w^dag D_k |s>|^2.  r is the numerical rank of the error
+    correlation matrix.  The trace-preserving completion is left out: its
+    range is orthogonal to span{F_k V}, which contains the code space when
+    the identity is an error, so it adds nothing to such a fidelity.
+    Raises SizeError before building anything when the #errors*K*2^n
+    images or their (#errors*K)^2 Gram matrix exceed MAX_DIM,
     NotCorrectableError when the correlation-matrix residual shows the set
     is not correctable, and ConsistencyError when the r*K rows of D are not
     orthonormal.
@@ -54,9 +55,8 @@ def kl_recovery(code: QuantumCode, errors,
     qla.check_dim(m * k * code.dim)                # the images E_a V
     qla.check_dim((m * k) ** 2)                    # and their Gram matrix
     v = code.basis_matrix                          # 2^n x K
-    images = [e.apply(v) if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex) @ v
-              for e in errors]
-    flat = np.stack(images, axis=1).reshape(v.shape[0], m * k)   # column a*K + i: E_a V e_i
+    images = np.stack([e.apply(v) for e in errors], axis=1)
+    flat = images.reshape(v.shape[0], m * k)                     # column a*K + i: E_a V e_i
     gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
     lam = np.einsum("aibi->ab", gram) / k
     defect = gram - lam[:, None, :, None] * np.eye(k)[None, :, None, :]
@@ -65,11 +65,10 @@ def kl_recovery(code: QuantumCode, errors,
         raise NotCorrectableError(
             f"error set violates the correctability condition (residual {worst:.2e})")
 
-    vals, vecs = qla.eig_hermitian(lam)
-    cutoff = rank_tol * vals[0] if vals[0] > 0 else 0.0
-    keep = vals > cutoff
+    vals, vecs = qla.eig_hermitian(lam)          # descending: keep the first r
+    r = qla.numerical_rank(vals, rank_tol)
     # column k*K + i of the product is F_k V e_i / sqrt(d_k)
-    rows = (flat @ np.kron(vecs[:, keep] / np.sqrt(vals[keep]), np.eye(k))).conj().T
+    rows = (flat @ np.kron(vecs[:, :r] / np.sqrt(vals[:r]), np.eye(k))).conj().T
     if not qla.is_isometry(rows.T):
         raise ConsistencyError("recovery decoders are not orthonormal")
     return rows.reshape(-1, k, v.shape[0])
@@ -117,8 +116,9 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     compress_isometry; amplitude an error pushes outside them is lost.
 
     noiseless: errors act on the kept qubits only (the receiver's share is
-    pristine).  noisy: errors act on every transmitted qubit.  The
-    compressed strategy only supports the noiseless model; pass
+    pristine).  noisy: errors act on every transmitted qubit.  A
+    description valid for the noiseless model only (ea.model_validity,
+    the compressed strategy) refuses the noisy one; pass
     exploratory=True to run it under noise anyway: errors then also hit
     the carrier qubits, and the results are reported without any guarantee
     (fidelities below one are expected; that is the cost the compression
@@ -129,8 +129,8 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
         raise ContractError(f"unknown error model {model!r}")
     if weight < 0:
         raise ContractError("error weight must be nonnegative")
-    compressed = ea.strategy == structure.COMPRESSED
-    if compressed and model == NOISY and not exploratory:
+    noiseless_only = ea.model_validity == structure.NOISELESS_ONLY
+    if noiseless_only and model == NOISY and not exploratory:
         raise ModelMismatchError(
             "the compressed strategy assumes noiseless erased qubits; "
             "rerun with exploratory=True to probe it under noise anyway")
@@ -141,7 +141,7 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     decoders = kl_recovery(code, recovered, residual_tol=residual_tol, rank_tol=rank_tol)
     targets = _test_states(code.k_dim)          # one test state w per row
 
-    if compressed:
+    if ea.compress_isometry is not None:
         n_kept, c, carrier_dim = len(split.kept), ea.receiver_dim, 1 << ea.ebit_cost
         n_reg = n_kept + ea.ebit_cost
         sites = range(1, (n_kept if model == NOISELESS else n_reg) + 1)
@@ -180,4 +180,4 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     return VerificationReport(
         strategy=ea.strategy, model=model, error_weight=weight,
         cases_run=len(errors) * len(targets), min_fidelity=min_fid,
-        failures=tuple(sorted(failures.items())), exploratory=exploratory and compressed)
+        failures=tuple(sorted(failures.items())), exploratory=exploratory and noiseless_only)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qla
-from .codes import CodeParameters, EAParameters, PauliOperator, QuantumCode, min_distance
-from .errors import (ConsistencyError, ContractError, InvalidStabilizerError,
-                     NotCorrectableError)
+from .codes import PauliOperator, QuantumCode
+from .errors import ConsistencyError, ContractError, InvalidStabilizerError
 
 
 # ---------------------------------------------------------------- GF(2) kit
@@ -410,27 +409,3 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     else:
         n_dim = gf2_nullspace(nbasis[:, cols].T).shape[0]
     return n_dim == s_dim
-
-
-def ea_params_stab(group: StabilizerGroup, subset) -> CodeParameters:
-    """EA parameters from handing the receiver the qubits in `subset`.
-
-    For a stabilizer code the receiver's share compresses to b - s qubits,
-    where s generators are supported inside the subset.  Distance is the
-    original code's, from the dense search.
-    """
-    subset = tuple(subset)
-    if not group.is_abelian:
-        raise ContractError("ea_params_stab expects an abelian group")
-    if not is_correctable_stab(group, subset):
-        raise NotCorrectableError(f"qubit set {subset} is not correctable")
-    b = len(subset)
-    s_b = subgroup_on(group, subset).num_generators
-    code = codewords(group)
-    d = min_distance(code)
-    if d is None:
-        raise ContractError("distance search found no undetected Pauli; cannot report parameters")
-    return CodeParameters(
-        n=group.n, k_dim=code.k_dim, distance=d,
-        ea=EAParameters(n_sent=group.n - b, k_dim=code.k_dim, distance=d,
-                        receiver_dim=1 << (b - s_b)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qla
-from .codes import CodeParameters, EAParameters, QuantumCode
+from .codes import QuantumCode
 from .config import RANK_TOL, RESIDUAL_TOL, UNITARITY_TOL
 from .errors import ConsistencyError, ContractError, StructureViolationError
 
@@ -119,110 +119,93 @@ def decompose(code: QuantumCode, subset,
 
 @dataclass(frozen=True)
 class EACode:
-    """An entanglement-assisted description of a code over a kept/erased split;
-    params is None when built with distance=None, as `verify` does."""
+    """An entanglement-assisted description of a code over a kept/erased split.
 
-    params: CodeParameters | None
+    It holds only what its strategy builds; the ebit cost and the error
+    models it is valid under follow from it, and its parameter tuple from
+    ea_parameters.
+    """
+
     strategy: str
     shared_state: np.ndarray   # bipartite resource, sender index major
     sender_dim: int
     receiver_dim: int
     schmidt_rank: int
-    ebit_cost: int
-    model_validity: str
     compress_isometry: np.ndarray | None = None
 
     def __post_init__(self):
         if self.strategy not in (PRESEND, STRUCTURE, COMPRESSED):
             raise ContractError(f"unknown strategy {self.strategy!r}")
-        if self.model_validity not in (NOISELESS_AND_NOISY, NOISELESS_ONLY):
-            raise ContractError(f"unknown model validity {self.model_validity!r}")
         if self.shared_state.shape != (self.sender_dim * self.receiver_dim,):
             raise ContractError("shared state length does not match its two factors")
-        if self.ebit_cost != _ebits(self.schmidt_rank):
-            raise ContractError("ebit cost must be ceil(log2 of the Schmidt rank)")
+
+    @property
+    def ebit_cost(self) -> int:
+        """ceil(log2 of the Schmidt rank)."""
+        return max(self.schmidt_rank - 1, 0).bit_length()
+
+    @property
+    def model_validity(self) -> str:
+        """The compressed share is valid only when the erased qubits see no noise."""
+        return NOISELESS_ONLY if self.strategy == COMPRESSED else NOISELESS_AND_NOISY
 
 
-def _ebits(schmidt_rank: int) -> int:
-    return max(schmidt_rank - 1, 0).bit_length() if schmidt_rank >= 1 else 0
+def ea_parameters(dec: StructureDecomposition, ea: EACode, d: int) -> tuple[str, str | None]:
+    """The parameter tuple ((n - b, K, d; C)) of an EA description, C its
+    receiver dimension, and its stabilizer form [[n - b, log2 K, d; log2 C]]
+    when K and C are powers of two (None otherwise)."""
+    n_sent, k, c = dec.split.n - dec.split.b, dec.k_dim, ea.receiver_dim
+    dimension_form = f"(({n_sent},{k},{d};{c}))"
+    if k & (k - 1) or c & (c - 1):
+        return dimension_form, None
+    return dimension_form, f"[[{n_sent},{k.bit_length() - 1},{d};{c.bit_length() - 1}]]"
 
 
-def _ea_params(code_n: int, k: int, d: int | None, b: int,
-               receiver_dim: int) -> CodeParameters | None:
-    if d is None:
-        return None
-    return CodeParameters(
-        n=code_n, k_dim=k, distance=d,
-        ea=EAParameters(n_sent=code_n - b, k_dim=k, distance=d,
-                        receiver_dim=receiver_dim))
-
-
-def ea_from_structure(dec: StructureDecomposition, distance: int | None) -> EACode:
+def ea_from_structure(dec: StructureDecomposition) -> EACode:
     """Uncompressed EA description: the receiver simply holds the erased qubits.
 
     Valid under both error models since the encoded states are the original
-    codewords; the shared resource is psi_AB itself.  distance=None gives a
-    description without parameters (params is None).
+    codewords; the shared resource is psi_AB itself.
     """
-    split = dec.split
     c = dec.ancilla_dim
     return EACode(
-        params=_ea_params(split.n, dec.k_dim, distance, split.b, split.dim_erased),
         strategy=STRUCTURE, shared_state=dec.shared_state.copy(),
-        sender_dim=c, receiver_dim=split.dim_erased, schmidt_rank=c,
-        ebit_cost=_ebits(c), model_validity=NOISELESS_AND_NOISY)
+        sender_dim=c, receiver_dim=dec.split.dim_erased, schmidt_rank=c)
 
 
-def compress(dec: StructureDecomposition, distance: int | None,
-             rank_tol: float = RANK_TOL) -> EACode:
+def compress(dec: StructureDecomposition) -> EACode:
     """Shrink the receiver's share to the Schmidt rank of the shared state.
 
-    The minimal purification psi' = sum_a sqrt(gamma_a) |a>|a> replaces
-    psi_AB, and the isometry V (erased <- compressed) rebuilds the original
-    share: (I otimes V) psi' = psi.  Only valid when the erased qubits see
-    no noise, since errors on B need not commute with V V^dag.  distance=None
-    gives a description without parameters (params is None).
+    The Schmidt rank is decompose's dim_A.  The minimal purification
+    psi' = sum_a sqrt(gamma_a) |a>|a> replaces psi_AB, and the isometry V
+    (erased <- compressed) rebuilds the original share: (I otimes V) psi' = psi.
+    Only valid when the erased qubits see no noise, since errors on B need
+    not commute with V V^dag.
     """
-    split = dec.split
     r = dec.ancilla_dim
-    psi_mat = dec.shared_state.reshape(r, split.dim_erased)
+    psi_mat = dec.shared_state.reshape(r, dec.split.dim_erased)
     weights = np.linalg.norm(psi_mat, axis=1)
-    c = qla.numerical_rank(weights ** 2, rank_tol)
-    if c != r:
-        raise ConsistencyError(
-            f"Schmidt rank {c} disagrees with ancilla dimension {r}")
-    v_embed = (psi_mat / weights[:, None]).conj().T      # dim_erased x c
-    defect = float(np.linalg.norm(v_embed.conj().T @ v_embed - np.eye(c)))
-    if defect > UNITARITY_TOL * max(1.0, math.sqrt(c)):
+    v_embed = (psi_mat / weights[:, None]).conj().T      # dim_erased x r
+    defect = float(np.linalg.norm(v_embed.conj().T @ v_embed - np.eye(r)))
+    if defect > UNITARITY_TOL * max(1.0, math.sqrt(r)):
         raise ConsistencyError(f"compression map is not an isometry (defect {defect:.2e})")
-    psi_small = np.zeros(r * c, dtype=complex)
-    for a in range(r):
-        psi_small[a * c + a] = weights[a]
     return EACode(
-        params=_ea_params(split.n, dec.k_dim, distance, split.b, c),
-        strategy=COMPRESSED, shared_state=psi_small,
-        sender_dim=r, receiver_dim=c, schmidt_rank=c,
-        ebit_cost=_ebits(c), model_validity=NOISELESS_ONLY,
-        compress_isometry=v_embed)
+        strategy=COMPRESSED, shared_state=np.diag(weights.astype(complex)).reshape(-1),
+        sender_dim=r, receiver_dim=r, schmidt_rank=r, compress_isometry=v_embed)
 
 
-def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode,
-                               distance: int | None) -> EACode:
+def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode) -> EACode:
     """Presend EA description from an already certified decomposition.
 
     The shared resource is the encoded reference codeword split kept/erased;
     the sender later steers the message with unitaries supported on the kept
-    qubits (see logical_unitary_on_complement).  distance=None gives a
-    description without parameters (params is None).
+    qubits (see logical_unitary_on_complement).
     """
     split = dec.split
     shared = qla.bipartite_matrix(code.basis[0], split).reshape(-1)
-    c = dec.ancilla_dim
     return EACode(
-        params=_ea_params(split.n, dec.k_dim, distance, split.b, split.dim_erased),
-        strategy=PRESEND, shared_state=shared,
-        sender_dim=split.dim_kept, receiver_dim=split.dim_erased, schmidt_rank=c,
-        ebit_cost=_ebits(c), model_validity=NOISELESS_AND_NOISY)
+        strategy=PRESEND, shared_state=shared, sender_dim=split.dim_kept,
+        receiver_dim=split.dim_erased, schmidt_rank=dec.ancilla_dim)
 
 
 def logical_unitary_on_complement(dec: StructureDecomposition,
@@ -268,10 +251,11 @@ def decomposition_to_json(dec: StructureDecomposition) -> dict:
     }
 
 
-def eacode_to_json(ea: EACode) -> dict:
+def eacode_to_json(dec: StructureDecomposition, ea: EACode, d: int) -> dict:
+    dimension_form, stabilizer_form = ea_parameters(dec, ea, d)
     data = {
-        "parameters": ea.params.dimension_form(),
-        "stabilizer_form": ea.params.stabilizer_form(),
+        "parameters": dimension_form,
+        "stabilizer_form": stabilizer_form,
         "strategy": ea.strategy,
         "model_validity": ea.model_validity,
         "sender_dim": ea.sender_dim,

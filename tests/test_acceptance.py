@@ -57,10 +57,9 @@ def test_02_half_half_single_erasure(capsys):
         dec = structure.decompose(code, (4,))
         np.testing.assert_allclose(dec.ancilla_spectrum, [0.5, 0.5], atol=1e-10)
         assert dec.residual <= 1e-9, f"residual {dec.residual:.2e}"
-        d = codes.min_distance(code)
-        ea = structure.ea_from_structure(dec, d)
-        assert ea.params.dimension_form() == "((3,2,2;2))", \
-            ea.params.dimension_form()
+        form = structure.ea_parameters(dec, structure.ea_from_structure(dec),
+                                       codes.min_distance(code))[0]
+        assert form == "((3,2,2;2))", form
         return f"spectrum (1/2,1/2), residual {dec.residual:.1e}, ((3,2,2;2))"
     _criterion(capsys, 2, 1.0, body)
 
@@ -71,10 +70,9 @@ def test_03_octal_code_single_erasure(capsys):
         dec = structure.decompose(code, (7,))
         assert dec.ancilla_dim == 2, f"dim_A {dec.ancilla_dim}"
         np.testing.assert_allclose(dec.ancilla_state, np.eye(2) / 2, atol=1e-10)
-        d = codes.min_distance(code)
-        ea = structure.ea_from_structure(dec, d)
-        assert ea.params.dimension_form() == "((6,8,2;2))", \
-            ea.params.dimension_form()
+        form = structure.ea_parameters(dec, structure.ea_from_structure(dec),
+                                       codes.min_distance(code))[0]
+        assert form == "((6,8,2;2))", form
         return "dim_A=2, ancilla I/2, ((6,8,2;2))"
     _criterion(capsys, 3, 5.0, body)
 
@@ -84,12 +82,11 @@ def test_04_degenerate_pair_compression(capsys):
         code = cached_fixture("pi_7_2_3")
         dec = structure.decompose(code, (6, 7))
         np.testing.assert_allclose(dec.ancilla_spectrum, [1 / 3] * 3, atol=1e-10)
-        d = codes.min_distance(code)
-        ea = structure.compress(dec, d)
+        ea = structure.compress(dec)
         assert ea.receiver_dim == 3, f"C {ea.receiver_dim}"
         assert ea.ebit_cost == 2, f"ebit cost {ea.ebit_cost}"
-        assert ea.params.dimension_form() == "((5,2,3;3))", \
-            ea.params.dimension_form()
+        form = structure.ea_parameters(dec, ea, codes.min_distance(code))[0]
+        assert form == "((5,2,3;3))", form
         return "spectrum (1/3,1/3,1/3), C=3, 2 ebits, ((5,2,3;3))"
     _criterion(capsys, 4, 5.0, body)
 
@@ -103,10 +100,10 @@ def test_05_four_qubit_subgroup_degeneracy(capsys):
         report = analysis.analyze_subset(code, (4, 5, 6, 7))
         assert report.trichotomy == analysis.DEGENERATE, report.trichotomy
         dec = structure.decompose(code, (4, 5, 6, 7))
-        ea = structure.compress(dec, codes.min_distance(code))
+        ea = structure.compress(dec)
         assert ea.receiver_dim == 4, f"C {ea.receiver_dim}"
-        assert ea.params.stabilizer_form() == "[[3,1,3;2]]", \
-            ea.params.stabilizer_form()
+        form = structure.ea_parameters(dec, ea, codes.min_distance(code))[1]
+        assert form == "[[3,1,3;2]]", form
         return "subgroup order 4, degenerate, C=4 = [[3,1,3;2]]"
     _criterion(capsys, 5, 5.0, body)
 
@@ -168,7 +165,7 @@ def test_09_recovery_suite(capsys):
         fids = []
         code = cached_fixture("five_qubit")
         dec = structure.decompose(code, (4, 5))
-        ea = structure.ea_from_structure(dec, 3)
+        ea = structure.ea_from_structure(dec)
         for model in (simulate.NOISELESS, simulate.NOISY):
             report = simulate.verify_ea(ea, dec, code, model, 1)
             assert report.min_fidelity >= 1 - 1e-9, \
@@ -176,7 +173,7 @@ def test_09_recovery_suite(capsys):
             fids.append(report.min_fidelity)
         steane = cached_fixture("steane")
         dec_s = structure.decompose(steane, (4, 5, 6, 7))
-        ea_c = structure.compress(dec_s, 3)
+        ea_c = structure.compress(dec_s)
         report = simulate.verify_ea(ea_c, dec_s, steane, simulate.NOISELESS, 1)
         assert report.min_fidelity >= 1 - 1e-9, \
             f"compressed noiseless w1: {report.min_fidelity}"
@@ -186,7 +183,7 @@ def test_09_recovery_suite(capsys):
         for name, subset in w0_subsets.items():
             c = cached_fixture(name)
             d = structure.decompose(c, subset)
-            e = structure.ea_from_structure(d, 2)
+            e = structure.ea_from_structure(d)
             report = simulate.verify_ea(e, d, c, simulate.NOISY, 0)
             assert report.min_fidelity >= 1 - 1e-9, f"{name} w0"
             fids.append(report.min_fidelity)

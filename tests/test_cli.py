@@ -194,6 +194,14 @@ class TestDecompose:
         assert "distance: 2" in out
         assert "((3,2,2;4))" in out
 
+    @pytest.mark.parametrize("distance,message", [
+        ("0", "distance must be >= 1"), ("6", "distance 6 outside 1..5")])
+    def test_distance_outside_one_to_n_exits_one(self, capsys, distance, message):
+        rc, out, err = run(capsys, "decompose", "--fixture", "five_qubit",
+                           "--subset", "4,5", "--distance", distance)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_not_correctable_exits_two(self, capsys):
         rc, _, err = run(capsys, "decompose", "--fixture", "five_qubit",
                          "--subset", "1,2,3")

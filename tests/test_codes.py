@@ -323,29 +323,6 @@ class TestDistanceAgainstPerPauliScan:
         assert peak < 1 << 20
 
 
-class TestParameters:
-    def test_dimension_and_stabilizer_forms(self):
-        p = codes.CodeParameters(n=5, k_dim=2, distance=3)
-        assert p.dimension_form() == "((5,2,3))"
-        assert p.stabilizer_form() == "[[5,1,3]]"
-        ea = codes.CodeParameters(
-            n=7, k_dim=2, distance=3,
-            ea=codes.EAParameters(n_sent=5, k_dim=2, distance=3, receiver_dim=3))
-        assert ea.dimension_form() == "((5,2,3;3))"
-        assert ea.stabilizer_form() is None
-        ea2 = codes.CodeParameters(
-            n=5, k_dim=2, distance=3,
-            ea=codes.EAParameters(n_sent=3, k_dim=2, distance=3, receiver_dim=4))
-        assert ea2.dimension_form() == "((3,2,3;4))"
-        assert ea2.stabilizer_form() == "[[3,1,3;2]]"
-
-    def test_validation(self):
-        with pytest.raises(ContractError):
-            codes.CodeParameters(n=3, k_dim=2, distance=4)
-        with pytest.raises(ContractError):
-            codes.CodeParameters(n=3, k_dim=0, distance=1)
-
-
 class TestJson:
     @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
     def test_round_trip_projector(self, name):

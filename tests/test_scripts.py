@@ -36,6 +36,26 @@ def test_compression_tradeoff_skips_distance_two():
     assert "weight-1 recovery does not apply at distance 2" in proc.stdout
 
 
+def _run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_parameter_lines_of_the_degenerate_pair():
+    # pi_7_2_3 erased on a pair: the uncompressed share keeps 2^2 dimensions,
+    # the compressed one the Schmidt rank 3 (the survey reports the first
+    # largest-C pair, {1,2}, whose parameters every pair of this code shares)
+    lines = _run_script("compression_tradeoff.py", "--cases", "pi_7_2_3:6,7")
+    assert "uncompressed: ((5,2,3;4)), receiver dim 4, 2 ebits" in lines
+    assert "compressed:   ((5,2,3;3)), receiver dim 3, 2 ebits" in lines
+    lines = _run_script("survey_fixtures.py", "--fixtures", "pi_7_2_3", "--max-size", "2")
+    assert ("    e.g. B={1, 2}: degenerate, C=3, ((5,2,3;4)) at 2 ebits"
+            " -> compressed ((5,2,3;3))") in lines
+
+
 def test_layertrace_targets_resolve():
     # bench/layertrace.py wraps these functions by name; a rename or
     # deletion in src/ would otherwise surface only in the bench suite

@@ -303,14 +303,6 @@ class TestKlRecovery:
         with pytest.raises(NotCorrectableError):
             simulate.kl_recovery(code, errors)
 
-    def test_dense_matrices_accepted(self):
-        code = cached_fixture("five_qubit")
-        dense = [np.eye(32, dtype=complex),
-                 PauliOperator.from_string("XIIII").matrix()]
-        d = simulate.kl_recovery(code, dense)
-        w = np.eye(code.k_dim)[0]
-        assert _fidelity(d, w, dense[1] @ code.basis[0]) >= 1 - 1e-9
-
     def test_nonorthonormal_decoders_refused(self):
         # a residual tolerance loose enough to admit a logical error leaves
         # decoders V^dag and V^dag X whose rows overlap through logical X
@@ -371,14 +363,14 @@ class TestKlRecoveryAgainstDense:
 
 class TestVerifyEa:
     @staticmethod
-    def _setup(name, subset, distance):
+    def _setup(name, subset):
         code = cached_fixture(name)
         dec = structure.decompose(code, subset)
         return code, dec
 
     def test_structure_noiseless_weight_one(self):
-        code, dec = self._setup("five_qubit", (4, 5), 3)
-        ea = structure.ea_from_structure(dec, distance=3)
+        code, dec = self._setup("five_qubit", (4, 5))
+        ea = structure.ea_from_structure(dec)
         report = simulate.verify_ea(ea, dec, code, simulate.NOISELESS, 1)
         assert report.passed
         assert report.min_fidelity >= 1 - 1e-9
@@ -388,34 +380,34 @@ class TestVerifyEa:
             ("structure", "noiseless", 1)
 
     def test_structure_noisy_weight_one(self):
-        code, dec = self._setup("five_qubit", (4, 5), 3)
-        ea = structure.ea_from_structure(dec, distance=3)
+        code, dec = self._setup("five_qubit", (4, 5))
+        ea = structure.ea_from_structure(dec)
         report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 1)
         assert report.passed
         assert report.cases_run == 15 * 3
 
     def test_presend_noisy_weight_one(self):
-        code, dec = self._setup("five_qubit", (4, 5), 3)
-        ea = structure.presend_from_decomposition(dec, code, distance=3)
+        code, dec = self._setup("five_qubit", (4, 5))
+        ea = structure.presend_from_decomposition(dec, code)
         report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 1)
         assert report.passed
 
     def test_compressed_noiseless_weight_one(self):
-        code, dec = self._setup("steane", (4, 5, 6, 7), 3)
-        ea = structure.compress(dec, distance=3)
+        code, dec = self._setup("steane", (4, 5, 6, 7))
+        ea = structure.compress(dec)
         report = simulate.verify_ea(ea, dec, code, simulate.NOISELESS, 1)
         assert report.passed
         assert report.cases_run == 9 * 3
 
     def test_compressed_noisy_refused(self):
-        code, dec = self._setup("steane", (4, 5, 6, 7), 3)
-        ea = structure.compress(dec, distance=3)
+        code, dec = self._setup("steane", (4, 5, 6, 7))
+        ea = structure.compress(dec)
         with pytest.raises(ModelMismatchError):
             simulate.verify_ea(ea, dec, code, simulate.NOISY, 1)
 
     def test_compressed_noisy_exploratory(self):
-        code, dec = self._setup("steane", (4, 5, 6, 7), 3)
-        ea = structure.compress(dec, distance=3)
+        code, dec = self._setup("steane", (4, 5, 6, 7))
+        ea = structure.compress(dec)
         report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 1,
                                     exploratory=True)
         assert report.exploratory
@@ -429,8 +421,8 @@ class TestVerifyEa:
 
     def test_weight_zero_everywhere(self):
         for name, subset in [("five_qubit", (4, 5)), ("pi_7_2_3", (6, 7))]:
-            code, dec = self._setup(name, subset, 2)
-            ea = structure.ea_from_structure(dec, distance=2)
+            code, dec = self._setup(name, subset)
+            ea = structure.ea_from_structure(dec)
             report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 0)
             assert report.passed
             assert report.cases_run == 3
@@ -445,7 +437,7 @@ class TestVerifyEa:
         try:
             code = stab.codewords(stab.StabilizerGroup.from_strings(gens))
             dec = structure.decompose(code, (1, 2))
-            ea = structure.ea_from_structure(dec, distance=3)
+            ea = structure.ea_from_structure(dec)
             report = simulate.verify_ea(ea, dec, code, simulate.NOISY, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -455,8 +447,8 @@ class TestVerifyEa:
         assert peak < 32 * 2 ** 20
 
     def test_bad_model_and_weight(self):
-        code, dec = self._setup("five_qubit", (4, 5), 3)
-        ea = structure.ea_from_structure(dec, distance=3)
+        code, dec = self._setup("five_qubit", (4, 5))
+        ea = structure.ea_from_structure(dec)
         with pytest.raises(ContractError):
             simulate.verify_ea(ea, dec, code, "sometimes", 1)
         with pytest.raises(ContractError):
@@ -484,9 +476,9 @@ class TestVerifyEaAgainstOracle:
     def test_matches_oracle(self, name, subset, strategy, model):
         code = cached_fixture(name)
         dec = structure.decompose(code, subset)
-        ea = {structure.STRUCTURE: lambda: structure.ea_from_structure(dec, 2),
-              structure.PRESEND: lambda: structure.presend_from_decomposition(dec, code, 2),
-              structure.COMPRESSED: lambda: structure.compress(dec, 2)}[strategy]()
+        ea = {structure.STRUCTURE: lambda: structure.ea_from_structure(dec),
+              structure.PRESEND: lambda: structure.presend_from_decomposition(dec, code),
+              structure.COMPRESSED: lambda: structure.compress(dec)}[strategy]()
         exploratory = strategy == structure.COMPRESSED and model == simulate.NOISY
         for weight in range(3):
             got, want = (self._outcome(verify, ea, dec, code, model, weight,

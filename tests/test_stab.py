@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from eaqec import analysis, codes, qla, stab
 from eaqec.codes import PauliOperator
-from eaqec.errors import (ConsistencyError, ContractError, InvalidStabilizerError,
-                          NotCorrectableError, SizeError)
+from eaqec.errors import ContractError, InvalidStabilizerError, SizeError
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
                       oracle_matrix)
@@ -390,25 +389,6 @@ class TestGf2AgainstAnalysis:
         if report.correctable:
             s = stab.subgroup_on(g, subset).num_generators
             assert report.marginal_rank == 1 << (b - s)
-
-
-class TestEaParamsStab:
-    def test_steane_erased_four(self):
-        g = stab.StabilizerGroup.from_strings(STEANE_GENS)
-        p = stab.ea_params_stab(g, (4, 5, 6, 7))
-        assert p.dimension_form() == "((3,2,3;4))"
-        assert p.stabilizer_form() == "[[3,1,3;2]]"
-
-    def test_five_qubit_pair(self):
-        g = stab.StabilizerGroup.from_strings(FIVE_GENS)
-        p = stab.ea_params_stab(g, (4, 5))
-        assert p.dimension_form() == "((3,2,3;4))"
-        assert p.stabilizer_form() == "[[3,1,3;2]]"
-
-    def test_not_correctable_raises(self):
-        g = stab.StabilizerGroup.from_strings(STEANE_GENS)
-        with pytest.raises(NotCorrectableError):
-            stab.ea_params_stab(g, (1, 2, 3, 4, 5, 6, 7))
 
 
 class TestJson:

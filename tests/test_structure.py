@@ -7,12 +7,13 @@ reshape helpers) and verify M_i = U_i Psi from the reported pieces.
 
 import itertools
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eaqec import analysis, codes, qla, structure
-from eaqec.codes import CodeParameters, EAParameters
 from eaqec.errors import ContractError, NotCorrectableError, StructureViolationError
 
 from conftest import cached_fixture
@@ -121,53 +122,76 @@ class TestEAFromStructure:
     def test_five_qubit_pair(self):
         code = cached_fixture("five_qubit")
         dec = structure.decompose(code, (4, 5))
-        ea = structure.ea_from_structure(dec, distance=3)
+        ea = structure.ea_from_structure(dec)
         assert ea.strategy == structure.STRUCTURE
         assert ea.model_validity == structure.NOISELESS_AND_NOISY
         assert (ea.sender_dim, ea.receiver_dim) == (4, 4)
         assert ea.schmidt_rank == 4 and ea.ebit_cost == 2
         np.testing.assert_allclose(ea.shared_state, dec.shared_state)
-        assert ea.params.dimension_form() == "((3,2,3;4))"
-        assert ea.params.stabilizer_form() == "[[3,1,3;2]]"
+        assert structure.ea_parameters(dec, ea, 3) == ("((3,2,3;4))", "[[3,1,3;2]]")
 
     @pytest.mark.parametrize("name,subset,_dim_a,_s,ebits", [
         (*case, ebits) for case, ebits in zip(CASES, [2, 1, 1, 2, 3, 2])])
     def test_ebit_costs(self, name, subset, _dim_a, _s, ebits):
         code = cached_fixture(name)
         dec = structure.decompose(code, subset)
-        ea = structure.ea_from_structure(dec, distance=2)
+        ea = structure.ea_from_structure(dec)
         assert ea.ebit_cost == ebits
         assert ea.schmidt_rank == dec.ancilla_dim
 
 
-@pytest.mark.parametrize("build", [
-    lambda dec, code, d: structure.ea_from_structure(dec, d),
-    lambda dec, code, d: structure.compress(dec, d),
-    lambda dec, code, d: structure.presend_from_decomposition(dec, code, d)],
-    ids=["structure", "compressed", "presend"])
-def test_no_distance_gives_no_parameters(build):
-    # verify builds with distance=None: only the parameters are left out
-    code = cached_fixture("pi_7_2_3")
-    dec = structure.decompose(code, (6, 7))
-    bare, full = build(dec, code, None), build(dec, code, 3)
-    assert bare.params is None and full.params is not None
-    fields = ("strategy", "sender_dim", "receiver_dim", "schmidt_rank",
-              "ebit_cost", "model_validity")
-    assert [getattr(bare, f) for f in fields] == [getattr(full, f) for f in fields]
-    assert np.array_equal(bare.shared_state, full.shared_state)
+BUILDERS = {
+    structure.PRESEND: lambda dec, code: structure.presend_from_decomposition(dec, code),
+    structure.STRUCTURE: lambda dec, code: structure.ea_from_structure(dec),
+    structure.COMPRESSED: lambda dec, code: structure.compress(dec),
+}
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json")
+                       .read_text())["decompose"]
+
+
+class TestEaParameters:
+    @pytest.mark.parametrize("strategy", BUILDERS)
+    @pytest.mark.parametrize("case", REFERENCE)
+    def test_reference_forms(self, case, strategy):
+        # the pinned ((n-b,K,d;C)) of every reference case, and [[n-b,log2 K,d;log2 C]]
+        # exactly when K and C are powers of two
+        name, _, subset_text = case.partition(":")
+        subset = tuple(int(q) for q in subset_text.split(","))
+        code = cached_fixture(name)
+        dec = structure.decompose(code, subset)
+        ea = BUILDERS[strategy](dec, code)
+        want = REFERENCE[case]
+        dimension_form, stabilizer_form = structure.ea_parameters(dec, ea, want["distance"])
+        assert dimension_form == want[strategy]
+        n_sent, k, c = code.n - len(subset), code.k_dim, ea.receiver_dim
+        assert dimension_form == f"(({n_sent},{k},{want['distance']};{c}))"
+        powers = [math.log2(m) for m in (k, c)]
+        if all(p.is_integer() for p in powers):
+            assert stabilizer_form == (f"[[{n_sent},{int(powers[0])},{want['distance']};"
+                                       f"{int(powers[1])}]]")
+        else:
+            assert stabilizer_form is None
+
+    def test_model_validity_follows_strategy(self):
+        code = cached_fixture("pi_7_2_3")
+        dec = structure.decompose(code, (6, 7))
+        validity = {strategy: build(dec, code).model_validity
+                    for strategy, build in BUILDERS.items()}
+        assert validity == {structure.PRESEND: structure.NOISELESS_AND_NOISY,
+                            structure.STRUCTURE: structure.NOISELESS_AND_NOISY,
+                            structure.COMPRESSED: structure.NOISELESS_ONLY}
 
 
 class TestCompress:
     def test_degenerate_pair_code(self):
         code = cached_fixture("pi_7_2_3")
         dec = structure.decompose(code, (6, 7))
-        ea = structure.compress(dec, distance=3)
+        ea = structure.compress(dec)
         assert ea.strategy == structure.COMPRESSED
         assert ea.model_validity == structure.NOISELESS_ONLY
         assert (ea.sender_dim, ea.receiver_dim) == (3, 3)
         assert ea.schmidt_rank == 3 and ea.ebit_cost == 2
-        assert ea.params.dimension_form() == "((5,2,3;3))"
-        assert ea.params.stabilizer_form() is None
+        assert structure.ea_parameters(dec, ea, 3) == ("((5,2,3;3))", None)
         v = ea.compress_isometry
         assert v.shape == (4, 3)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
@@ -182,17 +206,16 @@ class TestCompress:
     def test_degenerate_four_qubit_erasure(self):
         code = cached_fixture("steane")
         dec = structure.decompose(code, (4, 5, 6, 7))
-        ea = structure.compress(dec, distance=3)
+        ea = structure.compress(dec)
         assert (ea.sender_dim, ea.receiver_dim) == (4, 4)
         assert ea.ebit_cost == 2
-        assert ea.params.dimension_form() == "((3,2,3;4))"
-        assert ea.params.stabilizer_form() == "[[3,1,3;2]]"
+        assert structure.ea_parameters(dec, ea, 3) == ("((3,2,3;4))", "[[3,1,3;2]]")
         rebuilt = np.kron(np.eye(4), ea.compress_isometry) @ ea.shared_state
         np.testing.assert_allclose(rebuilt, dec.shared_state, atol=1e-10)
 
     def test_pure_case_compresses_to_full_dimension(self):
         dec = structure.decompose(cached_fixture("five_qubit"), (4, 5))
-        ea = structure.compress(dec, distance=3)
+        ea = structure.compress(dec)
         assert ea.receiver_dim == 4  # nothing gained: share already full rank
         rebuilt = np.kron(np.eye(4), ea.compress_isometry) @ ea.shared_state
         np.testing.assert_allclose(rebuilt, dec.shared_state, atol=1e-10)
@@ -202,7 +225,7 @@ class TestPresend:
     def test_five_qubit_pair(self):
         code = cached_fixture("five_qubit")
         dec = structure.decompose(code, (4, 5))
-        ea = structure.presend_from_decomposition(dec, code, distance=3)
+        ea = structure.presend_from_decomposition(dec, code)
         assert ea.strategy == structure.PRESEND
         assert ea.model_validity == structure.NOISELESS_AND_NOISY
         assert (ea.sender_dim, ea.receiver_dim) == (8, 4)
@@ -232,23 +255,15 @@ class TestPresend:
             structure.decompose(perturbed, (4, 5))
         analysis.require_correctable(perturbed, (4, 5), residual_tol=1e-4)
         dec = structure.decompose(perturbed, (4, 5), certify_tol=1e-4)
-        ea = structure.presend_from_decomposition(dec, perturbed, distance=3)
+        ea = structure.presend_from_decomposition(dec, perturbed)
         assert ea.schmidt_rank == 4
 
 
 class TestEACodeValidation:
-    @staticmethod
-    def _params():
-        return CodeParameters(
-            n=5, k_dim=2, distance=3,
-            ea=EAParameters(n_sent=3, k_dim=2, distance=3, receiver_dim=4))
-
     def _make(self, **overrides):
         fields = dict(
-            params=self._params(), strategy=structure.STRUCTURE,
-            shared_state=np.zeros(16, dtype=complex), sender_dim=4,
-            receiver_dim=4, schmidt_rank=4, ebit_cost=2,
-            model_validity=structure.NOISELESS_AND_NOISY)
+            strategy=structure.STRUCTURE, shared_state=np.zeros(16, dtype=complex),
+            sender_dim=4, receiver_dim=4, schmidt_rank=4)
         fields.update(overrides)
         return structure.EACode(**fields)
 
@@ -260,17 +275,9 @@ class TestEACodeValidation:
         with pytest.raises(ContractError):
             self._make(strategy="teleport")
 
-    def test_unknown_model(self):
-        with pytest.raises(ContractError):
-            self._make(model_validity="sometimes")
-
     def test_shared_length_mismatch(self):
         with pytest.raises(ContractError):
             self._make(shared_state=np.zeros(15, dtype=complex))
-
-    def test_ebit_cost_mismatch(self):
-        with pytest.raises(ContractError):
-            self._make(ebit_cost=3)
 
 
 class TestLogicalUnitary:
@@ -338,9 +345,12 @@ class TestJson:
 
     def test_eacode_payload(self):
         dec = structure.decompose(cached_fixture("pi_7_2_3"), (6, 7))
-        ea = structure.compress(dec, distance=3)
-        data = structure.eacode_to_json(ea)
+        ea = structure.compress(dec)
+        data = structure.eacode_to_json(dec, ea, 3)
         json.dumps(data)
+        assert list(data) == ["parameters", "stabilizer_form", "strategy", "model_validity",
+                              "sender_dim", "receiver_dim", "schmidt_rank", "ebit_cost",
+                              "shared_state", "compress_isometry_columns"]
         assert data["parameters"] == "((5,2,3;3))"
         assert data["stabilizer_form"] is None
         assert data["strategy"] == "compressed"
@@ -351,5 +361,5 @@ class TestJson:
 
     def test_uncompressed_payload_has_no_isometry(self):
         dec = structure.decompose(cached_fixture("five_qubit"), (4, 5))
-        ea = structure.ea_from_structure(dec, distance=3)
-        assert "compress_isometry_columns" not in structure.eacode_to_json(ea)
+        ea = structure.ea_from_structure(dec)
+        assert "compress_isometry_columns" not in structure.eacode_to_json(dec, ea, 3)

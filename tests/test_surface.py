@@ -19,7 +19,9 @@ KEPT_WITHOUT_CALLER = {
     "sqrtm_psd": "bench/layertrace.py wraps it and tests/test_scripts.py requires every "
                  "wrapped target to resolve (ROADMAP item 1)",
     "group_to_json": "the JSON inverse of group_from_json",
-    "ea_params_stab": "GF(2) EA parameters that stabilizer inputs are to use (ROADMAP item 3)",
+    "is_correctable_stab": "the GF(2) verdict that bench/oracle.py and acceptance test 10 "
+                           "check dense verdicts against, and stabilizer inputs are to use "
+                           "(ROADMAP item 3)",
     "logical_unitary_on_complement": "presend steering: a message unitary on the kept qubits",
     "apply_on_kept": "presend steering: applies such a unitary to a full state",
 }
