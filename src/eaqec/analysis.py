@@ -153,7 +153,7 @@ def kl_matrix(code: QuantumCode, subset,
     return replace(report, matrix=lam, kernel=kernel)
 
 
-def classify(report: KLReport, atol: float = 1e-10) -> str:
+def classify(report: KLReport) -> str:
     """Place a correctable subset in the pure/impure/degenerate trichotomy."""
     if not report.correctable:
         raise NotCorrectableError(
@@ -161,7 +161,7 @@ def classify(report: KLReport, atol: float = 1e-10) -> str:
     dim = report.split.dim_erased
     if report.marginal_rank != dim:
         return DEGENERATE
-    if np.max(np.abs(report.marginal_spectrum - 1.0 / dim)) <= atol:
+    if np.max(np.abs(report.marginal_spectrum - 1.0 / dim)) <= 1e-10:
         return PURE
     return IMPURE_NONDEGENERATE
 

@@ -8,10 +8,6 @@ compact JSON object on one line.
 Exit codes: 0 ok, 1 input error, 2 not correctable, 3 structure violation
 (also used for a failed verification), 4 model mismatch.  Qubit indices are
 1-based on the command line, qubit 1 leftmost in Pauli strings.
-
-Tolerance precedence: --tol-rank / --tol-residual flags beat the
-EAQEC_TOL_RANK / EAQEC_TOL_RESIDUAL environment variables, which beat the
-built-in defaults.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -30,26 +25,9 @@ from .errors import (ConsistencyError, ContractError, EaqecError,
                      ModelMismatchError, NotCorrectableError,
                      StructureViolationError)
 
-ENV_TOL_RANK = "EAQEC_TOL_RANK"
-ENV_TOL_RESIDUAL = "EAQEC_TOL_RESIDUAL"
-
-
-def _resolve_tol(flag_value, env_name: str, default: float) -> float:
-    if flag_value is not None:
-        return float(flag_value)
-    env = os.environ.get(env_name)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ContractError(f"{env_name} is not a number: {env!r}") from None
-    return default
-
-
 def _tolerances(args) -> tuple[float, float]:
-    rank = _resolve_tol(getattr(args, "tol_rank", None), ENV_TOL_RANK, RANK_TOL)
-    residual = _resolve_tol(getattr(args, "tol_residual", None),
-                            ENV_TOL_RESIDUAL, RESIDUAL_TOL)
+    rank = RANK_TOL if args.tol_rank is None else args.tol_rank
+    residual = RESIDUAL_TOL if args.tol_residual is None else args.tol_residual
     if not (rank > 0 and residual > 0):     # NaN fails this too
         raise ContractError("tolerances must be positive")
     if math.inf in (rank, residual):

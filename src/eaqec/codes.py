@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +75,6 @@ class PauliOperator:
     def phase(self) -> complex:
         return 1j ** self.phase_exp
 
-    @property
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        bits = self.x_bits | self.z_bits
-        return tuple(q for q in range(1, self.n + 1) if bits & (1 << (self.n - q)))
-
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0 and self.phase_exp == 0
-
     def is_hermitian(self) -> bool:
         # i^a X^x Z^z is Hermitian iff a and |x & z| have the same parity
         return (self.phase_exp - (self.x_bits & self.z_bits).bit_count()) % 2 == 0
@@ -121,10 +109,6 @@ class PauliOperator:
         out = np.empty_like(state)
         out[idx ^ np.uint64(self.x_bits)] = self.phase * (signs.reshape(-1, *([1] * (state.ndim - 1))) * state)
         return out
-
-    def matrix(self) -> np.ndarray:
-        qla.check_dim(4 ** self.n)
-        return self.apply(np.eye(1 << self.n, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -161,16 +145,11 @@ class QuantumCode:
     def dim(self) -> int:
         return 2 ** self.n
 
-    @property
-    def basis_matrix(self) -> np.ndarray:
-        """Codewords as columns, shape (2^n, K)."""
-        return self.basis.T
-
 
 def projector(code: QuantumCode) -> np.ndarray:
     """Codespace projector V V^dag."""
     qla.check_dim(code.dim ** 2)
-    v = code.basis_matrix
+    v = code.basis.T
     return v @ v.conj().T
 
 

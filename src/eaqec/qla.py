@@ -67,11 +67,6 @@ class SubsystemSplit:
     def dim_kept(self) -> int:
         return 2 ** (self.n - self.b)
 
-    @property
-    def order(self) -> tuple[int, ...]:
-        """Qubit order [kept ascending, then erased] used for reshapes."""
-        return self.kept + self.erased
-
 
 def _cut_axes(split: SubsystemSplit) -> list[int]:
     """Axis order [kept ascending, stack, erased as stored] for a stack of
@@ -161,14 +156,14 @@ def _block_order(values: np.ndarray, tol: float, vectors: np.ndarray) -> np.ndar
     return np.lexsort((_pivot_rows(vectors), block))
 
 
-def eig_hermitian(m: CMatrix, tol: float = HERMITICITY_TOL):
+def eig_hermitian(m: CMatrix):
     """Eigenvalues (descending) and gauge-fixed eigenvectors of a Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
-    _require_hermitian(m, tol)
+    _require_hermitian(m, HERMITICITY_TOL)
     w, v = np.linalg.eigh(m)
     w, v = w[::-1], v[:, ::-1]
     v = gauge_fix_columns(v)
-    return w, v[:, _block_order(w, tol, v)]
+    return w, v[:, _block_order(w, HERMITICITY_TOL, v)]
 
 
 def svd(m: CMatrix):
@@ -197,10 +192,11 @@ def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(w > tol * top))
 
 
-def is_isometry(m: CMatrix, tol: float = UNITARITY_TOL) -> bool:
+def is_isometry(m: CMatrix) -> bool:
     m = np.asarray(m)
     gram = m.conj().T @ m
-    return bool(np.linalg.norm(gram - np.eye(m.shape[1])) <= tol * max(1.0, m.shape[1] ** 0.5))
+    bound = UNITARITY_TOL * max(1.0, m.shape[1] ** 0.5)
+    return bool(np.linalg.norm(gram - np.eye(m.shape[1])) <= bound)
 
 
 def to_re_im(a) -> list:
@@ -209,9 +205,9 @@ def to_re_im(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def sqrtm_psd(m: CMatrix, tol: float = HERMITICITY_TOL) -> CMatrix:
+def sqrtm_psd(m: CMatrix) -> CMatrix:
     """Principal square root of a positive semidefinite matrix; clamps tiny
     negative eigenvalues to zero."""
-    w, v = eig_hermitian(m, tol)
+    w, v = eig_hermitian(m)
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T

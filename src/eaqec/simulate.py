@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qla, structure
-from .codes import PauliOperator, QuantumCode, paulis_of_weight
+from .codes import PauliOperator, QuantumCode, moment_residuals, paulis_of_weight
 from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, ModelMismatchError,
                      NotCorrectableError)
@@ -54,17 +54,16 @@ def kl_recovery(code: QuantumCode, errors,
     m, k = len(errors), code.k_dim
     qla.check_dim(m * k * code.dim)                # the images E_a V
     qla.check_dim((m * k) ** 2)                    # and their Gram matrix
-    v = code.basis_matrix                          # 2^n x K
+    v = code.basis.T                               # 2^n x K
     images = np.stack([e.apply(v) for e in errors], axis=1)
     flat = images.reshape(v.shape[0], m * k)                     # column a*K + i: E_a V e_i
     gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
-    lam = np.einsum("aibi->ab", gram) / k
-    defect = gram - lam[:, None, :, None] * np.eye(k)[None, :, None, :]
-    worst = float(np.max(np.linalg.norm(defect, axis=(1, 3))))
+    worst = float(moment_residuals(gram.transpose(0, 2, 1, 3).reshape(m * m, k, k)).max())
     if worst > residual_tol:
         raise NotCorrectableError(
             f"error set violates the correctability condition (residual {worst:.2e})")
 
+    lam = np.einsum("aibi->ab", gram) / k
     vals, vecs = qla.eig_hermitian(lam)          # descending: keep the first r
     r = qla.numerical_rank(vals, rank_tol)
     # column k*K + i of the product is F_k V e_i / sqrt(d_k)

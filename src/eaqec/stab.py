@@ -147,10 +147,6 @@ class StabilizerGroup:
         return len(self.generators)
 
     @property
-    def order(self) -> int:
-        return 1 << self.num_generators
-
-    @property
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a.commutes_with(b) for a, b in itertools.combinations(gens, 2))
@@ -159,18 +155,6 @@ class StabilizerGroup:
         if not self.generators:
             return np.zeros((0, 2 * self.n), dtype=np.uint8)
         return np.array([pauli_to_gf2(g) for g in self.generators], dtype=np.uint8)
-
-
-def group_to_json(group: StabilizerGroup) -> dict:
-    phases, letters = [], []
-    for g in group.generators:
-        ph, ls = g.to_string()
-        phases.append(ph)
-        letters.append(ls)
-    data = {"n": group.n, "generators": letters}
-    if any(ph != "+" for ph in phases):
-        data["phases"] = phases
-    return data
 
 
 def group_from_json(data: dict) -> StabilizerGroup:

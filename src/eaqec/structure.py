@@ -51,11 +51,6 @@ class StructureDecomposition:
     residual: float            # worst codeword reconstruction error
     isometry_defect: float     # ||U^dag U - I||_F
 
-    def blocks(self):
-        """Isometry split into per-codeword blocks U_i."""
-        r = self.ancilla_dim
-        return [self.isometry[:, i * r:(i + 1) * r] for i in range(self.k_dim)]
-
     @property
     def ancilla_spectrum(self) -> np.ndarray:
         return np.sort(np.real(np.diag(self.ancilla_state)))[::-1]
@@ -199,42 +194,14 @@ def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode) -
 
     The shared resource is the encoded reference codeword split kept/erased;
     the sender later steers the message with unitaries supported on the kept
-    qubits (see logical_unitary_on_complement).
+    qubits, which exist because the set is correctable; tests/conftest.py
+    builds them and the tests check this steering.
     """
     split = dec.split
     shared = qla.bipartite_matrix(code.basis[0], split).reshape(-1)
     return EACode(
         strategy=PRESEND, shared_state=shared, sender_dim=split.dim_kept,
         receiver_dim=split.dim_erased, schmidt_rank=dec.ancilla_dim)
-
-
-def logical_unitary_on_complement(dec: StructureDecomposition,
-                                  message_unitary: np.ndarray,
-                                  tol: float = UNITARITY_TOL) -> np.ndarray:
-    """Lift a K x K message unitary to the kept qubits only.
-
-    Returns U (V_R otimes I_A) U^dag completed by the identity on the
-    orthogonal complement of range(U); acting with the result on the kept
-    factor maps encoded states exactly as V_R maps messages.  The result's
-    dim_kept^2 entries are size-checked first.
-    """
-    qla.check_dim(dec.split.dim_kept ** 2)
-    k, r = dec.k_dim, dec.ancilla_dim
-    v_r = np.asarray(message_unitary, dtype=complex)
-    if v_r.shape != (k, k):
-        raise ContractError(f"message unitary has shape {v_r.shape}, expected ({k}, {k})")
-    if np.linalg.norm(v_r.conj().T @ v_r - np.eye(k)) > tol * max(1.0, math.sqrt(k)):
-        raise ContractError("message operator is not unitary within tolerance")
-    u = dec.isometry
-    lifted = u @ np.kron(v_r, np.eye(r)) @ u.conj().T
-    complement = np.eye(u.shape[0]) - u @ u.conj().T
-    return lifted + complement
-
-
-def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
-                  kept_operator: np.ndarray) -> np.ndarray:
-    """Apply an operator on the kept factor to a full state, original qubit order."""
-    return qla.unsplit(kept_operator @ qla.bipartite_matrix(state, split), split)
 
 
 def decomposition_to_json(dec: StructureDecomposition) -> dict:

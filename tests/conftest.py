@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eaqec import codes, qla, stab, structure
 from eaqec.codes import PauliOperator, QuantumCode
+from eaqec.config import UNITARITY_TOL
 from eaqec.errors import ContractError
 
 settings.register_profile(
@@ -70,6 +72,25 @@ def oracle_matrix(letters: str, phase: str = "+") -> np.ndarray:
     for ch in letters:
         m = np.kron(m, _LETTER_MATS[ch])
     return _PHASE_VALUES[phase] * m
+
+
+def pauli_matrix(p: PauliOperator) -> np.ndarray:
+    """The dense 2^n x 2^n matrix of a Pauli, built by its own apply."""
+    qla.check_dim(4 ** p.n)
+    return p.apply(np.eye(1 << p.n, dtype=complex))
+
+
+def group_to_json(group: stab.StabilizerGroup) -> dict:
+    """The stabilizer JSON that stab.group_from_json reads (--stab-json)."""
+    phases, letters = [], []
+    for g in group.generators:
+        ph, ls = g.to_string()
+        phases.append(ph)
+        letters.append(ls)
+    data = {"n": group.n, "generators": letters}
+    if any(ph != "+" for ph in phases):
+        data["phases"] = phases
+    return data
 
 
 def perturbed_pi_7_2_3() -> codes.QuantumCode:
@@ -246,3 +267,35 @@ def channel_form_check(dec: structure.StructureDecomposition,
                 dev = float(np.linalg.norm(lhs_kept - rhs_kept)) / np.sqrt(split.dim_erased)
                 worst = max(worst, dev)
     return worst
+
+
+# Presend steering: for a correctable erased set every message unitary acts
+# on the kept qubits alone.
+
+def logical_unitary_on_complement(dec: structure.StructureDecomposition,
+                                  message_unitary: np.ndarray,
+                                  tol: float = UNITARITY_TOL) -> np.ndarray:
+    """Lift a K x K message unitary to the kept qubits only.
+
+    Returns U (V_R otimes I_A) U^dag completed by the identity on the
+    orthogonal complement of range(U); acting with the result on the kept
+    factor maps encoded states exactly as V_R maps messages.  The result's
+    dim_kept^2 entries are size-checked first.
+    """
+    qla.check_dim(dec.split.dim_kept ** 2)
+    k, r = dec.k_dim, dec.ancilla_dim
+    v_r = np.asarray(message_unitary, dtype=complex)
+    if v_r.shape != (k, k):
+        raise ContractError(f"message unitary has shape {v_r.shape}, expected ({k}, {k})")
+    if np.linalg.norm(v_r.conj().T @ v_r - np.eye(k)) > tol * max(1.0, math.sqrt(k)):
+        raise ContractError("message operator is not unitary within tolerance")
+    u = dec.isometry
+    lifted = u @ np.kron(v_r, np.eye(r)) @ u.conj().T
+    complement = np.eye(u.shape[0]) - u @ u.conj().T
+    return lifted + complement
+
+
+def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
+                  kept_operator: np.ndarray) -> np.ndarray:
+    """Apply an operator on the kept factor to a full state, original qubit order."""
+    return qla.unsplit(kept_operator @ qla.bipartite_matrix(state, split), split)

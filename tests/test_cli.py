@@ -14,7 +14,7 @@ import pytest
 
 from eaqec import cli, codes, stab
 
-from conftest import cached_fixture, perturbed_pi_7_2_3
+from conftest import cached_fixture, group_to_json, perturbed_pi_7_2_3
 
 
 def run(capsys, *argv):
@@ -465,7 +465,7 @@ class TestInputSources:
             argv = ["--stabilizers", ",".join(gens)]
         else:
             path = tmp_path / "group.json"
-            path.write_text(json.dumps(stab.group_to_json(
+            path.write_text(json.dumps(group_to_json(
                 stab.StabilizerGroup.from_strings(gens))))
             argv = ["--stab-json", str(path)]
         rc, out, err = run(capsys, "analyze", *argv, "--subset", "4,5")
@@ -479,7 +479,7 @@ class TestInputSources:
             argv = ["--fixture", "steane"]
         else:
             path = tmp_path / "group.json"
-            path.write_text(json.dumps(stab.group_to_json(
+            path.write_text(json.dumps(group_to_json(
                 stab.StabilizerGroup.from_strings(["XX", "ZZ"]))))
             argv = ["--stab-json", str(path)]
         rc, out, err = run(capsys, "analyze", *argv, "--phases=-,+,+", "--subset", "1")
@@ -512,7 +512,7 @@ class TestInputSources:
         group = stab.StabilizerGroup.from_strings(
             ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
         path = tmp_path / "group.json"
-        path.write_text(json.dumps(stab.group_to_json(group)))
+        path.write_text(json.dumps(group_to_json(group)))
         rc, out, _ = run(capsys, "analyze", "--stab-json", str(path),
                          "--subset", "4,5")
         assert rc == 0
@@ -588,28 +588,17 @@ class TestInputSources:
 
 
 class TestTolerancePrecedence:
-    def test_env_tightens_residual(self, capsys, monkeypatch):
+    """The flag is a tolerance's one setter; without it the default holds."""
+
+    def test_flag_tightens_residual(self, capsys):
         # this subset's residual is ~1e-16: a 1e-20 threshold rejects it
-        monkeypatch.setenv(cli.ENV_TOL_RESIDUAL, "1e-20")
-        rc, _, _ = run(capsys, "analyze", "--fixture", "pi_4_2_2", "--subset", "4")
+        rc, _, _ = run(capsys, "analyze", "--fixture", "pi_4_2_2", "--subset", "4",
+                       "--tol-residual", "1e-20")
         assert rc == 2
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_TOL_RESIDUAL, "1e-20")
-        rc, _, _ = run(capsys, "analyze", "--fixture", "pi_4_2_2",
-                       "--subset", "4", "--tol-residual", "1e-8")
-        assert rc == 0
-
-    def test_default_when_unset(self, capsys, monkeypatch):
-        monkeypatch.delenv(cli.ENV_TOL_RESIDUAL, raising=False)
+    def test_default_when_unset(self, capsys):
         rc, _, _ = run(capsys, "analyze", "--fixture", "pi_4_2_2", "--subset", "4")
         assert rc == 0
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_TOL_RANK, "abc")
-        rc, _, err = run(capsys, "analyze", "--fixture", "pi_4_2_2", "--subset", "4")
-        assert rc == 1
-        assert "EAQEC_TOL_RANK" in err
 
     def test_nonpositive_rejected(self, capsys):
         rc, _, _ = run(capsys, "analyze", "--fixture", "pi_4_2_2",
@@ -624,15 +613,6 @@ class TestTolerancePrecedence:
         # {1,2,3} of the five-qubit code correctable
         rc, out, err = run(capsys, "analyze", "--fixture", "five_qubit",
                            "--subset", "1,2,3", flag, value)
-        assert rc == 1 and out == ""
-        assert err.startswith("error: tolerances must be")
-
-    @pytest.mark.parametrize("env", [cli.ENV_TOL_RANK, cli.ENV_TOL_RESIDUAL])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_nonfinite_env_rejected(self, capsys, monkeypatch, env, value):
-        monkeypatch.setenv(env, value)
-        rc, out, err = run(capsys, "analyze", "--fixture", "five_qubit",
-                           "--subset", "1,2,3")
         assert rc == 1 and out == ""
         assert err.startswith("error: tolerances must be")
 

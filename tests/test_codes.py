@@ -22,7 +22,7 @@ from eaqec.config import MAX_DIM, RESIDUAL_TOL
 from eaqec.errors import ContractError, SizeError
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
-                      oracle_matrix, pauli_basis_on, random_state)
+                      oracle_matrix, pauli_basis_on, pauli_matrix, random_state)
 
 letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=3)
 
@@ -41,7 +41,7 @@ def oracle_detection_residual(v: np.ndarray, e: PauliOperator) -> float:
 def oracle_min_distance(code: QuantumCode, max_weight=None,
                         residual_tol: float = RESIDUAL_TOL):
     """First weight with an undetected Pauli, one Pauli at a time."""
-    v = code.basis_matrix
+    v = code.basis.T
     limit = code.n if max_weight is None else max_weight
     for w in range(1, limit + 1):
         for e in codes.paulis_of_weight(code.n, range(1, code.n + 1), w):
@@ -67,18 +67,19 @@ class TestPauliParsing:
     @given(letters_strategy, phase_strategy)
     def test_matrix_matches_oracle(self, letters, phase):
         p = PauliOperator.from_string(letters, phase=phase)
-        assert np.allclose(p.matrix(), oracle_matrix(letters, phase), atol=1e-14)
+        assert np.allclose(pauli_matrix(p), oracle_matrix(letters, phase), atol=1e-14)
 
     def test_weight_and_support(self):
+        # qubit 1 is the most significant bit: support {1, 3, 4} of five qubits
         p = PauliOperator.from_string("XIYZI")
-        assert p.weight == 3
-        assert p.support == (1, 3, 4)
+        assert p.x_bits | p.z_bits == 0b10110
+        assert (p.x_bits | p.z_bits).bit_count() == 3
 
     def test_identity(self):
         p = PauliOperator.from_string("III")
-        assert p.is_identity()
-        assert not PauliOperator.from_string("III", phase="-").is_identity()
-        assert not PauliOperator.from_string("IXI").is_identity()
+        assert (p.x_bits, p.z_bits, p.phase_exp) == (0, 0, 0)
+        assert PauliOperator.from_string("III", phase="-").phase_exp == 2
+        assert PauliOperator.from_string("IXI").x_bits == 0b010
 
 
 class TestPauliAlgebra:
@@ -88,20 +89,20 @@ class TestPauliAlgebra:
         la, lb = la.ljust(n, "I"), lb.ljust(n, "I")
         a = PauliOperator.from_string(la, phase=pa)
         b = PauliOperator.from_string(lb, phase=pb)
-        got = a.compose(b).matrix()
+        got = pauli_matrix(a.compose(b))
         want = oracle_matrix(la, pa) @ oracle_matrix(lb, pb)
         assert np.allclose(got, want, atol=1e-14)
 
     @given(letters_strategy, phase_strategy)
     def test_adjoint(self, letters, phase):
         p = PauliOperator.from_string(letters, phase=phase)
-        assert np.allclose(p.adjoint().matrix(),
+        assert np.allclose(pauli_matrix(p.adjoint()),
                            oracle_matrix(letters, phase).conj().T, atol=1e-14)
 
     @given(letters_strategy, phase_strategy)
     def test_hermitian_flag(self, letters, phase):
         p = PauliOperator.from_string(letters, phase=phase)
-        m = p.matrix()
+        m = pauli_matrix(p)
         assert p.is_hermitian() == bool(np.allclose(m, m.conj().T, atol=1e-14))
 
     @given(letters_strategy, letters_strategy)
@@ -243,7 +244,7 @@ class TestPauliMoments:
 
     @staticmethod
     def check(code, subset):
-        v = code.basis_matrix
+        v = code.basis.T
         moments = codes.pauli_moments(code, subset)
         residuals = codes.moment_residuals(moments)
         paulis = pauli_basis_on(code.n, subset)

@@ -14,14 +14,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, qla, simulate, stab, structure
+from eaqec import codes, qla, simulate, stab, structure
 from eaqec.codes import PauliOperator
 from eaqec.config import FIDELITY_SLACK, RANK_TOL
 from eaqec.errors import (ConsistencyError, ContractError, ModelMismatchError,
                           NotCorrectableError, SizeError)
 
-from conftest import (KrausChannel, cached_fixture, channel_form_check, random_density,
-                      random_state, replacer_channel)
+from conftest import (KrausChannel, cached_fixture, channel_form_check, pauli_matrix,
+                      random_density, random_state, replacer_channel)
 from test_analysis import oracle_projector
 
 
@@ -80,11 +80,11 @@ def oracle_kl_recovery(code, errors, rank_tol=RANK_TOL):
     the correlation matrix, completed to a trace-preserving map by
     sqrt(I - sum K^dag K).  Assumes the error set is correctable.
     """
-    mats = [e.matrix() if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex)
+    mats = [pauli_matrix(e) if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex)
             for e in errors]
     dim = 1 << code.n
     k = code.k_dim
-    images = [m @ code.basis_matrix for m in mats]
+    images = [m @ code.basis.T for m in mats]
     lam = np.zeros((len(mats), len(mats)), dtype=complex)
     for a, b in product(range(len(mats)), repeat=2):
         if b < a:
@@ -126,13 +126,16 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
     compressed = ea.strategy == structure.COMPRESSED
     # position of each amplitude in the kept x erased table: its bits read
     # in the order kept qubits, then erased ones
-    inv = np.array([int("".join(format(idx, f"0{n}b")[q - 1] for q in split.order), 2)
+    order = split.kept + split.erased
+    inv = np.array([int("".join(format(idx, f"0{n}b")[q - 1] for q in order), 2)
                     for idx in range(1 << n)])
     c, m = ea.receiver_dim, len(kept)
 
     def compressed_state(w):
-        psi_small = ea.shared_state.reshape(dec.ancilla_dim, c)
-        return sum(wi * (blk @ psi_small) for wi, blk in zip(w, dec.blocks()))
+        r = dec.ancilla_dim
+        psi_small = ea.shared_state.reshape(r, c)
+        return sum(wi * (dec.isometry[:, i * r:(i + 1) * r] @ psi_small)
+                   for i, wi in enumerate(w))
 
     def restrict_to_kept(err):
         x_loc = z_loc = 0
@@ -268,7 +271,7 @@ class TestKlRecovery:
         d = simulate.kl_recovery(code, errors)
         assert d.shape == (16, code.k_dim, 32)  # one decoder per error channel
         for err in errors:
-            e = err.matrix()
+            e = pauli_matrix(err)
             for w in _code_coefficients(code.k_dim):
                 fid = _fidelity(d, w, e @ (w @ code.basis))
                 assert fid >= 1 - 1e-9, str(err)
@@ -279,9 +282,9 @@ class TestKlRecovery:
         d = simulate.kl_recovery(code, errors)
         p = oracle_projector(code)
         for dk in d:
-            op = code.basis_matrix @ dk   # the Kraus operator P F_k^dag / sqrt(d_k)
+            op = code.basis.T @ dk   # the Kraus operator P F_k^dag / sqrt(d_k)
             for err in errors:
-                prod = op @ err.matrix() @ p
+                prod = op @ pauli_matrix(err) @ p
                 coeff = np.trace(prod @ p) / code.k_dim
                 assert np.linalg.norm(prod - coeff * p) <= 1e-8
 
@@ -293,7 +296,7 @@ class TestKlRecovery:
         # correlation matrix has rank one, so a single decoder
         assert d.shape[0] == 1
         for err in errors:
-            e = err.matrix()
+            e = pauli_matrix(err)
             for w in _code_coefficients(code.k_dim):
                 assert _fidelity(d, w, e @ (w @ code.basis)) >= 1 - 1e-9
 

@@ -33,22 +33,13 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def _decomposed(n: int, subset):
-    code = product_code(n)
-    return structure.decompose(code, subset), code
-
-
 # name -> a builder of (function, arguments), each the first input over the cap
 OVER_CAP = {
     # 4^11 entries
-    "pauli_matrix": lambda: (codes.PauliOperator(11, 0, 0).matrix, ()),
     "projector": lambda: (codes.projector, (product_code(11),)),
     # K 2^n = 32 * 2^16 entries
     "code_from_json": lambda: (codes.code_from_json,
                                ({"n": 16, "k_dim": 32, "basis": [[]] * 32},)),
-    # dim_kept^2 = 4^11 entries
-    "logical_unitary_on_complement": lambda: (
-        structure.logical_unitary_on_complement, (_decomposed(12, (1,))[0], np.eye(1))),
     # 16^6 matrix entries
     "kl_matrix": lambda: (analysis.kl_matrix, (cached_fixture("steane"), (1, 2, 3, 4, 5, 6))),
 }

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eaqec import analysis, codes, qla, stab
+from eaqec import analysis, codes, qla, stab, structure
 from eaqec.codes import PauliOperator
-from eaqec.errors import ContractError, InvalidStabilizerError, SizeError
+from eaqec.errors import (ContractError, InvalidStabilizerError, SizeError,
+                          StructureViolationError)
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
-                      oracle_matrix)
+                      group_to_json, oracle_matrix, pauli_matrix)
 
 FIVE_GENS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 STEANE_GENS = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
@@ -121,7 +122,7 @@ class TestCanonicalization:
 
     def test_group_order(self):
         g = stab.StabilizerGroup.from_strings(STEANE_GENS)
-        assert g.order == 64
+        assert 1 << g.num_generators == 64
         elems = group_elements(g)
         assert len({(e.x_bits, e.z_bits) for e in elems}) == 64
 
@@ -293,7 +294,7 @@ class TestCodewords:
         # oracle projector: average over all 64 group elements, densely
         proj = np.zeros((128, 128), dtype=complex)
         for e in group_elements(g):
-            proj += e.matrix()
+            proj += pauli_matrix(e)
         proj /= 64
         assert np.linalg.norm(codes.projector(code) - proj) < 1e-10
 
@@ -311,7 +312,7 @@ class TestSubgroupOn:
     def test_steane_erased_four(self):
         g = stab.StabilizerGroup.from_strings(STEANE_GENS)
         sub = stab.subgroup_on(g, (4, 5, 6, 7))
-        assert sub.order == 4
+        assert 1 << sub.num_generators == 4
         got = sorted(str(p) for p in sub.generators)
         assert got == ["IIIXXXX", "IIIZZZZ"]
 
@@ -319,21 +320,19 @@ class TestSubgroupOn:
     def test_matches_exhaustive_scan(self, subset):
         g = stab.StabilizerGroup.from_strings(STEANE_GENS)
         sub = stab.subgroup_on(g, subset)
-        outside = [q for q in range(1, 8) if q not in subset]
-        supported = [
-            e for e in group_elements(g)
-            if all(q not in e.support for q in outside)]
-        assert sub.order == len(supported)
+        outside = sum(1 << (7 - q) for q in range(1, 8) if q not in subset)
+        supported = [e for e in group_elements(g) if not (e.x_bits | e.z_bits) & outside]
+        assert 1 << sub.num_generators == len(supported)
 
     def test_five_qubit_pairs_trivial(self):
         g = stab.StabilizerGroup.from_strings(FIVE_GENS)
         for subset in combinations(range(1, 6), 2):
-            assert stab.subgroup_on(g, subset).order == 1
+            assert stab.subgroup_on(g, subset).num_generators == 0
 
     def test_whole_set_returns_group(self):
         g = stab.StabilizerGroup.from_strings(FIVE_GENS)
         sub = stab.subgroup_on(g, (1, 2, 3, 4, 5))
-        assert sub.order == g.order
+        assert sub.num_generators == g.num_generators
 
 
 def oracle_correctable(code: codes.QuantumCode, subset) -> bool:
@@ -380,27 +379,37 @@ class TestCorrectability:
 
 
 class TestGf2AgainstAnalysis:
+    """Three independent verdicts on every drawn code: GF(2), the moment
+    residual of analysis, and the certificate of structure.decompose."""
+
     @given(abelian_groups(max_n=7), st.data())
     def test_verdict_and_receiver_dim(self, g, data):
         b = data.draw(st.integers(1, min(3, g.n)))
         subset = tuple(sorted(data.draw(st.permutations(range(1, g.n + 1)))[:b]))
-        report = analysis.analyze_subset(stab.codewords(g), subset)
-        assert stab.is_correctable_stab(g, subset) == report.correctable
-        if report.correctable:
-            s = stab.subgroup_on(g, subset).num_generators
-            assert report.marginal_rank == 1 << (b - s)
+        code = stab.codewords(g)
+        report = analysis.analyze_subset(code, subset)
+        correctable = stab.is_correctable_stab(g, subset)
+        assert correctable == report.correctable
+        if not correctable:
+            with pytest.raises(StructureViolationError):
+                structure.decompose(code, subset)
+            return
+        s = stab.subgroup_on(g, subset).num_generators
+        assert report.marginal_rank == 1 << (b - s)
+        assert structure.decompose(code, subset).ancilla_dim == 1 << (b - s)
+        assert report.trichotomy == (analysis.PURE if s == 0 else analysis.DEGENERATE)
 
 
 class TestJson:
     def test_round_trip(self):
         g = stab.StabilizerGroup.from_strings(("XZZXI", "ZYYZI"), phases=["-", "+"])
-        data = stab.group_to_json(g)
+        data = group_to_json(g)
         back = stab.group_from_json(data)
         assert [str(p) for p in back.generators] == [str(p) for p in g.generators]
 
     def test_phases_omitted_when_all_plus(self):
         g = stab.StabilizerGroup.from_strings(FIVE_GENS)
-        data = stab.group_to_json(g)
+        data = group_to_json(g)
         assert "phases" not in data
 
     def test_bad_length(self):

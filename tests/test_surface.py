@@ -1,11 +1,17 @@
-"""Every public top-level function and class in src/eaqec has a caller.
+"""Every public name in src/eaqec has a caller, and every import is used.
 
-A name counts as used when code other than its own definition refers to it
-by name, attribute or import: another module of the package, the rest of
-its own module, or a script under scripts/.  The package's __init__ only
-imports modules, so it never counts.  Tests do not count either: a helper
-that only its own tests call is dead code.  The few names kept on purpose
-without a caller are listed with their reason.
+A top-level function or class counts as used when code other than its own
+definition refers to it by name, attribute or import: another module of
+the package, the rest of its own module, or a script under scripts/.  A
+public method or property of a class counts as used when some attribute
+reference (.name) in those files carries its name.  The package's
+__init__ only imports modules, so it never counts.  Tests do not count
+either: a helper that only its own tests call is dead code, and lives in
+tests/conftest.py if the tests need it as an oracle.  The few names kept
+on purpose without a caller are listed with their reason.
+
+Every name a file under src/, tests/ or scripts/ imports must be
+referenced in that file; __future__ imports and __init__.py are exempt.
 """
 
 import ast
@@ -14,16 +20,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "eaqec").glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 KEPT_WITHOUT_CALLER = {
     "sqrtm_psd": "bench/layertrace.py wraps it and tests/test_scripts.py requires every "
                  "wrapped target to resolve (ROADMAP item 1)",
-    "group_to_json": "the JSON inverse of group_from_json",
     "is_correctable_stab": "the GF(2) verdict that bench/oracle.py and acceptance test 10 "
                            "check dense verdicts against, and stabilizer inputs are to use "
                            "(ROADMAP item 3)",
-    "logical_unitary_on_complement": "presend steering: a message unitary on the kept qubits",
-    "apply_on_kept": "presend steering: applies such a unitary to a full state",
 }
 
 
@@ -65,3 +69,43 @@ def test_every_public_name_has_a_caller():
 def test_kept_names_are_still_uncalled():
     # an exception whose name gained a caller, or vanished, is stale
     assert sorted(name.split(".")[1] for name in _uncalled()) == sorted(KEPT_WITHOUT_CALLER)
+
+
+def _attributes(trees) -> set[str]:
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def _unread_members() -> list[str]:
+    trees = {path: ast.parse(path.read_text()) for path in MODULES + SCRIPTS}
+    read = _attributes(trees.values())
+    return [f"{path.stem}.{cls.name}.{member.name}"
+            for path in MODULES for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+            and member.name not in read]
+
+
+def test_every_public_member_is_read():
+    assert _unread_members() == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # import a.b binds a; import a as b and from m import a as b bind b
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    out.append(f"{path.relative_to(ROOT)}: {bound}")
+    return out
+
+
+def test_every_import_is_used():
+    files = [p for p in MODULES + TESTS + SCRIPTS if p.name != "__init__.py"]
+    assert [name for path in files for name in _unused_imports(path)] == []
