@@ -290,11 +290,12 @@ def code_to_json(code: QuantumCode) -> dict:
 
 def code_from_json(data: dict) -> QuantumCode:
     try:
-        n = int(data["n"])
-        k_dim = int(data["k_dim"])
-        rows = data["basis"]
+        n, k_dim, rows = data["n"], data["k_dim"], data["basis"]
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed code JSON: {exc}") from exc
+    if type(n) is not int or type(k_dim) is not int or not isinstance(rows, list) \
+            or not all(isinstance(r, list) for r in rows):
+        raise ContractError("malformed code JSON: needs int n and k_dim and a list of basis rows")
     if len(rows) != k_dim:
         raise ContractError(f"k_dim={k_dim} but basis has {len(rows)} rows")
     qla.check_dim(k_dim << n)
@@ -302,14 +303,14 @@ def code_from_json(data: dict) -> QuantumCode:
     for i, entries in enumerate(rows):
         for entry in entries:
             try:
-                bits, re, im = entry["bits"], entry["re"], entry["im"]
+                bits, re, im = entry["bits"], float(entry["re"]), float(entry["im"])
             except (KeyError, TypeError) as exc:
                 raise ContractError(
                     f"malformed basis entry {entry!r} in row {i}: needs bits, re, im"
                 ) from exc
             if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise ContractError(f"bad bitstring {bits!r} for n={n}")
-            basis[i, int(bits, 2)] = float(re) + 1j * float(im)
+            basis[i, int(bits, 2)] = re + 1j * im
     return QuantumCode(n=n, basis=basis, label=str(data.get("label", "")))
 
 

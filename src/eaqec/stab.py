@@ -2,9 +2,15 @@
 
 Generators are bit-packed (one x mask and one z mask per generator) and all
 group arithmetic goes through PauliOperator.compose, so phases are never
-approximated.  Nonabelian groups are allowed; the symplectic Gram-Schmidt
-pass splits them into anticommuting pairs plus a commuting remainder, and
-ea_extend turns the pairs into plain stabilizers on appended qubits.
+approximated.  All GF(2) work (independent generators, the subgroup inside
+a qubit set, the Z-type subgroup, ranks) is one elimination on those masks.
+A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
+form on B is nondegenerate, so the Paulis on B commuting with S span
+2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
+inside S are all of them.  Nonabelian groups are allowed; the symplectic
+Gram-Schmidt pass splits them into anticommuting pairs plus a commuting
+remainder, and ea_extend turns the pairs into plain stabilizers on appended
+qubits.
 """
 
 from __future__ import annotations
@@ -19,65 +25,58 @@ from .codes import PauliOperator, QuantumCode
 from .errors import ConsistencyError, ContractError, InvalidStabilizerError
 
 
-# ---------------------------------------------------------------- GF(2) kit
+# ------------------------------------------------------------ GF(2) rows
 
-def pauli_to_gf2(p: PauliOperator) -> np.ndarray:
-    """Row vector [x_1..x_n | z_1..z_n] over GF(2), qubit 1 first."""
-    n = p.n
-    out = np.zeros(2 * n, dtype=np.uint8)
-    for q in range(1, n + 1):
-        bit = 1 << (n - q)
-        out[q - 1] = 1 if p.x_bits & bit else 0
-        out[n + q - 1] = 1 if p.z_bits & bit else 0
-    return out
+def _row(p: PauliOperator) -> int:
+    """GF(2) row [x_1..x_n | z_1..z_n] as one int, qubit 1's x bit on top."""
+    return (p.x_bits << p.n) | p.z_bits
 
 
-def gf2_row_reduce(a: np.ndarray):
-    """Row echelon form; returns (reduced copy, pivot column list)."""
-    a = (a.copy() % 2).astype(np.uint8)
-    pivots, r = [], 0
-    for c in range(a.shape[1]):
-        if r == a.shape[0]:
-            break
-        hits = np.flatnonzero(a[r:, c])
-        if hits.size == 0:
+def _support_mask(n: int, subset) -> int:
+    """Row bits (x and z) of the given qubits, each label checked."""
+    m = 0
+    for q in subset:
+        if not 1 <= q <= n:
+            raise ContractError(f"qubit label {q} outside 1..{n}")
+        m |= 1 << (n - q)
+    return (m << n) | m
+
+
+def _eliminate(ops, mask: int):
+    """Gaussian elimination over GF(2) on the rows of `ops` restricted to `mask`.
+
+    Keeps a fully reduced echelon of operator products in append order, each
+    pivoting on the top set bit of its masked row.  Returns {index: product}
+    for every op whose masked row depends on the ops before it: that op
+    times the echelon products that cancel it, so the product's row vanishes
+    on `mask`.  For commuting Hermitian ops the
+    products do not depend on the order of composition.
+    """
+    echelon = []  # (pivot bit, masked row, product with exactly that masked row)
+    residues = {}
+    for i, g in enumerate(ops):
+        v, op = _row(g) & mask, g
+        for pivot, row, e in echelon:
+            if v & pivot:
+                v ^= row
+                op = e.adjoint().compose(op)
+        if not v:
+            residues[i] = op
             continue
-        pr = r + int(hits[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        for i in range(a.shape[0]):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        top = 1 << (v.bit_length() - 1)
+        # keep reduced rows fully reduced against each other
+        for k, (pivot, row, e) in enumerate(echelon):
+            if row & top:
+                echelon[k] = (pivot, row ^ v, op.adjoint().compose(e))
+        echelon.append((top, v, op))
+    return residues
 
 
-def gf2_rank(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    return len(gf2_row_reduce(a)[1])
-
-
-def gf2_nullspace(a: np.ndarray) -> np.ndarray:
-    """Basis rows for {v : a @ v = 0 mod 2}."""
-    m = a.shape[1]
-    red, pivots = gf2_row_reduce(a)
-    free = [c for c in range(m) if c not in pivots]
-    basis = np.zeros((len(free), m), dtype=np.uint8)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, pc in enumerate(pivots):
-            if red[r, f]:
-                basis[k, pc] = 1
-    return basis
+def _rank(ops, mask: int) -> int:
+    return len(ops) - len(_eliminate(ops, mask))
 
 
 # ------------------------------------------------------------------- groups
-
-def _identity(n: int) -> PauliOperator:
-    return PauliOperator(n, 0, 0, 0)
-
 
 def _canonicalize(paulis, n):
     """Drop GF(2)-redundant generators, verifying every dependency is +I.
@@ -85,35 +84,22 @@ def _canonicalize(paulis, n):
     Keeps the surviving generators in input order.  Dependencies are
     evaluated in pivot order; for commuting generators the outcome is
     order-free.  A generator squaring to -I, or a dependency composing to
-    anything but +I, is rejected.
+    anything but +I, is rejected at the first generator that shows it.
     """
-    kept = []
-    echelon = []  # (pivot column, gf2 row, operator with exactly that row)
-    for g in paulis:
+    bad = next((i for i, g in enumerate(paulis) if g.n != n or not g.is_hermitian()),
+               len(paulis))
+    residues = _eliminate(paulis[:bad], -1)  # every bit
+    for op in residues.values():
+        if op.phase_exp != 0:
+            phase, _ = op.to_string()
+            raise InvalidStabilizerError(
+                f"generators are dependent with inconsistent phase ({phase}I in group)")
+    if bad < len(paulis):
+        g = paulis[bad]
         if g.n != n:
             raise ContractError(f"generator {g} acts on {g.n} qubits, group has {n}")
-        if not g.is_hermitian():
-            raise InvalidStabilizerError(f"generator {g} squares to -I")
-        v = pauli_to_gf2(g)
-        op = g
-        for pcol, evec, eop in echelon:
-            if v[pcol]:
-                v = v ^ evec
-                op = eop.adjoint().compose(op)
-        if v.any():
-            pivot = int(np.flatnonzero(v)[0])
-            # keep reduced rows fully reduced against each other
-            for k, (pcol, evec, eop) in enumerate(echelon):
-                if evec[pivot]:
-                    echelon[k] = (pcol, evec ^ v, op.adjoint().compose(eop))
-            echelon.append((pivot, v, op))
-            kept.append(g)
-        else:
-            if op.phase_exp != 0:
-                phase, _ = op.to_string()
-                raise InvalidStabilizerError(
-                    f"generators are dependent with inconsistent phase ({phase}I in group)")
-    return tuple(kept)
+        raise InvalidStabilizerError(f"generator {g} squares to -I")
+    return tuple(g for i, g in enumerate(paulis) if i not in residues)
 
 
 @dataclass(frozen=True)
@@ -151,19 +137,16 @@ class StabilizerGroup:
         gens = self.generators
         return all(a.commutes_with(b) for a, b in itertools.combinations(gens, 2))
 
-    def gf2_matrix(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, 2 * self.n), dtype=np.uint8)
-        return np.array([pauli_to_gf2(g) for g in self.generators], dtype=np.uint8)
-
 
 def group_from_json(data: dict) -> StabilizerGroup:
     try:
-        n = int(data["n"])
-        gens = list(data["generators"])
+        n, gens, phases = data["n"], data["generators"], data.get("phases")
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed stabilizer JSON: {exc}") from exc
-    phases = data.get("phases")
+    shapes = (type(n) is int, isinstance(gens, list), isinstance(phases, (list, type(None))))
+    if not all(shapes) or not all(isinstance(s, str) for s in gens + (phases or [])):
+        raise ContractError("malformed stabilizer JSON: needs int n, a list of generator strings "
+                            "and optionally a list of phase strings")
     for s in gens:
         if len(s) != n:
             raise ContractError(f"generator {s!r} has length {len(s)}, expected {n}")
@@ -227,10 +210,7 @@ def _check_form(form: SymplecticForm, group: StabilizerGroup) -> None:
             same_pair = (i // 2 == j // 2) and i < 2 * form.c and j < 2 * form.c
             if same_pair == a.commutes_with(b):
                 raise ConsistencyError("pairing violates the symplectic form")
-    before = group.gf2_matrix()
-    after = np.array([pauli_to_gf2(g) for g in flat], dtype=np.uint8) if flat else \
-        np.zeros((0, 2 * group.n), dtype=np.uint8)
-    if gf2_rank(before) != gf2_rank(np.vstack([before, after]) if flat else before):
+    if _rank(group.generators, -1) != _rank(group.generators + tuple(flat), -1):
         raise ConsistencyError("pairing changed the generated group")
     if len(flat) != group.num_generators:
         raise ConsistencyError("pairing lost generators")
@@ -278,7 +258,8 @@ def _projector_diagonal(group: StabilizerGroup) -> np.ndarray:
     n, r = group.n, group.num_generators
     ones = np.ones(1 << n)
     diag = np.full(1 << n, 2.0 ** -r)
-    for h in _vanishing_products(group, range(n)):
+    z_type = _eliminate(group.generators, ((1 << n) - 1) << n)  # rows vanishing on x
+    for h in z_type.values():
         diag *= 1 + h.apply(ones).real
     return diag
 
@@ -325,71 +306,29 @@ def codewords(group: StabilizerGroup, label: str = "") -> QuantumCode:
     return QuantumCode(n, basis, label=label)
 
 
-def _outside_columns(n: int, subset) -> list[int]:
-    inside = set(subset)
-    outside = [q for q in range(1, n + 1) if q not in inside]
-    return [q - 1 for q in outside] + [n + q - 1 for q in outside]
-
-
-def _vanishing_products(group: StabilizerGroup, cols) -> list[PauliOperator]:
-    """Independent generator products whose GF(2) rows vanish on `cols`.
-
-    One product per nullspace basis vector of the restricted generator
-    matrix, composed in ascending generator order (order-free when the
-    group is abelian).
-    """
-    coeffs = gf2_nullspace(group.gf2_matrix()[:, list(cols)].T)
-    gens = []
-    for alpha in coeffs:
-        prod = _identity(group.n)
-        for i in np.flatnonzero(alpha):
-            prod = prod.compose(group.generators[int(i)])
-        gens.append(prod)
-    return gens
-
-
 def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
     """Subgroup of elements supported entirely inside the given qubit set.
 
-    Solved over GF(2): coefficient vectors whose combination vanishes on the
-    complement's columns.  Products are composed in ascending generator
-    order (order-free when the group is abelian).
+    Eliminates the generators on the row bits outside the set: each
+    dependent generator, times the products that cancel it there, is one
+    generator of the subgroup (order-free when the group is abelian).
     """
-    subset = tuple(subset)
-    for q in subset:
-        if not 1 <= q <= group.n:
-            raise ContractError(f"qubit label {q} outside 1..{group.n}")
-    if not group.generators:
-        return StabilizerGroup(n=group.n, generators=())
-    cols = _outside_columns(group.n, subset)
-    if not cols:
-        return group
-    return StabilizerGroup.from_generators(_vanishing_products(group, cols), n=group.n)
-
-
-def _normalizer_basis(group: StabilizerGroup) -> np.ndarray:
-    """GF(2) basis of the commutant of the group (phases ignored)."""
-    a = group.gf2_matrix()
-    n = group.n
-    if a.shape[0] == 0:
-        return np.eye(2 * n, dtype=np.uint8)
-    swapped = np.hstack([a[:, n:], a[:, :n]])  # symplectic form pairs x with z
-    return gf2_nullspace(swapped)
+    outside = ~_support_mask(group.n, subset)
+    residues = _eliminate(group.generators, outside)
+    return StabilizerGroup.from_generators(residues.values(), n=group.n)
 
 
 def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     """Erasure correctability of the qubit set, decided purely over GF(2).
 
-    The set is correctable exactly when every commutant element supported
-    inside it is (up to phase) a stabilizer, i.e. the two supported-inside
-    subspaces have equal dimension.
+    The set B is correctable exactly when every Pauli on B that commutes
+    with the group is (up to phase) in it.  The symplectic form on B is
+    nondegenerate, so the Paulis on B commuting with S form a space of
+    dimension 2b - rank(S|_B); those lying in S form the space of
+    subgroup_on, of dimension s(B), inside the first when S is abelian.
+    So B is correctable iff rank(S|_B) + s(B) = 2b.
     """
     subset = tuple(subset)
     s_dim = subgroup_on(group, subset).num_generators
-    nbasis = _normalizer_basis(group)
-    cols = _outside_columns(group.n, subset)
-    if not cols or nbasis.shape[0] == 0:
-        n_dim = nbasis.shape[0]
-    else:
-        n_dim = gf2_nullspace(nbasis[:, cols].T).shape[0]
-    return n_dim == s_dim
+    inside = _support_mask(group.n, subset)
+    return _rank(group.generators, inside) + s_dim == inside.bit_count()

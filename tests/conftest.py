@@ -299,3 +299,93 @@ def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
                   kept_operator: np.ndarray) -> np.ndarray:
     """Apply an operator on the kept factor to a full state, original qubit order."""
     return qla.unsplit(kept_operator @ qla.bipartite_matrix(state, split), split)
+
+
+# The uint8 GF(2) matrix kit that stab used before its one elimination on
+# the Pauli bit masks, kept unchanged, and the normaliser-count verdict and
+# nullspace subgroup built on it: the reference for stab's GF(2) results.
+
+def pauli_to_gf2(p: PauliOperator) -> np.ndarray:
+    """Row vector [x_1..x_n | z_1..z_n] over GF(2), qubit 1 first."""
+    n = p.n
+    out = np.zeros(2 * n, dtype=np.uint8)
+    for q in range(1, n + 1):
+        bit = 1 << (n - q)
+        out[q - 1] = 1 if p.x_bits & bit else 0
+        out[n + q - 1] = 1 if p.z_bits & bit else 0
+    return out
+
+
+def gf2_row_reduce(a: np.ndarray):
+    """Row echelon form; returns (reduced copy, pivot column list)."""
+    a = (a.copy() % 2).astype(np.uint8)
+    pivots, r = [], 0
+    for c in range(a.shape[1]):
+        if r == a.shape[0]:
+            break
+        hits = np.flatnonzero(a[r:, c])
+        if hits.size == 0:
+            continue
+        pr = r + int(hits[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        for i in range(a.shape[0]):
+            if i != r and a[i, c]:
+                a[i] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def gf2_rank(a: np.ndarray) -> int:
+    if a.size == 0:
+        return 0
+    return len(gf2_row_reduce(a)[1])
+
+
+def gf2_nullspace(a: np.ndarray) -> np.ndarray:
+    """Basis rows for {v : a @ v = 0 mod 2}."""
+    m = a.shape[1]
+    red, pivots = gf2_row_reduce(a)
+    free = [c for c in range(m) if c not in pivots]
+    basis = np.zeros((len(free), m), dtype=np.uint8)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for r, pc in enumerate(pivots):
+            if red[r, f]:
+                basis[k, pc] = 1
+    return basis
+
+
+def gf2_matrix(ops, n: int) -> np.ndarray:
+    """One pauli_to_gf2 row per operator, shape (len(ops), 2n)."""
+    return np.array([pauli_to_gf2(p) for p in ops], dtype=np.uint8).reshape(-1, 2 * n)
+
+
+def _outside_columns(n: int, subset) -> list[int]:
+    outside = [q for q in range(1, n + 1) if q not in set(subset)]
+    return [q - 1 for q in outside] + [n + q - 1 for q in outside]
+
+
+def reference_subgroup_on(group: stab.StabilizerGroup, subset) -> stab.StabilizerGroup:
+    """Elements inside the set: one product per nullspace vector of the
+    generator matrix on the complement's columns, in ascending generator order."""
+    a = gf2_matrix(group.generators, group.n)
+    gens = []
+    for alpha in gf2_nullspace(a[:, _outside_columns(group.n, subset)].T):
+        prod = PauliOperator(group.n, 0, 0)
+        for i in np.flatnonzero(alpha):
+            prod = prod.compose(group.generators[int(i)])
+        gens.append(prod)
+    return stab.StabilizerGroup.from_generators(gens, n=group.n)
+
+
+def reference_correctable(group: stab.StabilizerGroup, subset) -> bool:
+    """The set is correctable iff the commutant (the nullspace of the
+    x/z-swapped generator matrix) and the group have equally many
+    independent elements supported inside it."""
+    n = group.n
+    a = gf2_matrix(group.generators, n)
+    commutant = gf2_nullspace(np.hstack([a[:, n:], a[:, :n]]))
+    inside = gf2_nullspace(commutant[:, _outside_columns(n, subset)].T)
+    return len(inside) == reference_subgroup_on(group, subset).num_generators

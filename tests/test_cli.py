@@ -549,13 +549,32 @@ class TestInputSources:
 
     @pytest.mark.parametrize("entry", [
         {"bits": "0000", "re": 1.0}, {"re": 1.0, "im": 0.0}, "0000",
-        {"bits": 0, "re": 1.0, "im": 0.0}])
+        {"bits": 0, "re": 1.0, "im": 0.0}, {"bits": "0000", "re": [1.0], "im": 0.0}])
     def test_malformed_basis_entry(self, capsys, tmp_path, entry):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 4, "k_dim": 1, "basis": [[entry]]}))
         rc, _, err = run(capsys, "analyze", "--code", str(path), "--subset", "1")
         assert rc == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag,data", [
+        ("--stab-json", {"n": 2, "generators": [12, "ZZ"]}),
+        ("--stab-json", {"n": 2, "generators": ["XX", "ZZ"], "phases": 5}),
+        ("--stab-json", {"n": 2, "generators": "XX"}),
+        ("--stab-json", {"n": 2.9, "generators": ["XX", "ZZ"]}),
+        ("--stab-json", {"n": True, "generators": ["Z"]}),
+        ("--stab-json", {"n": 2, "generators": ["XX", "ZZ"], "phases": [[1], "+"]}),
+        ("--code", {"n": 2, "k_dim": 1, "basis": 5}),
+        ("--code", {"n": 2, "k_dim": 1, "basis": [5]}),
+        ("--code", {"n": 2.9, "k_dim": 1, "basis": [[{"bits": "00", "re": 1, "im": 0}]]}),
+        ("--code", {"n": 1, "k_dim": True, "basis": [[{"bits": "0", "re": 1, "im": 0}]]}),
+    ])
+    def test_malformed_json_shape(self, capsys, tmp_path, flag, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "analyze", flag, str(path), "--subset", "1")
+        assert rc == 1
+        assert err.startswith("error: malformed") and out == ""
 
     @pytest.mark.parametrize("second_row", ["empty", "duplicate"])
     def test_nonorthonormal_basis_refused(self, capsys, tmp_path, second_row):

@@ -21,8 +21,9 @@ from eaqec.codes import PauliOperator
 from eaqec.errors import (ContractError, InvalidStabilizerError, SizeError,
                           StructureViolationError)
 
-from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
-                      group_to_json, oracle_matrix, pauli_matrix)
+from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture, gf2_matrix,
+                      gf2_rank, group_to_json, oracle_matrix, pauli_matrix,
+                      reference_correctable, reference_subgroup_on)
 
 FIVE_GENS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 STEANE_GENS = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
@@ -59,35 +60,26 @@ class TestCommutes:
             PauliOperator.from_string("X").commutes_with(PauliOperator.from_string("XX"))
 
 
-class TestGf2Kit:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
-    def test_row_reduce_preserves_rowspace(self, seed, rows, cols):
-        rng = np.random.default_rng(seed)
-        m = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
-        red, pivots = stab.gf2_row_reduce(m)
-        assert len(pivots) == stab.gf2_rank(m)
-        # each row of either matrix lies in the other's row space
-        for row in m:
-            assert stab.gf2_rank(np.vstack([red, row])) == stab.gf2_rank(red)
-        for row in red:
-            assert stab.gf2_rank(np.vstack([m, row])) == stab.gf2_rank(m)
+class TestEliminationAgainstMatrixKit:
+    """The one mask elimination against the uint8 matrix kit it replaced."""
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
-    def test_nullspace(self, seed, rows, cols):
-        rng = np.random.default_rng(seed)
-        m = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
-        ns = stab.gf2_nullspace(m)
-        assert len(ns) == cols - stab.gf2_rank(m)
-        if len(ns):
-            prod = (np.asarray(m, dtype=np.uint8) @ np.asarray(ns).T) % 2
-            assert not prod.any()
-            assert stab.gf2_rank(np.asarray(ns)) == len(ns)
+    @given(abelian_groups(max_n=8), st.data())
+    def test_verdict_and_subgroup_for_every_b(self, g, data):
+        for b in range(g.n + 1):
+            subset = tuple(sorted(data.draw(st.permutations(range(1, g.n + 1)))[:b]))
+            assert stab.is_correctable_stab(g, subset) == reference_correctable(g, subset)
+            assert [str(p) for p in stab.subgroup_on(g, subset).generators] == \
+                [str(p) for p in reference_subgroup_on(g, subset).generators]
 
-    def test_pauli_to_gf2_layout(self):
-        p = PauliOperator.from_string("XZY")
-        row = stab.pauli_to_gf2(p)
-        # x part: qubits 1,3; z part: qubits 2,3
-        assert list(row) == [1, 0, 1, 0, 1, 1]
+    @given(st.integers(1, 8), st.data())
+    def test_rank_under_mask(self, n, data):
+        masks = st.integers(0, (1 << n) - 1)
+        pairs = data.draw(st.lists(st.tuples(masks, masks), max_size=2 * n + 2))
+        mask = data.draw(st.integers(0, (1 << 2 * n) - 1))
+        ops = [PauliOperator(n, x, z) for x, z in pairs]
+        # row bit 2n-1-c holds column c of the [x_1..x_n | z_1..z_n] layout
+        cols = [c for c in range(2 * n) if mask >> (2 * n - 1 - c) & 1]
+        assert stab._rank(ops, mask) == gf2_rank(gf2_matrix(ops, n)[:, cols])
 
 
 class TestCanonicalization:
@@ -110,6 +102,14 @@ class TestCanonicalization:
         with pytest.raises(InvalidStabilizerError):
             stab.StabilizerGroup.from_strings(FIVE_GENS + ("XYIYX",),
                                               phases=["+"] * 4 + ["-"])
+
+    def test_dependencies_follow_pivot_order(self):
+        # -YZ is -I times the first generator, but the pivot-order elimination
+        # cancels it through products that carry the anticommuting XX and IX
+        # and meets +I there; an order-free elimination rejects the list
+        g = stab.StabilizerGroup.from_strings(("YZ", "YZ", "XX", "IX", "YZ"),
+                                              phases=["+", "+", "-", "+", "-"])
+        assert [str(p) for p in g.generators] == ["YZ", "-XX", "IX"]
 
     def test_nonhermitian_generator_rejected(self):
         with pytest.raises(InvalidStabilizerError):

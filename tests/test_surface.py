@@ -1,6 +1,7 @@
-"""Every public name in src/eaqec has a caller, and every import is used.
+"""Every top-level name in src/eaqec has a caller, and every import is used.
 
-A top-level function or class counts as used when code other than its own
+A top-level function, class or module constant, public or private (dunders
+such as __version__ exempt), counts as used when code other than its own
 definition refers to it by name, attribute or import: another module of
 the package, the rest of its own module, or a script under scripts/.  A
 public method or property of a class counts as used when some attribute
@@ -53,11 +54,23 @@ def _uncalled() -> list[str]:
     for path in MODULES:
         body = trees[path].body
         for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name not in elsewhere[path] | _referenced(n for n in body if n is not node):
-                out.append(f"{path.stem}.{node.name}")
+            for name in _defined(node):
+                if name not in elsewhere[path] | _referenced(n for n in body if n is not node):
+                    out.append(f"{path.stem}.{name}")
     return out
+
+
+def _defined(node) -> list[str]:
+    """Names a top-level statement defines: a function, a class or module
+    constants; dunders such as __version__ are exempt."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
 def test_every_public_name_has_a_caller():
