@@ -2,11 +2,14 @@
 
 A Pauli is stored as i^phase_exp * X^x Z^z with bit-packed x and z masks.
 Bit (n - q) of a mask belongs to qubit q, so masks read like the qubit
-string itself when printed in binary (qubit 1 leftmost).
+string itself when printed in binary (qubit 1 leftmost).  apply_paulis is
+the one action of Paulis on states: any number of Paulis on a state or a
+stack of states, one gather through a cached index table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,10 +74,6 @@ class PauliOperator:
         phase, letters = self.to_string()
         return letters if phase == "+" else f"{phase}{letters}"
 
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.phase_exp
-
     def is_hermitian(self) -> bool:
         # i^a X^x Z^z is Hermitian iff a and |x & z| have the same parity
         return (self.phase_exp - (self.x_bits & self.z_bits).bit_count()) % 2 == 0
@@ -100,15 +99,49 @@ class PauliOperator:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Apply to a state vector or to each column of a (2^n, k) array."""
-        dim = 1 << self.n
-        state = np.asarray(state, dtype=complex)
-        if state.shape[0] != dim:
-            raise ContractError(f"state has leading dim {state.shape[0]}, expected {dim}")
-        idx = np.arange(dim, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(self.z_bits)) & 1)
-        out = np.empty_like(state)
-        out[idx ^ np.uint64(self.x_bits)] = self.phase * (signs.reshape(-1, *([1] * (state.ndim - 1))) * state)
-        return out
+        return apply_paulis((self,), state)[:, 0]
+
+
+@functools.cache
+def _register_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis-state labels g = 0 .. 2^n - 1 and the sign (-1)^|g| of
+    each, both read-only."""
+    index = np.arange(1 << n)
+    sign = 1.0 - 2.0 * (np.bitwise_count(index) & 1)
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def apply_paulis(paulis, states: np.ndarray) -> np.ndarray:
+    """Every Pauli applied to a state vector or to each column of a (2^n, k) array.
+
+    Returns the results stacked on axis 1, shape (2^n, E, ...) for E Paulis:
+    out[g, e] = i^p_e (-1)^|(g ^ x_e) & z_e| states[g ^ x_e] for the e-th
+    Pauli i^p_e X^x_e Z^z_e.  This is one gather through the register's
+    index table, times a factor read off its sign table; the factor stays
+    real unless some phase is i or -i.  Every Pauli must act on the n
+    qubits that the leading dimension holds.
+    """
+    paulis = tuple(paulis)
+    states = np.asarray(states, dtype=complex)
+    dim = states.shape[0] if states.ndim else 0
+    n = max(dim.bit_length() - 1, 0)
+    if dim != 1 << n or any(p.n != n for p in paulis):
+        raise ContractError(f"state has leading dim {dim}, expected 2^n for the "
+                            f"Paulis on {sorted({p.n for p in paulis})} qubits")
+    index, sign = _register_tables(n)
+    source = index[:, None] ^ np.array([p.x_bits for p in paulis], dtype=np.intp)
+    factor = sign[source & np.array([p.z_bits for p in paulis], dtype=np.intp)]
+    phase = [p.phase_exp for p in paulis]
+    if any(phase):                                  # i^p = (-1)^(p >> 1) i^(p & 1)
+        factor *= np.array([1 - (k & 2) for k in phase])
+    out = states[source]
+    trailing = (1,) * (states.ndim - 1)
+    halves = out.view(float).reshape(out.shape + (2,))            # real and imaginary parts
+    halves *= factor.reshape(factor.shape + trailing + (1,))       # no complex copy of factor
+    if any(k & 1 for k in phase):
+        out *= np.array([1j if k & 1 else 1 for k in phase]).reshape(-1, *trailing)
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,16 +217,18 @@ def paulis_of_weight(n: int, qubits, weight: int):
             yield PauliOperator(n, x, z)
 
 
+@functools.cache
 def pauli_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
     """Index and sign tables of the phase-free Paulis X^x Z^z on b qubits.
 
     Over local b-bit patterns, xor[x, f] = f ^ x and sign[z, f] =
     (-1)^|f & z|, so X^x Z^z |f> = sign[z, f] |xor[x, f]>.  Both tables
-    are symmetric, shape (2^b, 2^b).
+    are symmetric, shape (2^b, 2^b), built once per b and read-only.
     """
     f = np.arange(1 << b)
     xor = f[:, None] ^ f[None, :]
     sign = 1.0 - 2.0 * (np.bitwise_count(f[:, None] & f[None, :]) & 1)
+    xor.flags.writeable = sign.flags.writeable = False
     return xor, sign
 
 

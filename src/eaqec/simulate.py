@@ -5,8 +5,12 @@ matrix: diagonalize it, rotate the error set into orthogonal channels F_k,
 and take Kraus operators P F_k^dag / sqrt(d_k).  Verification only asks how
 much of each recovered state lands on a code state, so the recovery is kept
 in the code basis as the K x 2^n decoders V^dag F_k^dag / sqrt(d_k), built
-from the images E_a V; no 2^n x 2^n operator is formed.  Verification then
-drives encoded states through error + recovery and demands unit fidelity.
+from the images E_a V, which are one codes.apply_paulis call on the
+codewords; no 2^n x 2^n operator is formed.  Verification then drives
+encoded states through error + recovery and demands unit fidelity.  It
+applies the errors in batches, each one apply_paulis gather no larger than
+the decoders the recovery already holds, so one decode and one fidelity
+reduction serve a whole batch and memory stays at the recovery's level.
 Every EA strategy is verified on the register it actually transmits: the n
 code qubits, or for the compressed strategy the kept qubits plus the
 carrier qubits of the compressed share; errors act there, and one receiver
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qla, structure
-from .codes import PauliOperator, QuantumCode, moment_residuals, paulis_of_weight
+from .codes import (PauliOperator, QuantumCode, apply_paulis, moment_residuals,
+                    paulis_of_weight)
 from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, ModelMismatchError,
                      NotCorrectableError)
@@ -55,8 +60,7 @@ def kl_recovery(code: QuantumCode, errors,
     qla.check_dim(m * k * code.dim)                # the images E_a V
     qla.check_dim((m * k) ** 2)                    # and their Gram matrix
     v = code.basis.T                               # 2^n x K
-    images = np.stack([e.apply(v) for e in errors], axis=1)
-    flat = images.reshape(v.shape[0], m * k)                     # column a*K + i: E_a V e_i
+    flat = apply_paulis(errors, v).reshape(v.shape[0], m * k)    # column a*K + i: E_a V e_i
     gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
     worst = float(moment_residuals(gram.transpose(0, 2, 1, 3).reshape(m * m, k, k)).max())
     if worst > residual_tol:
@@ -123,6 +127,8 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     (fidelities below one are expected; that is the cost the compression
     trades away).  Failures are named by the error's letters on the
     transmitted register, split as kept|carrier for the compressed strategy.
+    The errors run in batches whose hit states hold no more entries than
+    the r x K x 2^n decoders.
     """
     if model not in (NOISELESS, NOISY):
         raise ContractError(f"unknown error model {model!r}")
@@ -168,14 +174,20 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
             return letters
 
     errors = list(paulis_of_weight(n_reg, sites, weight)) or [PauliOperator(n_reg, 0, 0)]
+    # batches of errors, each no larger than the decoders the recovery holds
+    per_error = max(sent.shape[0], code.dim) * len(targets)
+    batch = max(1, decoders.size // per_error)
     min_fid = 1.0
     failures: dict[str, float] = {}
-    for err in errors:
-        amps = np.einsum("rks,sk->rs", decoders @ receive(err.apply(sent)), targets.conj())
-        worst = float(np.min(np.sum(np.abs(amps) ** 2, axis=0)))
-        min_fid = min(min_fid, worst)
-        if worst < 1.0 - FIDELITY_SLACK:
-            failures[label(err.to_string()[1] or "I")] = worst
+    for start in range(0, len(errors), batch):
+        hit = apply_paulis(errors[start:start + batch], sent)        # (dim_reg, E, S)
+        got = decoders @ receive(hit.reshape(hit.shape[0], -1))      # (r, K, E*S)
+        amps = np.einsum("rkes,sk->res", got.reshape(*got.shape[:2], -1, len(targets)),
+                         targets.conj())
+        worst = np.min(np.sum(np.abs(amps) ** 2, axis=0), axis=1)    # per error
+        min_fid = min(min_fid, float(worst.min()))
+        for e in np.flatnonzero(worst < 1.0 - FIDELITY_SLACK):
+            failures[label(errors[start + e].to_string()[1] or "I")] = float(worst[e])
     return VerificationReport(
         strategy=ea.strategy, model=model, error_weight=weight,
         cases_run=len(errors) * len(targets), min_fidelity=min_fid,

@@ -10,11 +10,13 @@ form on B is nondegenerate, so the Paulis on B commuting with S span
 inside S are all of them.  Nonabelian groups are allowed; the symplectic
 Gram-Schmidt pass splits them into anticommuting pairs plus a commuting
 remainder, and ea_extend turns the pairs into plain stabilizers on appended
-qubits.
+qubits.  The codespace, the subgroup inside a set and the correctability
+verdict need an abelian group and refuse any other.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -132,10 +134,15 @@ class StabilizerGroup:
     def num_generators(self) -> int:
         return len(self.generators)
 
-    @property
+    @functools.cached_property
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a.commutes_with(b) for a, b in itertools.combinations(gens, 2))
+
+
+def _require_abelian(group: StabilizerGroup, what: str) -> None:
+    if not group.is_abelian:
+        raise ContractError(f"{what} requires an abelian group; run ea_extend first")
 
 
 def group_from_json(data: dict) -> StabilizerGroup:
@@ -274,8 +281,7 @@ def codewords(group: StabilizerGroup, label: str = "") -> QuantumCode:
     (largest remaining diagonal first, deflated in order) with the package
     gauge convention.
     """
-    if not group.is_abelian:
-        raise ContractError("codewords requires an abelian group; run ea_extend first")
+    _require_abelian(group, "codewords")
     n = group.n
     dim = 1 << n
     qla.check_dim((1 << (n - group.num_generators)) * dim)
@@ -311,8 +317,10 @@ def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
 
     Eliminates the generators on the row bits outside the set: each
     dependent generator, times the products that cancel it there, is one
-    generator of the subgroup (order-free when the group is abelian).
+    generator of the subgroup (order-free because the group must be
+    abelian; a nonabelian one is a ContractError).
     """
+    _require_abelian(group, "subgroup_on")
     outside = ~_support_mask(group.n, subset)
     residues = _eliminate(group.generators, outside)
     return StabilizerGroup.from_generators(residues.values(), n=group.n)
@@ -325,9 +333,11 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     with the group is (up to phase) in it.  The symplectic form on B is
     nondegenerate, so the Paulis on B commuting with S form a space of
     dimension 2b - rank(S|_B); those lying in S form the space of
-    subgroup_on, of dimension s(B), inside the first when S is abelian.
-    So B is correctable iff rank(S|_B) + s(B) = 2b.
+    subgroup_on, of dimension s(B), inside the first because S is abelian.
+    So B is correctable iff rank(S|_B) + s(B) = 2b.  A nonabelian group is a
+    ContractError.
     """
+    _require_abelian(group, "is_correctable_stab")
     subset = tuple(subset)
     s_dim = subgroup_on(group, subset).num_generators
     inside = _support_mask(group.n, subset)

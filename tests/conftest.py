@@ -75,9 +75,10 @@ def oracle_matrix(letters: str, phase: str = "+") -> np.ndarray:
 
 
 def pauli_matrix(p: PauliOperator) -> np.ndarray:
-    """The dense 2^n x 2^n matrix of a Pauli, built by its own apply."""
+    """The dense 2^n x 2^n matrix of a Pauli, by the kron oracle on its letters."""
     qla.check_dim(4 ** p.n)
-    return p.apply(np.eye(1 << p.n, dtype=complex))
+    phase, letters = p.to_string()
+    return oracle_matrix(letters, phase)
 
 
 def group_to_json(group: stab.StabilizerGroup) -> dict:

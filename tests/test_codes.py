@@ -129,6 +129,61 @@ class TestPauliAlgebra:
         assert np.allclose(p.apply(block), oracle_matrix("XZ") @ block, atol=1e-14)
 
 
+def random_paulis(rng: np.random.Generator, n: int, count: int) -> list[PauliOperator]:
+    """The identity, then random Paulis on n qubits with random phases."""
+    return [PauliOperator(n, 0, 0)] + [
+        PauliOperator(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                      int(rng.integers(4)))
+        for _ in range(count - 1)]
+
+
+class TestApplyPaulis:
+    """The batched action against dense matrices and against one apply each."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_matches_dense(self, n, columns):
+        rng = np.random.default_rng(n)
+        paulis = random_paulis(rng, n, 9)
+        shape = (1 << n,) if columns is None else (1 << n, columns)
+        states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = codes.apply_paulis(paulis, states)
+        assert out.shape == (1 << n, len(paulis)) + shape[1:]
+        for e, p in enumerate(paulis):
+            assert np.abs(out[:, e] - pauli_matrix(p) @ states).max() <= 1e-13
+            assert np.array_equal(out[:, e], p.apply(states))
+        assert np.array_equal(out[:, 0], states)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 2), (16,), ()])
+    def test_wrong_leading_dim(self, shape):
+        with pytest.raises(ContractError):
+            codes.apply_paulis([PauliOperator.from_string("XZZ")], np.ones(shape))
+
+    def test_mixed_registers(self):
+        with pytest.raises(ContractError):
+            codes.apply_paulis([PauliOperator.from_string("XZ"),
+                                PauliOperator.from_string("XZZ")], np.ones(4))
+
+    def test_register_tables_are_cached_and_read_only(self):
+        index, sign = codes._register_tables(4)
+        again = codes._register_tables(4)
+        assert again[0] is index and again[1] is sign
+        assert not index.flags.writeable and not sign.flags.writeable
+        assert index.tolist() == list(range(16))
+        assert sign.tolist() == [(-1) ** bin(g).count("1") for g in range(16)]
+
+
+class TestPauliTables:
+    @pytest.mark.parametrize("b", [0, 1, 3])
+    def test_cached_and_read_only(self, b):
+        xor, sign = codes.pauli_tables(b)
+        again = codes.pauli_tables(b)
+        assert again[0] is xor and again[1] is sign
+        assert not xor.flags.writeable and not sign.flags.writeable
+        with pytest.raises(ValueError):
+            xor[0, 0] = 1
+
+
 class TestDicke:
     @pytest.mark.parametrize("n,k", [(4, 0), (4, 2), (7, 3), (5, 5)])
     def test_uniform_over_supports(self, n, k):

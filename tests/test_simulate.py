@@ -466,6 +466,12 @@ class TestVerifyEaAgainstOracle:
     """The transmitted-register path against the per-state oracle loop."""
 
     @staticmethod
+    def _build(strategy, dec, code):
+        return {structure.STRUCTURE: lambda: structure.ea_from_structure(dec),
+                structure.PRESEND: lambda: structure.presend_from_decomposition(dec, code),
+                structure.COMPRESSED: lambda: structure.compress(dec)}[strategy]()
+
+    @staticmethod
     def _outcome(verify, *args, **kwargs):
         try:
             return verify(*args, **kwargs)
@@ -479,9 +485,7 @@ class TestVerifyEaAgainstOracle:
     def test_matches_oracle(self, name, subset, strategy, model):
         code = cached_fixture(name)
         dec = structure.decompose(code, subset)
-        ea = {structure.STRUCTURE: lambda: structure.ea_from_structure(dec),
-              structure.PRESEND: lambda: structure.presend_from_decomposition(dec, code),
-              structure.COMPRESSED: lambda: structure.compress(dec)}[strategy]()
+        ea = self._build(strategy, dec, code)
         exploratory = strategy == structure.COMPRESSED and model == simulate.NOISY
         for weight in range(3):
             got, want = (self._outcome(verify, ea, dec, code, model, weight,
@@ -496,6 +500,31 @@ class TestVerifyEaAgainstOracle:
             assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12
             for (_, f), (_, g) in zip(got.failures, want.failures):
                 assert abs(f - g) <= 1e-12
+
+    @pytest.mark.parametrize("name,subset,strategy,model", [
+        ("steane", (5, 6, 7), structure.COMPRESSED, simulate.NOISY),
+        ("pi_7_2_3", (6, 7), structure.STRUCTURE, simulate.NOISY),
+        ("five_qubit", (4, 5), structure.PRESEND, simulate.NOISELESS)])
+    def test_matches_oracle_over_several_batches(self, name, subset, strategy, model):
+        # E errors times K + 1 test states outnumber the r K decoder rows,
+        # so verify_ea splits the errors into more than one batch
+        code = cached_fixture(name)
+        dec = structure.decompose(code, subset)
+        ea = self._build(strategy, dec, code)
+        exploratory = strategy == structure.COMPRESSED
+        got, want = (verify(ea, dec, code, model, 1, exploratory=exploratory)
+                     for verify in (simulate.verify_ea, oracle_verify_ea))
+        allowed = dec.split.kept if model == simulate.NOISELESS else range(1, code.n + 1)
+        recovered = [PauliOperator(code.n, 0, 0)] + list(
+            codes.paulis_of_weight(code.n, allowed, 1))
+        r, k = simulate.kl_recovery(code, recovered).shape[:2]
+        assert got.cases_run > r * k
+        assert got.cases_run == want.cases_run
+        assert [p for p, _ in got.failures] == [p for p, _ in want.failures]
+        assert (len(got.failures) > 0) == exploratory
+        assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12
+        for (_, f), (_, g) in zip(got.failures, want.failures):
+            assert abs(f - g) <= 1e-12
 
 
 class TestChannelFormCheck:

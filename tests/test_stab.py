@@ -329,6 +329,19 @@ class TestSubgroupOn:
         for subset in combinations(range(1, 6), 2):
             assert stab.subgroup_on(g, subset).num_generators == 0
 
+    @pytest.mark.parametrize("check", [stab.subgroup_on, stab.is_correctable_stab])
+    def test_nonabelian_rejected(self, check):
+        # the counting identity needs S abelian; this group contains XI and ZI
+        g = stab.StabilizerGroup.from_strings(("XI", "ZI", "IZ"))
+        with pytest.raises(ContractError, match="requires an abelian group"):
+            check(g, (2,))
+
+    def test_abelian_check_is_computed_once(self):
+        g = stab.StabilizerGroup.from_strings(FIVE_GENS)
+        assert "is_abelian" not in vars(g)
+        assert stab.is_correctable_stab(g, (4, 5))
+        assert vars(g)["is_abelian"] is True
+
     def test_whole_set_returns_group(self):
         g = stab.StabilizerGroup.from_strings(FIVE_GENS)
         sub = stab.subgroup_on(g, (1, 2, 3, 4, 5))
