@@ -3,7 +3,9 @@
 Commands: analyze, decompose, verify, distance, scan, fixtures.  Codes come
 from a built-in fixture, a code JSON file, inline stabilizer strings, or a
 stabilizer JSON file; reports go to stdout (or --output) as text or as one
-compact JSON object on one line.
+compact JSON object on one line.  A stabilizer input keeps its group: its
+distance is found over GF(2), and its codewords are built only by the
+commands that read them.
 
 Exit codes: 0 ok, 1 input error, 2 not correctable, 3 structure violation
 (also used for a failed verification), 4 model mismatch.  Qubit indices are
@@ -35,7 +37,8 @@ def _tolerances(args) -> tuple[float, float]:
     return rank, residual
 
 
-def _load_code(args) -> codes.QuantumCode:
+def _load_source(args) -> codes.QuantumCode | stab.StabilizerGroup:
+    """The input code: an explicit basis, or a stabilizer group made abelian."""
     sources = [("--fixture", args.fixture), ("--code", args.code),
                ("--stabilizers", args.stabilizers), ("--stab-json", args.stab_json)]
     given = [(name, val) for name, val in sources if val is not None]
@@ -62,7 +65,23 @@ def _load_code(args) -> codes.QuantumCode:
     if not group.is_abelian:
         # one fresh qubit per anticommuting pair, appended after qubit n
         group = stab.ea_extend(stab.symplectic_gram_schmidt(group))
-    return stab.codewords(group)
+    return group
+
+
+def _as_code(source) -> codes.QuantumCode:
+    """The source's codeword basis, built from the group for stabilizer inputs."""
+    return stab.codewords(source) if isinstance(source, stab.StabilizerGroup) else source
+
+
+def _load_code(args) -> codes.QuantumCode:
+    return _as_code(_load_source(args))
+
+
+def _min_distance(source, max_weight, residual_tol) -> int | None:
+    """The GF(2) search for a stabilizer group, the dense moment scan for a basis."""
+    if isinstance(source, stab.StabilizerGroup):
+        return stab.min_distance(source, max_weight)
+    return codes.min_distance(source, max_weight=max_weight, residual_tol=residual_tol)
 
 
 def _parse_subset(text: str, n: int) -> tuple[int, ...]:
@@ -139,15 +158,15 @@ def cmd_analyze(args) -> int:
     return 0 if report.correctable else 2
 
 
-def _distance_for(code, args, residual_tol) -> int:
+def _distance_for(source, args, residual_tol) -> int:
     if args.distance is not None:
         d = int(args.distance)
         if d < 1:
             raise ContractError("distance must be >= 1")
-        if d > code.n:
-            raise ContractError(f"distance {d} outside 1..{code.n}")
+        if d > source.n:
+            raise ContractError(f"distance {d} outside 1..{source.n}")
         return d
-    d = codes.min_distance(code, residual_tol=residual_tol)
+    d = _min_distance(source, None, residual_tol)
     if d is None:
         raise ContractError("could not determine the distance; pass --distance")
     return d
@@ -163,12 +182,13 @@ def _ea_line(label: str, dec: structure.StructureDecomposition,
 
 def cmd_decompose(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
-    code = _load_code(args)
+    source = _load_source(args)
+    code = _as_code(source)
     subset = _parse_subset(args.subset, code.n)
     analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
-    d = _distance_for(code, args, residual_tol)
+    d = _distance_for(source, args, residual_tol)
     ea_pre = structure.presend_from_decomposition(dec, code)
     ea_unc = structure.ea_from_structure(dec)
     ea_cmp = structure.compress(dec)
@@ -247,11 +267,10 @@ def cmd_verify(args) -> int:
 
 def cmd_distance(args) -> int:
     _, residual_tol = _tolerances(args)
-    code = _load_code(args)
-    d = codes.min_distance(code, max_weight=args.max_weight,
-                           residual_tol=residual_tol)
+    source = _load_source(args)
+    d = _min_distance(source, args.max_weight, residual_tol)
     if d is None:
-        bound = (code.n if args.max_weight is None else args.max_weight) + 1
+        bound = (source.n if args.max_weight is None else args.max_weight) + 1
         text = f">= {bound}"
         payload = {"distance": None, "lower_bound": bound, "exact": False}
     else:

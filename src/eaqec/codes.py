@@ -285,8 +285,9 @@ def moment_residuals(moments: np.ndarray) -> np.ndarray:
 
 def min_distance(code: QuantumCode, max_weight: int | None = None,
                  residual_tol: float = RESIDUAL_TOL) -> int | None:
-    """Smallest weight of a Pauli the code fails to detect.
+    """Smallest weight of a Pauli the code fails to detect, for an explicit basis.
 
+    (A stabilizer group's distance is stab.min_distance, exact over GF(2).)
     A Pauli E is detected when P E P is proportional to the codespace
     projector P (see moment_residuals).  Scans weights 1..max_weight
     (default n) exhaustively, one pauli_moments call per weight-w support

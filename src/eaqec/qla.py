@@ -192,11 +192,13 @@ def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(w > tol * top))
 
 
-def is_isometry(m: CMatrix) -> bool:
-    m = np.asarray(m)
-    gram = m.conj().T @ m
-    bound = UNITARITY_TOL * max(1.0, m.shape[1] ** 0.5)
-    return bool(np.linalg.norm(gram - np.eye(m.shape[1])) <= bound)
+def is_orthonormal(gram: CMatrix) -> bool:
+    """Whether the Gram matrix M^dag M of some M shows M's columns orthonormal:
+    its distance to the identity is within UNITARITY_TOL sqrt(columns)."""
+    gram = np.asarray(gram)
+    dim = gram.shape[0]
+    bound = UNITARITY_TOL * max(1.0, dim ** 0.5)
+    return bool(np.linalg.norm(gram - np.eye(dim)) <= bound)
 
 
 def to_re_im(a) -> list:

@@ -70,10 +70,14 @@ def kl_recovery(code: QuantumCode, errors,
     lam = np.einsum("aibi->ab", gram) / k
     vals, vecs = qla.eig_hermitian(lam)          # descending: keep the first r
     r = qla.numerical_rank(vals, rank_tol)
-    # column k*K + i of the product is F_k V e_i / sqrt(d_k)
-    rows = (flat @ np.kron(vecs[:, :r] / np.sqrt(vals[:r]), np.eye(k))).conj().T
-    if not qla.is_isometry(rows.T):
+    w = np.kron(vecs[:, :r] / np.sqrt(vals[:r]), np.eye(k))
+    # the decoders' Gram matrix D D^dag = W^dag (flat^dag flat) W, read off gram
+    if not qla.is_orthonormal(w.conj().T @ gram.reshape(m * k, m * k) @ w):
         raise ConsistencyError("recovery decoders are not orthonormal")
+    # column k*K + i of flat W is F_k V e_i / sqrt(d_k); conjugated in place,
+    # its transpose is the only decoder-sized array and reshapes as a view
+    rows = (flat @ w).T
+    np.conjugate(rows, out=rows)
     return rows.reshape(-1, k, v.shape[0])
 
 

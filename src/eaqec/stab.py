@@ -2,16 +2,18 @@
 
 Generators are bit-packed (one x mask and one z mask per generator) and all
 group arithmetic goes through PauliOperator.compose, so phases are never
-approximated.  All GF(2) work (independent generators, the subgroup inside
-a qubit set, the Z-type subgroup, ranks) is one elimination on those masks.
+approximated.  The GF(2) work that needs group elements (independent
+generators, the subgroup inside a qubit set, the Z-type subgroup) is one
+elimination on those masks; ranks only count pivots of the masked rows.
 A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
-inside S are all of them.  Nonabelian groups are allowed; the symplectic
+inside S are all of them.  The distance is the first size with a set that
+is not correctable.  Nonabelian groups are allowed; the symplectic
 Gram-Schmidt pass splits them into anticommuting pairs plus a commuting
 remainder, and ea_extend turns the pairs into plain stabilizers on appended
-qubits.  The codespace, the subgroup inside a set and the correctability
-verdict need an abelian group and refuse any other.
+qubits.  The codespace, the subgroup inside a set, the correctability
+verdict and the distance need an abelian group and refuse any other.
 """
 
 from __future__ import annotations
@@ -75,7 +77,22 @@ def _eliminate(ops, mask: int):
 
 
 def _rank(ops, mask: int) -> int:
-    return len(ops) - len(_eliminate(ops, mask))
+    """GF(2) rank of the rows of `ops` restricted to `mask`.
+
+    Each masked row is reduced by the kept pivot rows, looked up by its top
+    set bit, until it vanishes or shows a new top bit and is kept; no
+    operator is composed.
+    """
+    pivots = {}  # top bit length -> reduced row with that top bit
+    for g in ops:
+        v = _row(g) & mask
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 # ------------------------------------------------------------------- groups
@@ -179,22 +196,31 @@ class SymplecticForm:
         return len(self.isotropic)
 
 
+def _hermitian(p: PauliOperator) -> PauliOperator:
+    """p, or i p if p is anti-Hermitian."""
+    return p if p.is_hermitian() else PauliOperator(p.n, p.x_bits, p.z_bits, p.phase_exp + 1)
+
+
 def symplectic_gram_schmidt(group: StabilizerGroup) -> SymplecticForm:
     """Split generators into hyperbolic pairs and an isotropic remainder.
 
     Scans in input order; the first anticommuting partner of the current
     generator completes its pair, and every later generator is multiplied
-    into commutation with that pair.  Deterministic for a fixed input.
+    into commutation with that pair.  A generator that anticommutes with
+    both members of a pair comes out of that step as an anti-Hermitian
+    product; it takes a factor i when it leaves the work list, a sign
+    choice that the nonabelian input leaves free.  Deterministic for a
+    fixed input.
     """
     work = [g for g in group.generators if g.x_bits | g.z_bits]
     pairs, isotropic = [], []
     while work:
-        e = work.pop(0)
+        e = _hermitian(work.pop(0))
         partner = next((i for i, h in enumerate(work) if not e.commutes_with(h)), None)
         if partner is None:
             isotropic.append(e)
             continue
-        p = work.pop(partner)
+        p = _hermitian(work.pop(partner))
         fixed = []
         for h in work:
             if not h.commutes_with(e):
@@ -333,12 +359,38 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     with the group is (up to phase) in it.  The symplectic form on B is
     nondegenerate, so the Paulis on B commuting with S form a space of
     dimension 2b - rank(S|_B); those lying in S form the space of
-    subgroup_on, of dimension s(B), inside the first because S is abelian.
-    So B is correctable iff rank(S|_B) + s(B) = 2b.  A nonabelian group is a
-    ContractError.
+    subgroup_on, of dimension s(B) = r - rank(S|_out) with "out" the qubits
+    outside B, inside the first because S is abelian.  So B is correctable
+    iff rank(S|_B) + r - rank(S|_out) = 2b: two ranks of the masked rows.
+    A nonabelian group is a ContractError.
     """
     _require_abelian(group, "is_correctable_stab")
-    subset = tuple(subset)
-    s_dim = subgroup_on(group, subset).num_generators
     inside = _support_mask(group.n, subset)
-    return _rank(group.generators, inside) + s_dim == inside.bit_count()
+    gens = group.generators
+    s_dim = len(gens) - _rank(gens, ~inside)
+    return _rank(gens, inside) + s_dim == inside.bit_count()
+
+
+def min_distance(group: StabilizerGroup, max_weight: int | None = None) -> int | None:
+    """Code distance of an abelian group's codespace, found over GF(2).
+
+    A Pauli goes undetected iff it commutes with S without lying in it, so
+    the distance is the smallest b for which some b-set is not correctable
+    (is_correctable_stab); sizes 1..max_weight (default n) are scanned, the
+    sets of each in itertools.combinations order.  Returns None when every scanned size
+    is correctable, and without scanning when r = n (K = 1 detects every
+    Pauli), as codes.min_distance does on the codewords.  A negative
+    max_weight or a nonabelian group is a ContractError.
+    """
+    if max_weight is not None and max_weight < 0:
+        raise ContractError(f"max_weight must be nonnegative, got {max_weight}")
+    _require_abelian(group, "min_distance")
+    n = group.n
+    if group.num_generators == n:
+        return None
+    limit = n if max_weight is None else min(max_weight, n)
+    for b in range(1, limit + 1):
+        for subset in itertools.combinations(range(1, n + 1), b):
+            if not is_correctable_stab(group, subset):
+                return b
+    return None

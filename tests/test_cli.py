@@ -23,17 +23,17 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def shor16_generators() -> str:
-    """Generalized Shor [[16,1,4]] on a 4 x 4 grid: ZZ on neighbours in
-    each row, X on all eight qubits of each pair of adjacent rows."""
+def shor_grid_generators(m: int) -> str:
+    """Generalized Shor [[m^2,1,m]] on an m x m grid: ZZ on neighbours in
+    each row, X on all 2m qubits of each pair of adjacent rows."""
     gens = []
-    for row in range(4):
-        for col in range(3):
-            letters = ["I"] * 16
-            letters[4 * row + col] = letters[4 * row + col + 1] = "Z"
+    for row in range(m):
+        for col in range(m - 1):
+            letters = ["I"] * (m * m)
+            letters[m * row + col] = letters[m * row + col + 1] = "Z"
             gens.append("".join(letters))
-    for row in range(3):
-        gens.append("I" * (4 * row) + "X" * 8 + "I" * (4 * (2 - row)))
+    for row in range(m - 1):
+        gens.append("I" * (m * row) + "X" * (2 * m) + "I" * (m * (m - 2 - row)))
     return ",".join(gens)
 
 
@@ -186,6 +186,17 @@ class TestDecompose:
         assert data["ea"]["compressed"]["model_validity"] == "noiseless_only"
         assert data["ea"]["presend"]["sender_dim"] == 8
         assert data["distance"] == 3
+
+    def test_stabilizer_distance_from_the_group(self, capsys, monkeypatch):
+        # a stabilizer input's distance is the GF(2) search, not the dense scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense distance search called")
+        monkeypatch.setattr(codes, "min_distance", refuse)
+        rc, out, err = run(capsys, "decompose", "--stabilizers",
+                           "XZZXI,IXZZX,XIXZZ,ZXIXZ", "--subset", "4,5")
+        assert rc == 0, err
+        assert "distance: 3" in out
+        assert "[[3,1,3;2]]" in out
 
     def test_distance_override(self, capsys):
         rc, out, _ = run(capsys, "decompose", "--fixture", "five_qubit",
@@ -347,12 +358,23 @@ class TestDistance:
         data = json.loads(out)
         assert data == {"distance": None, "lower_bound": 3, "exact": False}
 
+    @pytest.mark.parametrize("max_weight,text", [(None, "5"), ("4", ">= 5")])
+    def test_generalized_shor_25_without_codewords(self, capsys, monkeypatch,
+                                                   max_weight, text):
+        # K 2^n = 2^26 is over the dense cap; the GF(2) search needs no codewords
+        def refuse(*args, **kwargs):
+            raise AssertionError("codewords built")
+        monkeypatch.setattr(stab, "codewords", refuse)
+        extra = [] if max_weight is None else ["--max-weight", max_weight]
+        rc, out, err = run(capsys, "distance", "--stabilizers", shor_grid_generators(5), *extra)
+        assert rc == 0, err
+        assert out.strip() == text
 
     def test_negative_max_weight_rejected(self, capsys):
-        rc, out, err = run(capsys, "distance", "--fixture", "five_qubit",
-                           "--max-weight", "-1")
-        assert rc == 1 and out == ""
-        assert "max_weight" in err
+        for argv in (["--fixture", "five_qubit"], ["--stabilizers", "XZZXI,IXZZX,XIXZZ,ZXIXZ"]):
+            rc, out, err = run(capsys, "distance", *argv, "--max-weight", "-1")
+            assert rc == 1 and out == ""
+            assert "max_weight" in err
 
     def test_nothing_undetected_gives_bound(self, capsys, tmp_path):
         # K = 1: every Pauli is detected, so only a lower bound exists
@@ -410,7 +432,7 @@ class TestScan:
         assert "13 of 13 subsets correctable" in out
 
     def test_sixteen_qubit_shor_pairs(self, capsys):
-        rc, out, err = run(capsys, "scan", "--stabilizers", shor16_generators(),
+        rc, out, err = run(capsys, "scan", "--stabilizers", shor_grid_generators(4),
                            "--size", "2")
         assert rc == 0 and err == ""
         assert out.endswith("120 of 120 subsets correctable\n")
@@ -473,6 +495,15 @@ class TestInputSources:
         assert "class: pure" in out
         assert "C: 4" in out
 
+    @pytest.mark.parametrize("gens", ["XI,ZI,YZ", "XII,ZII,YZI,IIZ"])
+    def test_pair_fixing_keeps_generators_hermitian(self, capsys, gens):
+        # the last generator anticommutes with both members of the XI, ZI
+        # pair, so fixing it leaves an anti-Hermitian product
+        rc, out, err = run(capsys, "analyze", "--stabilizers", gens, "--subset", "1")
+        assert rc == 0, err
+        assert "class: pure" in out
+        assert "C: 2" in out
+
     @pytest.mark.parametrize("source", ["fixture", "stab-json"])
     def test_phases_need_inline_stabilizers(self, capsys, tmp_path, source):
         if source == "fixture":
@@ -498,7 +529,7 @@ class TestInputSources:
         # a dense 2^16 x 2^16 projector of the [[16,1,4]] code would take 64 GiB
         tracemalloc.start()
         try:
-            rc, out, _ = run(capsys, "analyze", "--stabilizers", shor16_generators(),
+            rc, out, _ = run(capsys, "analyze", "--stabilizers", shor_grid_generators(4),
                              "--subset", "1,5,9", "--format", "json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -319,8 +319,8 @@ class TestRankAndPinv:
 class TestSmallHelpers:
     def test_is_isometry(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert qla.is_isometry(v)
-        assert not qla.is_isometry(2 * v)
+        assert qla.is_orthonormal(v.T @ v)
+        assert not qla.is_orthonormal(4 * v.T @ v)
 
     def test_sqrtm_psd(self):
         rng = np.random.default_rng(5)

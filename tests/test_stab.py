@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqec import analysis, codes, qla, stab, structure
@@ -149,6 +149,17 @@ class TestSymplecticGramSchmidt:
         iso = form.isotropic[0]
         assert not x0.commutes_with(z0)
         assert x0.commutes_with(iso) and z0.commutes_with(iso)
+
+    @pytest.mark.parametrize("gens,isotropic", [
+        (("XI", "ZI", "YZ"), ["-IZ"]), (("XII", "ZII", "YZI", "IIZ"), ["-IZI", "IIZ"])])
+    def test_generator_anticommuting_with_both_of_a_pair(self, gens, isotropic):
+        # YZ anticommutes with XI and ZI: fixing it by both leaves the
+        # anti-Hermitian product iIZ, which takes a factor i
+        form = stab.symplectic_gram_schmidt(stab.StabilizerGroup.from_strings(gens))
+        assert [(str(a), str(b)) for a, b in form.pairs] == [(gens[0], gens[1])]
+        assert [str(p) for p in form.isotropic] == isotropic
+        ext = stab.ea_extend(form)
+        assert ext.is_abelian and ext.n == len(gens[0]) + 1
 
     @given(st.integers(0, 2**32 - 1))
     def test_random_groups_satisfy_form(self, seed):
@@ -411,6 +422,43 @@ class TestGf2AgainstAnalysis:
         assert report.marginal_rank == 1 << (b - s)
         assert structure.decompose(code, subset).ancilla_dim == 1 << (b - s)
         assert report.trichotomy == (analysis.PURE if s == 0 else analysis.DEGENERATE)
+
+
+class TestMinDistance:
+    """The GF(2) distance search against the dense moment scan on the codewords."""
+
+    @pytest.mark.parametrize("gens", [FIVE_GENS, STEANE_GENS, SHOR_GENS, CYCLIC11_GENS],
+                             ids=["five_qubit", "steane", "shor", "cyclic11"])
+    @pytest.mark.parametrize("max_weight", [None, 1, 2, 3])
+    def test_named_codes(self, gens, max_weight):
+        g = stab.StabilizerGroup.from_strings(gens)
+        want = codes.min_distance(stab.codewords(g), max_weight=max_weight)
+        assert stab.min_distance(g, max_weight) == want
+
+    @settings(max_examples=300)
+    @given(abelian_groups(max_n=8))
+    def test_random_groups(self, g):
+        code = stab.codewords(g)
+        for max_weight in (None, 1, 2, 3):
+            assert stab.min_distance(g, max_weight) == \
+                codes.min_distance(code, max_weight=max_weight)
+
+    def test_full_rank_group_scans_nothing(self, monkeypatch):
+        # r = n leaves K = 1, which detects every Pauli
+        def refuse(*args):
+            raise AssertionError("a set was checked")
+        monkeypatch.setattr(stab, "is_correctable_stab", refuse)
+        g = stab.StabilizerGroup.from_strings(("XX", "ZZ"))
+        assert stab.min_distance(g) is None
+
+    def test_nonabelian_rejected(self):
+        g = stab.StabilizerGroup.from_strings(("XI", "ZI", "IZ"))
+        with pytest.raises(ContractError, match="requires an abelian group"):
+            stab.min_distance(g)
+
+    def test_negative_max_weight_rejected(self):
+        with pytest.raises(ContractError, match="max_weight"):
+            stab.min_distance(stab.StabilizerGroup.from_strings(FIVE_GENS), -1)
 
 
 class TestJson:

@@ -26,9 +26,9 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 KEPT_WITHOUT_CALLER = {
     "sqrtm_psd": "bench/layertrace.py wraps it and tests/test_scripts.py requires every "
                  "wrapped target to resolve (ROADMAP item 1)",
-    "is_correctable_stab": "the GF(2) verdict that bench/oracle.py and acceptance test 10 "
-                           "check dense verdicts against, and stabilizer inputs are to use "
-                           "(ROADMAP item 3)",
+    "subgroup_on": "the subgroup inside a set, whose size gives C = 2^(b - s): bench/oracle.py, "
+                   "the tests and acceptance test 05 use it, and stabilizer inputs are to "
+                   "read C (ROADMAP item 3) and EA generators (item 9) from it",
 }
 
 
