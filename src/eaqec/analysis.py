@@ -31,9 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import qla
-from .codes import (QuantumCode, cut_trace, moment_residuals, pauli_moments,
-                    pauli_tables, trace_moments)
+from . import codes, qla
+from .codes import QuantumCode, cut_trace, moment_residuals, pauli_tables, trace_moments
 from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import NotCorrectableError
 
@@ -54,7 +53,6 @@ class KLReport:
 
     split: qla.SubsystemSplit
     matrix: np.ndarray | None             # 4^b x 4^b coefficient matrix
-    matrix_rank: int
     residual_max: float
     correctable: bool
     marginal_spectrum: np.ndarray         # eigenvalues of varrho_B, descending, >= 0
@@ -66,6 +64,10 @@ class KLReport:
     @property
     def matrix_dim(self) -> int:
         return self.split.dim_erased ** 2
+
+    @property
+    def matrix_rank(self) -> int:
+        return self.split.dim_erased * self.marginal_rank
 
 
 def _analyze(code: QuantumCode, split: qla.SubsystemSplit, residual_tol: float,
@@ -83,21 +85,13 @@ def _analyze(code: QuantumCode, split: qla.SubsystemSplit, residual_tol: float,
     marginal_rank = qla.numerical_rank(spectrum, rank_tol)
     kept_ranks = tuple(qla.numerical_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))
     report = KLReport(
-        split=split, matrix=None, matrix_rank=split.dim_erased * marginal_rank,
-        residual_max=residual_max, correctable=bool(residual_max <= residual_tol),
+        split=split, matrix=None, residual_max=residual_max,
+        correctable=bool(residual_max <= residual_tol),
         marginal_spectrum=spectrum, marginal_rank=marginal_rank,
         kept_marginal_ranks=kept_ranks, kernel=None)
     if report.correctable:
         report = replace(report, trichotomy=classify(report))
     return report, moments, vecs
-
-
-def erasure_residual(code: QuantumCode, subset) -> float:
-    """Largest detection residual over the 4^b Paulis on the subset, each
-    with c_F = tr(V^dag E_F V) / K.  The K^2 4^b moments are size-checked
-    before they are built (codes.cut_trace).
-    """
-    return float(moment_residuals(pauli_moments(code, subset)).max())
 
 
 def require_correctable(code: QuantumCode, subset,
@@ -107,7 +101,7 @@ def require_correctable(code: QuantumCode, subset,
     Computes only the residual (no marginal, matrix or eigensolve).
     """
     subset = tuple(subset)
-    residual = erasure_residual(code, subset)
+    residual = codes.erasure_residual(code, subset)
     if residual > residual_tol:
         raise NotCorrectableError(
             "subset {" + ",".join(map(str, subset)) + "} fails the correctability "

@@ -77,13 +77,6 @@ def _load_code(args) -> codes.QuantumCode:
     return _as_code(_load_source(args))
 
 
-def _min_distance(source, max_weight, residual_tol) -> int | None:
-    """The GF(2) search for a stabilizer group, the dense moment scan for a basis."""
-    if isinstance(source, stab.StabilizerGroup):
-        return stab.min_distance(source, max_weight)
-    return codes.min_distance(source, max_weight=max_weight, residual_tol=residual_tol)
-
-
 def _parse_subset(text: str, n: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
@@ -166,7 +159,7 @@ def _distance_for(source, args, residual_tol) -> int:
         if d > source.n:
             raise ContractError(f"distance {d} outside 1..{source.n}")
         return d
-    d = _min_distance(source, None, residual_tol)
+    d = codes.min_distance(source, residual_tol=residual_tol)
     if d is None:
         raise ContractError("could not determine the distance; pass --distance")
     return d
@@ -268,7 +261,7 @@ def cmd_verify(args) -> int:
 def cmd_distance(args) -> int:
     _, residual_tol = _tolerances(args)
     source = _load_source(args)
-    d = _min_distance(source, args.max_weight, residual_tol)
+    d = codes.min_distance(source, args.max_weight, residual_tol)
     if d is None:
         bound = (source.n if args.max_weight is None else args.max_weight) + 1
         text = f">= {bound}"

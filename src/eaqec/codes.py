@@ -4,7 +4,9 @@ A Pauli is stored as i^phase_exp * X^x Z^z with bit-packed x and z masks.
 Bit (n - q) of a mask belongs to qubit q, so masks read like the qubit
 string itself when printed in binary (qubit 1 leftmost).  apply_paulis is
 the one action of Paulis on states: any number of Paulis on a state or a
-stack of states, one gather through a cached index table.
+stack of states, one gather through a cached index table.  min_distance
+is the one distance search, for an explicit basis and a stabilizer group
+alike, each deciding an erased set by its own is_correctable.
 """
 
 from __future__ import annotations
@@ -178,6 +180,11 @@ class QuantumCode:
     def dim(self) -> int:
         return 2 ** self.n
 
+    def is_correctable(self, subset, residual_tol: float = RESIDUAL_TOL) -> bool:
+        """Whether every Pauli on the erased set is detected: erasure_residual
+        within residual_tol."""
+        return erasure_residual(self, subset) <= residual_tol
+
 
 def projector(code: QuantumCode) -> np.ndarray:
     """Codespace projector V V^dag."""
@@ -283,32 +290,38 @@ def moment_residuals(moments: np.ndarray) -> np.ndarray:
     return np.linalg.norm(dev, axis=(1, 2))
 
 
-def min_distance(code: QuantumCode, max_weight: int | None = None,
-                 residual_tol: float = RESIDUAL_TOL) -> int | None:
-    """Smallest weight of a Pauli the code fails to detect, for an explicit basis.
+def erasure_residual(code: QuantumCode, subset) -> float:
+    """Largest detection residual over the 4^b Paulis on the subset, each
+    with c_F = tr(V^dag E_F V) / K.  The K^2 4^b moments are size-checked
+    before they are built (cut_trace).
+    """
+    return float(moment_residuals(pauli_moments(code, subset)).max())
 
-    (A stabilizer group's distance is stab.min_distance, exact over GF(2).)
-    A Pauli E is detected when P E P is proportional to the codespace
-    projector P (see moment_residuals).  Scans weights 1..max_weight
-    (default n) exhaustively, one pauli_moments call per weight-w support
-    covering all 4^w Paulis on it; those of lower weight were detected at
-    an earlier weight (the identity always is), so the first weight with
-    a residual above residual_tol is the distance.  Returns None if every
-    scanned weight is detected (distance is then at least max_weight + 1).
-    A K = 1 code detects every Pauli, so it returns None without scanning;
-    otherwise pauli_moments size-checks the K^2 4^w moments of a support
-    before building them.  A negative max_weight is a ContractError.
+
+def min_distance(source, max_weight: int | None = None,
+                 residual_tol: float = RESIDUAL_TOL) -> int | None:
+    """The distance: the smallest size of an erased set that is not correctable.
+
+    source is a QuantumCode or an abelian stab.StabilizerGroup; each has
+    n, k_dim and is_correctable(subset, residual_tol), its own verdict on
+    a set (for a group exact over GF(2), with no tolerance).  A set fails
+    exactly when some Pauli on it goes undetected, so scanning sizes b =
+    1..max_weight (default n), each in itertools.combinations order, the
+    first size with a failing set is the distance.  Returns None if every
+    scanned set is correctable (the distance is then at least max_weight
+    + 1), and without scanning when K = 1, which detects every Pauli.  A
+    negative max_weight, or a nonabelian group, is a ContractError.
     """
     if max_weight is not None and max_weight < 0:
         raise ContractError(f"max_weight must be nonnegative, got {max_weight}")
-    if code.k_dim == 1:
+    if source.k_dim == 1:
         return None
-    n = code.n
+    n = source.n
     limit = n if max_weight is None else min(max_weight, n)
-    for w in range(1, limit + 1):
-        for support in itertools.combinations(range(1, n + 1), w):
-            if moment_residuals(pauli_moments(code, support)).max() > residual_tol:
-                return w
+    for b in range(1, limit + 1):
+        for subset in itertools.combinations(range(1, n + 1), b):
+            if not source.is_correctable(subset, residual_tol):
+                return b
     return None
 
 

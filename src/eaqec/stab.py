@@ -8,12 +8,13 @@ elimination on those masks; ranks only count pivots of the masked rows.
 A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
-inside S are all of them.  The distance is the first size with a set that
-is not correctable.  Nonabelian groups are allowed; the symplectic
-Gram-Schmidt pass splits them into anticommuting pairs plus a commuting
-remainder, and ea_extend turns the pairs into plain stabilizers on appended
-qubits.  The codespace, the subgroup inside a set, the correctability
-verdict and the distance need an abelian group and refuse any other.
+inside S are all of them.  StabilizerGroup.is_correctable gives that
+verdict to codes.min_distance, the one distance search.  Nonabelian groups
+are allowed; the symplectic Gram-Schmidt pass splits them into
+anticommuting pairs plus a commuting remainder, and ea_extend turns the
+pairs into plain stabilizers on appended qubits.  The codespace and its
+dimension, the subgroup inside a set and the correctability verdict need
+an abelian group and refuse any other.
 """
 
 from __future__ import annotations
@@ -76,16 +77,16 @@ def _eliminate(ops, mask: int):
     return residues
 
 
-def _rank(ops, mask: int) -> int:
-    """GF(2) rank of the rows of `ops` restricted to `mask`.
+def _pivot_count(rows, mask: int) -> int:
+    """GF(2) rank of the int rows (as _row makes them) restricted to `mask`.
 
     Each masked row is reduced by the kept pivot rows, looked up by its top
     set bit, until it vanishes or shows a new top bit and is kept; no
     operator is composed.
     """
     pivots = {}  # top bit length -> reduced row with that top bit
-    for g in ops:
-        v = _row(g) & mask
+    for row in rows:
+        v = row & mask
         while v:
             top = v.bit_length()
             if top not in pivots:
@@ -93,6 +94,11 @@ def _rank(ops, mask: int) -> int:
                 break
             v ^= pivots[top]
     return len(pivots)
+
+
+def _rank(ops, mask: int) -> int:
+    """GF(2) rank of the rows of `ops` restricted to `mask`."""
+    return _pivot_count(map(_row, ops), mask)
 
 
 # ------------------------------------------------------------------- groups
@@ -155,6 +161,21 @@ class StabilizerGroup:
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a.commutes_with(b) for a, b in itertools.combinations(gens, 2))
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Each generator's GF(2) row (_row), built once per group."""
+        return tuple(map(_row, self.generators))
+
+    @property
+    def k_dim(self) -> int:
+        """Dimension 2^(n - r) of the codespace; needs an abelian group."""
+        _require_abelian(self, "k_dim")
+        return 1 << (self.n - self.num_generators)
+
+    def is_correctable(self, subset, residual_tol: float | None = None) -> bool:
+        """is_correctable_stab: exact over GF(2), so residual_tol is not read."""
+        return is_correctable_stab(self, subset)
 
 
 def _require_abelian(group: StabilizerGroup, what: str) -> None:
@@ -366,31 +387,6 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     """
     _require_abelian(group, "is_correctable_stab")
     inside = _support_mask(group.n, subset)
-    gens = group.generators
-    s_dim = len(gens) - _rank(gens, ~inside)
-    return _rank(gens, inside) + s_dim == inside.bit_count()
-
-
-def min_distance(group: StabilizerGroup, max_weight: int | None = None) -> int | None:
-    """Code distance of an abelian group's codespace, found over GF(2).
-
-    A Pauli goes undetected iff it commutes with S without lying in it, so
-    the distance is the smallest b for which some b-set is not correctable
-    (is_correctable_stab); sizes 1..max_weight (default n) are scanned, the
-    sets of each in itertools.combinations order.  Returns None when every scanned size
-    is correctable, and without scanning when r = n (K = 1 detects every
-    Pauli), as codes.min_distance does on the codewords.  A negative
-    max_weight or a nonabelian group is a ContractError.
-    """
-    if max_weight is not None and max_weight < 0:
-        raise ContractError(f"max_weight must be nonnegative, got {max_weight}")
-    _require_abelian(group, "min_distance")
-    n = group.n
-    if group.num_generators == n:
-        return None
-    limit = n if max_weight is None else min(max_weight, n)
-    for b in range(1, limit + 1):
-        for subset in itertools.combinations(range(1, n + 1), b):
-            if not is_correctable_stab(group, subset):
-                return b
-    return None
+    rows = group.rows
+    s_dim = len(rows) - _pivot_count(rows, ~inside)
+    return _pivot_count(rows, inside) + s_dim == inside.bit_count()

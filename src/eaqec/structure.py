@@ -14,14 +14,13 @@ factorization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qla
 from .codes import QuantumCode
-from .config import RANK_TOL, RESIDUAL_TOL, UNITARITY_TOL
+from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import ConsistencyError, ContractError, StructureViolationError
 
 PRESEND = "presend"
@@ -181,8 +180,9 @@ def compress(dec: StructureDecomposition) -> EACode:
     psi_mat = dec.shared_state.reshape(r, dec.split.dim_erased)
     weights = np.linalg.norm(psi_mat, axis=1)
     v_embed = (psi_mat / weights[:, None]).conj().T      # dim_erased x r
-    defect = float(np.linalg.norm(v_embed.conj().T @ v_embed - np.eye(r)))
-    if defect > UNITARITY_TOL * max(1.0, math.sqrt(r)):
+    gram = v_embed.conj().T @ v_embed
+    if not qla.is_orthonormal(gram):
+        defect = np.linalg.norm(gram - np.eye(r))
         raise ConsistencyError(f"compression map is not an isometry (defect {defect:.2e})")
     return EACode(
         strategy=COMPRESSED, shared_state=np.diag(weights.astype(complex)).reshape(-1),

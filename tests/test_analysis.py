@@ -331,7 +331,7 @@ class TestResidual:
             for subset in itertools.combinations(range(1, code.n + 1), b):
                 report = analysis.kl_matrix(code, subset)
                 want = oracle_pair_residual(code, subset, report.matrix)
-                trace_coeff = analysis.erasure_residual(code, subset)
+                trace_coeff = codes.erasure_residual(code, subset)
                 assert abs(report.residual_max - want) <= 1e-13
                 assert abs(trace_coeff - want) <= 1e-13
                 assert report.correctable == (want <= RESIDUAL_TOL)
@@ -349,7 +349,7 @@ class TestResidual:
         tracemalloc.start()
         try:
             with pytest.raises(SizeError):
-                analysis.erasure_residual(code, (1, 2, 3, 4))
+                codes.erasure_residual(code, (1, 2, 3, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -188,10 +188,10 @@ class TestDecompose:
         assert data["distance"] == 3
 
     def test_stabilizer_distance_from_the_group(self, capsys, monkeypatch):
-        # a stabilizer input's distance is the GF(2) search, not the dense scan
+        # a stabilizer input's distance reads GF(2) verdicts, not dense ones
         def refuse(*args, **kwargs):
-            raise AssertionError("dense distance search called")
-        monkeypatch.setattr(codes, "min_distance", refuse)
+            raise AssertionError("dense verdict called")
+        monkeypatch.setattr(codes.QuantumCode, "is_correctable", refuse)
         rc, out, err = run(capsys, "decompose", "--stabilizers",
                            "XZZXI,IXZZX,XIXZZ,ZXIXZ", "--subset", "4,5")
         assert rc == 0, err
@@ -369,6 +369,23 @@ class TestDistance:
         rc, out, err = run(capsys, "distance", "--stabilizers", shor_grid_generators(5), *extra)
         assert rc == 0, err
         assert out.strip() == text
+
+    def test_stabilizer_distance_runs_the_one_search(self, capsys, monkeypatch):
+        # both input kinds go through codes.min_distance; a group needs no codewords
+        calls = []
+        search = codes.min_distance
+
+        def record(source, *args, **kwargs):
+            calls.append(type(source))
+            return search(source, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("codewords built")
+        monkeypatch.setattr(codes, "min_distance", record)
+        monkeypatch.setattr(stab, "codewords", refuse)
+        rc, out, err = run(capsys, "distance", "--stabilizers", shor_grid_generators(5))
+        assert (rc, out, err) == (0, "5\n", "")
+        assert calls == [stab.StabilizerGroup]
 
     def test_negative_max_weight_rejected(self, capsys):
         for argv in (["--fixture", "five_qubit"], ["--stabilizers", "XZZXI,IXZZX,XIXZZ,ZXIXZ"]):

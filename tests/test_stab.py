@@ -425,7 +425,8 @@ class TestGf2AgainstAnalysis:
 
 
 class TestMinDistance:
-    """The GF(2) distance search against the dense moment scan on the codewords."""
+    """codes.min_distance on a group (GF(2) verdicts) against the dense
+    scan of its codewords."""
 
     @pytest.mark.parametrize("gens", [FIVE_GENS, STEANE_GENS, SHOR_GENS, CYCLIC11_GENS],
                              ids=["five_qubit", "steane", "shor", "cyclic11"])
@@ -433,14 +434,14 @@ class TestMinDistance:
     def test_named_codes(self, gens, max_weight):
         g = stab.StabilizerGroup.from_strings(gens)
         want = codes.min_distance(stab.codewords(g), max_weight=max_weight)
-        assert stab.min_distance(g, max_weight) == want
+        assert codes.min_distance(g, max_weight=max_weight) == want
 
     @settings(max_examples=300)
     @given(abelian_groups(max_n=8))
     def test_random_groups(self, g):
         code = stab.codewords(g)
         for max_weight in (None, 1, 2, 3):
-            assert stab.min_distance(g, max_weight) == \
+            assert codes.min_distance(g, max_weight=max_weight) == \
                 codes.min_distance(code, max_weight=max_weight)
 
     def test_full_rank_group_scans_nothing(self, monkeypatch):
@@ -449,16 +450,16 @@ class TestMinDistance:
             raise AssertionError("a set was checked")
         monkeypatch.setattr(stab, "is_correctable_stab", refuse)
         g = stab.StabilizerGroup.from_strings(("XX", "ZZ"))
-        assert stab.min_distance(g) is None
+        assert codes.min_distance(g) is None
 
     def test_nonabelian_rejected(self):
         g = stab.StabilizerGroup.from_strings(("XI", "ZI", "IZ"))
         with pytest.raises(ContractError, match="requires an abelian group"):
-            stab.min_distance(g)
+            codes.min_distance(g)
 
     def test_negative_max_weight_rejected(self):
         with pytest.raises(ContractError, match="max_weight"):
-            stab.min_distance(stab.StabilizerGroup.from_strings(FIVE_GENS), -1)
+            codes.min_distance(stab.StabilizerGroup.from_strings(FIVE_GENS), -1)
 
 
 class TestJson:

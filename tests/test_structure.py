@@ -250,7 +250,7 @@ class TestPresend:
         noise = rng.normal(size=code.basis.shape) + 1j * rng.normal(size=code.basis.shape)
         q, _ = np.linalg.qr((code.basis + 1e-6 * noise).T)
         perturbed = codes.QuantumCode(code.n, q.T)
-        assert 1e-6 < analysis.erasure_residual(perturbed, (4, 5)) < 1e-4
+        assert 1e-6 < codes.erasure_residual(perturbed, (4, 5)) < 1e-4
         with pytest.raises(StructureViolationError):
             structure.decompose(perturbed, (4, 5))
         analysis.require_correctable(perturbed, (4, 5), residual_tol=1e-4)
