@@ -1,18 +1,19 @@
 """Erasure correctability of qubit subsets via error-correction conditions.
 
-This module alone decides whether an erased set B is correctable and how
-degenerately, by one route for every b.  For erasures every product
+This module reports whether an erased set B is correctable and how
+degenerately, by one route for every b; the verdict itself is
+codes.kl_check, the one Knill-Laflamme rule.  For erasures every product
 E_i^dag E_j over the Pauli basis on B is, up to phase, one of the 4^b
 Paulis E_F on B, so B is correctable exactly when each E_F is detected:
 ||P E_F P - c_F P||_F <= residual_tol with c_F = Tr(varrho_B E_F),
 varrho_B the B-marginal of the normalized codespace projector.  The norm
 is measured in the code basis, where it collapses to the K x K moments
-V^dag E_F V.  Everything about one erased set is read off a single
-partial trace T_ij = A_i^dag A_j of the codewords cut across B
-(codes.cut_trace, whose K^2 4^b entries are size-checked first): the
-moments and their residual, varrho_B = (sum_i T_ii)^T / K with its
-spectrum and rank C, and each codeword's kept-side rank from the
-eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
+V^dag E_F V that kl_check reads.  Everything about one erased set is
+read off a single partial trace T_ij = A_i^dag A_j of the codewords cut
+across B (codes.cut_trace, whose K^2 4^b entries are size-checked
+first): the moments and their residual, varrho_B = (sum_i T_ii)^T / K
+with its spectrum and rank C, and each codeword's kept-side rank from
+the eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
 Correctable sets classify three ways from the marginal: pure (maximally
 mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
 (rank deficient).  The coefficient matrix lambda_FG = Tr(varrho_B E_F^dag
@@ -31,8 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import codes, qla
-from .codes import QuantumCode, cut_trace, moment_residuals, pauli_tables, trace_moments
+from . import qla
+from .codes import QuantumCode, cut_trace, kl_check, pauli_tables, trace_moments
 from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import NotCorrectableError
 
@@ -78,7 +79,7 @@ def _analyze(code: QuantumCode, split: qla.SubsystemSplit, residual_tol: float,
     t = cut_trace(code, split.erased)
     k = code.k_dim
     moments = trace_moments(t)
-    residual_max = float(moment_residuals(moments).max())
+    residual_max, correctable = kl_check(moments, residual_tol)
     blocks = t[np.arange(k), :, np.arange(k), :]          # T_ii, shape (K, 2^b, 2^b)
     eigs, vecs = qla.eig_hermitian(blocks.sum(axis=0).T / k)
     spectrum = np.maximum(eigs, 0.0)
@@ -86,7 +87,7 @@ def _analyze(code: QuantumCode, split: qla.SubsystemSplit, residual_tol: float,
     kept_ranks = tuple(qla.numerical_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))
     report = KLReport(
         split=split, matrix=None, residual_max=residual_max,
-        correctable=bool(residual_max <= residual_tol),
+        correctable=correctable,
         marginal_spectrum=spectrum, marginal_rank=marginal_rank,
         kept_marginal_ranks=kept_ranks, kernel=None)
     if report.correctable:
@@ -101,8 +102,8 @@ def require_correctable(code: QuantumCode, subset,
     Computes only the residual (no marginal, matrix or eigensolve).
     """
     subset = tuple(subset)
-    residual = codes.erasure_residual(code, subset)
-    if residual > residual_tol:
+    residual, correctable = kl_check(trace_moments(cut_trace(code, subset)), residual_tol)
+    if not correctable:
         raise NotCorrectableError(
             "subset {" + ",".join(map(str, subset)) + "} fails the correctability "
             f"condition (residual {residual:.3e})")

@@ -1,12 +1,17 @@
-"""Code containers, Pauli operators, fixtures, Pauli moments, and the distance search.
+"""Code containers, Pauli operators, fixtures, Pauli moments, the
+Knill-Laflamme rule, and the distance search.
 
 A Pauli is stored as i^phase_exp * X^x Z^z with bit-packed x and z masks.
 Bit (n - q) of a mask belongs to qubit q, so masks read like the qubit
 string itself when printed in binary (qubit 1 leftmost).  apply_paulis is
 the one action of Paulis on states: any number of Paulis on a state or a
-stack of states, one gather through a cached index table.  min_distance
-is the one distance search, for an explicit basis and a stabilizer group
-alike, each deciding an erased set by its own is_correctable.
+stack of states, one gather through a cached index table.  kl_check is
+the one dense Knill-Laflamme rule, P E_a^dag E_b P = lambda_ab P within
+residual_tol, applied to a stack of K x K moment matrices: an erased set's
+Pauli moments (trace_moments of its cut_trace) or a recovery's Gram
+blocks.  min_distance is the one distance search, for an explicit basis
+and a stabilizer group alike, each deciding an erased set by its own
+is_correctable.
 """
 
 from __future__ import annotations
@@ -181,9 +186,9 @@ class QuantumCode:
         return 2 ** self.n
 
     def is_correctable(self, subset, residual_tol: float = RESIDUAL_TOL) -> bool:
-        """Whether every Pauli on the erased set is detected: erasure_residual
-        within residual_tol."""
-        return erasure_residual(self, subset) <= residual_tol
+        """Whether every Pauli on the erased set is detected: kl_check on the
+        moments of the subset's cut_trace, size-checked first."""
+        return kl_check(trace_moments(cut_trace(self, subset)), residual_tol)[1]
 
 
 def projector(code: QuantumCode) -> np.ndarray:
@@ -198,9 +203,7 @@ def dicke(n: int, excitations: int) -> np.ndarray:
     if not 0 <= excitations <= n:
         raise ContractError(f"excitation count {excitations} outside 0..{n}")
     qla.check_dim(1 << n)
-    v = np.zeros(1 << n, dtype=complex)
-    for ones in itertools.combinations(range(1, n + 1), excitations):
-        v[sum(1 << (n - q) for q in ones)] = 1.0
+    v = (np.bitwise_count(np.arange(1 << n)) == excitations).astype(complex)
     return v / math.sqrt(math.comb(n, excitations))
 
 
@@ -272,11 +275,6 @@ def trace_moments(t: np.ndarray) -> np.ndarray:
     return m.reshape(de * de, k, k)
 
 
-def pauli_moments(code: QuantumCode, subset) -> np.ndarray:
-    """trace_moments of the subset's cut_trace, size-checked first."""
-    return trace_moments(cut_trace(code, subset))
-
-
 def moment_residuals(moments: np.ndarray) -> np.ndarray:
     """||m_F - c_F I||_F for each K x K moment matrix m_F = V^dag E_F V.
 
@@ -290,12 +288,17 @@ def moment_residuals(moments: np.ndarray) -> np.ndarray:
     return np.linalg.norm(dev, axis=(1, 2))
 
 
-def erasure_residual(code: QuantumCode, subset) -> float:
-    """Largest detection residual over the 4^b Paulis on the subset, each
-    with c_F = tr(V^dag E_F V) / K.  The K^2 4^b moments are size-checked
-    before they are built (cut_trace).
+def kl_check(moments: np.ndarray, residual_tol: float) -> tuple[float, bool]:
+    """The Knill-Laflamme rule on a stack of K x K moment matrices.
+
+    Returns the largest moment_residuals entry and whether it is within
+    residual_tol, i.e. whether P E P = c P holds for every E the stack
+    describes.  Every dense verdict is this one: an erased set's 4^b Pauli
+    moments (QuantumCode.is_correctable, analysis) and the m^2 Gram blocks
+    V^dag E_a^dag E_b V of a recovery's error set (simulate.kl_recovery).
     """
-    return float(moment_residuals(pauli_moments(code, subset)).max())
+    residual = float(moment_residuals(moments).max())
+    return residual, bool(residual <= residual_tol)
 
 
 def min_distance(source, max_weight: int | None = None,
@@ -363,14 +366,10 @@ def code_from_json(data: dict) -> QuantumCode:
     return QuantumCode(n=n, basis=basis, label=str(data.get("label", "")))
 
 
-def _bits(n, s):
-    return int(s, 2)
-
-
 def _pair_state(n, bits0, bits1, amp1):
     v = np.zeros(1 << n, dtype=complex)
-    v[_bits(n, bits0)] = 1.0
-    v[_bits(n, bits1)] = amp1
+    v[int(bits0, 2)] = 1.0
+    v[int(bits1, 2)] = amp1
     return v / np.linalg.norm(v)
 
 

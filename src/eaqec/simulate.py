@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qla, structure
-from .codes import (PauliOperator, QuantumCode, apply_paulis, moment_residuals,
-                    paulis_of_weight)
+from .codes import PauliOperator, QuantumCode, apply_paulis, kl_check, paulis_of_weight
 from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, ModelMismatchError,
                      NotCorrectableError)
@@ -49,9 +48,9 @@ def kl_recovery(code: QuantumCode, errors,
     the identity is an error, so it adds nothing to such a fidelity.
     Raises SizeError before building anything when the #errors*K*2^n
     images or their (#errors*K)^2 Gram matrix exceed MAX_DIM,
-    NotCorrectableError when the correlation-matrix residual shows the set
-    is not correctable, and ConsistencyError when the r*K rows of D are not
-    orthonormal.
+    NotCorrectableError when codes.kl_check on the Gram blocks shows the
+    set is not correctable, and ConsistencyError when the r*K rows of D
+    are not orthonormal.
     """
     errors = list(errors)
     if not errors:
@@ -62,8 +61,8 @@ def kl_recovery(code: QuantumCode, errors,
     v = code.basis.T                               # 2^n x K
     flat = apply_paulis(errors, v).reshape(v.shape[0], m * k)    # column a*K + i: E_a V e_i
     gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
-    worst = float(moment_residuals(gram.transpose(0, 2, 1, 3).reshape(m * m, k, k)).max())
-    if worst > residual_tol:
+    worst, correctable = kl_check(gram.transpose(0, 2, 1, 3).reshape(m * m, k, k), residual_tol)
+    if not correctable:
         raise NotCorrectableError(
             f"error set violates the correctability condition (residual {worst:.2e})")
 

@@ -331,10 +331,12 @@ class TestResidual:
             for subset in itertools.combinations(range(1, code.n + 1), b):
                 report = analysis.kl_matrix(code, subset)
                 want = oracle_pair_residual(code, subset, report.matrix)
-                trace_coeff = codes.erasure_residual(code, subset)
+                moments = codes.trace_moments(codes.cut_trace(code, subset))
+                trace_coeff, _ = codes.kl_check(moments, RESIDUAL_TOL)
                 assert abs(report.residual_max - want) <= 1e-13
                 assert abs(trace_coeff - want) <= 1e-13
                 assert report.correctable == (want <= RESIDUAL_TOL)
+                assert code.is_correctable(subset) == report.correctable
                 try:
                     analysis.require_correctable(code, subset)
                     gate_passed = True
@@ -349,7 +351,7 @@ class TestResidual:
         tracemalloc.start()
         try:
             with pytest.raises(SizeError):
-                codes.erasure_residual(code, (1, 2, 3, 4))
+                code.is_correctable((1, 2, 3, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -30,7 +30,7 @@ letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=3)
 def oracle_detection_residual(v: np.ndarray, e: PauliOperator) -> float:
     """||V^dag E V - c I||_F for one Pauli applied to the codewords V (columns),
     with c = tr(V^dag E V) / K.  The per-Pauli form of the check that
-    codes.pauli_moments and codes.moment_residuals batch over a support.
+    codes.trace_moments and codes.moment_residuals batch over a support.
     """
     m = v.conj().T @ e.apply(v)
     k = m.shape[0]
@@ -195,6 +195,19 @@ class TestDicke:
             assert bin(idx).count("1") == k
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_matches_support_enumeration(self, n):
+        for k in range(n + 1):
+            want = np.zeros(1 << n, dtype=complex)
+            for ones in itertools.combinations(range(1, n + 1), k):
+                want[sum(1 << (n - q) for q in ones)] = 1.0
+            assert np.array_equal(codes.dicke(n, k), want / math.sqrt(math.comb(n, k)))
+
+    def test_refuses_excitations_outside_the_register(self):
+        for k in (-1, 5):
+            with pytest.raises(ContractError):
+                codes.dicke(4, k)
+
 
 class TestFixtures:
     @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
@@ -300,7 +313,7 @@ class TestPauliMoments:
     @staticmethod
     def check(code, subset):
         v = code.basis.T
-        moments = codes.pauli_moments(code, subset)
+        moments = codes.trace_moments(codes.cut_trace(code, subset))
         residuals = codes.moment_residuals(moments)
         paulis = pauli_basis_on(code.n, subset)
         assert moments.shape == (len(paulis), code.k_dim, code.k_dim)
@@ -330,9 +343,68 @@ class TestPauliMoments:
         subset = tuple(data.draw(st.permutations(range(1, code.n + 1)))[:b])
         if code.k_dim ** 2 * 4 ** b > MAX_DIM:
             with pytest.raises(SizeError):
-                codes.pauli_moments(code, subset)
+                codes.trace_moments(codes.cut_trace(code, subset))
         else:
             self.check(code, subset)
+
+
+class TestKLCheck:
+    # two detected blocks (multiples of I, residual exactly 0) and one
+    # undetected off-diagonal block whose residual is exactly 0.5
+    STACK = np.array([np.eye(2), 0.3j * np.eye(2), [[0, 0.5], [0, 0]]], dtype=complex)
+
+    def test_one_undetected_block_decides(self):
+        assert codes.kl_check(self.STACK[:2], RESIDUAL_TOL) == (0.0, True)
+        assert codes.kl_check(self.STACK, RESIDUAL_TOL) == (0.5, False)
+        assert codes.kl_check(self.STACK[::-1], RESIDUAL_TOL) == (0.5, False)
+
+    def test_residual_at_the_tolerance_passes(self):
+        residual, ok = codes.kl_check(self.STACK, 0.5)
+        assert (residual, ok) == (0.5, True)
+        assert type(residual) is float and type(ok) is bool
+        assert codes.kl_check(self.STACK, np.nextafter(0.5, 0.0)) == (0.5, False)
+
+
+def share_pairs(n: int, max_b: int = 2):
+    """Every erased set B with |B| <= max_b together with each q outside it."""
+    for b in range(max_b + 1):
+        for subset in itertools.combinations(range(1, n + 1), b):
+            for q in sorted(set(range(1, n + 1)) - set(subset)):
+                yield subset, q
+
+
+class TestShareSubsets:
+    """Every subset of a receiver's share is again a share: if B + {q} is
+    correctable, so is B, for the basis and for the group, and the dense
+    residual of B exceeds that of B + {q} by roundoff at most."""
+
+    @staticmethod
+    def check(code, group, pairs):
+        def residual(subset):
+            return codes.kl_check(codes.trace_moments(codes.cut_trace(code, subset)),
+                                  RESIDUAL_TOL)[0]
+
+        for subset, q in pairs:
+            wider = tuple(sorted(subset + (q,)))
+            assert residual(subset) - residual(wider) <= 1e-15
+            assert code.is_correctable(subset) or not code.is_correctable(wider)
+            if group is not None:
+                assert group.is_correctable(subset) or not group.is_correctable(wider)
+
+    @pytest.mark.parametrize("name,gens", [
+        ("five_qubit", codes._FIVE_QUBIT_GENERATORS), ("steane", codes._STEANE_GENERATORS),
+        ("pi_4_2_2", None), ("pi_7_2_3", None), ("xp_7_8_2", None), ("shor", SHOR_GENS)])
+    def test_named_codes(self, name, gens):
+        group = None if gens is None else stab.StabilizerGroup.from_strings(gens)
+        code = stab.codewords(group) if name == "shor" else cached_fixture(name)
+        self.check(code, group, share_pairs(code.n))
+
+    @settings(max_examples=40)
+    @given(abelian_groups(max_n=7), st.data())
+    def test_random_stabilizer_codes(self, group, data):
+        order = data.draw(st.permutations(range(1, group.n + 1)))
+        b = data.draw(st.integers(0, min(2, group.n - 1)))
+        self.check(stab.codewords(group), group, [(tuple(sorted(order[:b])), order[b])])
 
 
 class TestDistanceAgainstPerPauliScan:
@@ -363,7 +435,7 @@ class TestDistanceAgainstPerPauliScan:
         def refuse(*args):
             raise AssertionError("a K = 1 code was scanned")
 
-        monkeypatch.setattr(codes, "pauli_moments", refuse)
+        monkeypatch.setattr(codes, "cut_trace", refuse)
         assert codes.min_distance(code) is None
 
     def test_oversized_search_refused_before_allocating(self):

@@ -250,7 +250,10 @@ class TestPresend:
         noise = rng.normal(size=code.basis.shape) + 1j * rng.normal(size=code.basis.shape)
         q, _ = np.linalg.qr((code.basis + 1e-6 * noise).T)
         perturbed = codes.QuantumCode(code.n, q.T)
-        assert 1e-6 < codes.erasure_residual(perturbed, (4, 5)) < 1e-4
+        moments = codes.trace_moments(codes.cut_trace(perturbed, (4, 5)))
+        assert 1e-6 < codes.kl_check(moments, 1e-4)[0] < 1e-4
+        assert not perturbed.is_correctable((4, 5))
+        assert perturbed.is_correctable((4, 5), residual_tol=1e-4)
         with pytest.raises(StructureViolationError):
             structure.decompose(perturbed, (4, 5))
         analysis.require_correctable(perturbed, (4, 5), residual_tol=1e-4)

@@ -13,6 +13,9 @@ on purpose without a caller are listed with their reason.
 
 Every name a file under src/, tests/ or scripts/ imports must be
 referenced in that file; __future__ imports and __init__.py are exempt.
+
+The Knill-Laflamme rule is written once: codes.kl_check is the only place
+in src/eaqec that compares the name residual_tol with anything.
 """
 
 import ast
@@ -122,3 +125,26 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_import_is_used():
     files = [p for p in MODULES + TESTS + SCRIPTS if p.name != "__init__.py"]
     assert [name for path in files for name in _unused_imports(path)] == []
+
+
+def _residual_tol_comparisons() -> list[str]:
+    """module.function of every comparison in src/eaqec with the name
+    residual_tol as an operand, the innermost enclosing function named."""
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):       # breadth first: inner functions overwrite outer
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(operand, ast.Name) and operand.id == "residual_tol"
+                    for operand in (node.left, *node.comparators)):
+                out.append(f"{path.stem}.{owner.get(node, '<module>')}:{node.lineno}")
+    return out
+
+
+def test_only_kl_check_compares_residual_tol():
+    found = _residual_tol_comparisons()
+    assert [place.split(":")[0] for place in found] == ["codes.kl_check"], found
