@@ -9,7 +9,12 @@ A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
 inside S are all of them.  StabilizerGroup.is_correctable gives that
-verdict to codes.min_distance, the one distance search.  Nonabelian groups
+verdict to codes.min_distance, the one distance search.  The codewords
+come from the same elimination, on the x bits: each is one orbit of basis
+states under the generators with independent X parts, anchored at a state
+that the Z-type subgroup fixes with eigenvalue +1, so building all K of
+them costs one 2^n pass per Z-type generator plus K 2^r_X writes, and the
+K x 2^n basis is size-checked before any of it.  Nonabelian groups
 are allowed; the symplectic Gram-Schmidt pass splits them into
 anticommuting pairs plus a commuting remainder, and ea_extend turns the
 pairs into plain stabilizers on appended qubits.  The codespace and its
@@ -77,8 +82,9 @@ def _eliminate(ops, mask: int):
     return residues
 
 
-def _pivot_count(rows, mask: int) -> int:
-    """GF(2) rank of the int rows (as _row makes them) restricted to `mask`.
+def _pivots(rows, mask: int) -> dict[int, int]:
+    """Echelon of the int rows (as _row makes them) restricted to `mask`:
+    {top bit length: row}, one entry per pivot, so its size is the GF(2) rank.
 
     Each masked row is reduced by the kept pivot rows, looked up by its top
     set bit, until it vanishes or shows a new top bit and is kept; no
@@ -93,12 +99,12 @@ def _pivot_count(rows, mask: int) -> int:
                 pivots[top] = v
                 break
             v ^= pivots[top]
-    return len(pivots)
+    return pivots
 
 
 def _rank(ops, mask: int) -> int:
     """GF(2) rank of the rows of `ops` restricted to `mask`."""
-    return _pivot_count(map(_row, ops), mask)
+    return len(_pivots(map(_row, ops), mask))
 
 
 # ------------------------------------------------------------------- groups
@@ -294,68 +300,54 @@ def ea_extend(form: SymplecticForm) -> StabilizerGroup:
 
 # ------------------------------------------------------- codespace and sets
 
-def _project(group: StabilizerGroup, vecs: np.ndarray) -> np.ndarray:
-    """Apply prod (I + g)/2 to a state vector, one generator at a time."""
-    for g in group.generators:
-        vecs = (vecs + g.apply(vecs)) / 2
-    return vecs
-
-
-def _projector_diagonal(group: StabilizerGroup) -> np.ndarray:
-    """<j|P|j> for every basis state j, from the Z-type subgroup alone.
-
-    P is the average of the 2^r group elements, and only elements without
-    an X part have diagonal entries, so with h_1..h_t generating those,
-    <j|P|j> = 2^-r prod_i (1 + <j|h_i|j>), which is 0 or 2^(t-r).  Every
-    factor is exactly 0 or 2, so the result is exact.
-    """
-    n, r = group.n, group.num_generators
-    ones = np.ones(1 << n)
-    diag = np.full(1 << n, 2.0 ** -r)
-    z_type = _eliminate(group.generators, ((1 << n) - 1) << n)  # rows vanishing on x
-    for h in z_type.values():
-        diag *= 1 + h.apply(ones).real
-    return diag
+_UNIT_PHASES = np.array([1, 1j, -1, -1j])  # i^p for p = 0..3
 
 
 def codewords(group: StabilizerGroup, label: str = "") -> QuantumCode:
-    """Orthonormal basis of the joint +1 eigenspace of an abelian group.
+    """Orthonormal basis of the joint +1 eigenspace of an abelian group, one
+    orbit of basis states per codeword.
 
-    The projector P = prod (I + g)/2 is never formed: each column P e_j is
-    one pass of the generators over e_j, and the diagonal of P comes from the
-    Z-type subgroup, so memory stays O(K 2^n) and K 2^n is size-checked
-    before anything is built.  The basis comes from pivoted column selection
-    (largest remaining diagonal first, deflated in order) with the package
-    gauge convention.
+    Codeword i is P|j_i>, normalised, for the projector P = prod (I + g)/2,
+    which is never formed.  One elimination on the x bits splits the group:
+    its Z-type subgroup fixes which basis states j have P|j> != 0, those
+    with <j|h|j> = +1 for each of its generators h, and the generators with
+    independent X parts generate 2^r_X elements e = i^p X^x Z^z, one per X
+    part, so that P|j> is proportional to sum_e i^p (-1)^|z & j| |j ^ x>.
+    These orbits partition the +1 states.  Each codeword is anchored at the
+    smallest state of its orbit, the one with no bit at any pivot of the X
+    span, and the codewords come in ascending order of their anchors.  An
+    anchor's amplitude is the identity element's, real positive, so the
+    basis is built in the package gauge (first nonzero entry real
+    positive).  The cost is one pass over the 2^n states per Z-type
+    generator plus K 2^r_X writes, and K 2^n, the size of the basis, is
+    checked first, before anything is built.  A group with no +1 state
+    (inconsistent phases, which from_generators refuses) is an
+    InvalidStabilizerError.
     """
     _require_abelian(group, "codewords")
     n = group.n
     dim = 1 << n
     qla.check_dim((1 << (n - group.num_generators)) * dim)
-    diag = _projector_diagonal(group)
-    k_float = float(diag.sum())
-    k = round(k_float)
-    if abs(k_float - k) > 1e-6:
-        raise ConsistencyError(f"projector trace {k_float} is not an integer")
-    if k < 1:
+    x_bits = (dim - 1) << n
+    z_type = _eliminate(group.generators, x_bits)
+    index = np.arange(dim)
+    plus = np.ones(dim, dtype=bool)
+    for h in z_type.values():                 # <j|h|j> = i^p (-1)^|z & j|, p even
+        plus &= (np.bitwise_count(index & h.z_bits) & 1) == h.phase_exp >> 1
+    x, z, p = np.zeros((3, 1), dtype=np.int64)
+    movers = [g for i, g in enumerate(group.generators) if i not in z_type]
+    for g in movers:                          # double the orbit elements e into e and g e
+        x, z, p = (np.concatenate([x, g.x_bits ^ x]), np.concatenate([z, g.z_bits ^ z]),
+                   np.concatenate([p, g.phase_exp + p + 2 * np.bitwise_count(g.z_bits & x)]))
+    pivots = sum(1 << (top - 1) for top in _pivots(group.rows, x_bits)) >> n
+    anchors = np.flatnonzero(plus & ((index & pivots) == 0))
+    if not anchors.size:
         raise InvalidStabilizerError("joint eigenspace is empty (inconsistent phases)")
-
-    rem = diag
-    rows = []
-    for _ in range(k):
-        j = int(np.argmax(rem))
-        col = np.zeros(dim, dtype=complex)
-        col[j] = 1.0
-        col = _project(group, col)
-        for v in rows:
-            col = col - v * (v.conj() @ col)
-        norm = np.linalg.norm(col)
-        if norm < 1e-8:
-            raise ConsistencyError("projector rank fell short of its trace")
-        v = col / norm
-        rows.append(v)
-        rem = rem - np.abs(v) ** 2
-    basis = qla.gauge_fix_columns(np.array(rows).T).T
+    exps = p + 2 * np.bitwise_count(anchors[:, None] & z)
+    basis = np.zeros((anchors.size, dim), dtype=complex)
+    basis[np.arange(anchors.size)[:, None], anchors[:, None] ^ x] = \
+        _UNIT_PHASES[exps & 3] * 2.0 ** -len(movers)
+    basis /= np.linalg.norm(basis[0])         # every codeword has the same norm
     return QuantumCode(n, basis, label=label)
 
 
@@ -388,5 +380,5 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     _require_abelian(group, "is_correctable_stab")
     inside = _support_mask(group.n, subset)
     rows = group.rows
-    s_dim = len(rows) - _pivot_count(rows, ~inside)
-    return _pivot_count(rows, inside) + s_dim == inside.bit_count()
+    s_dim = len(rows) - len(_pivots(rows, ~inside))
+    return len(_pivots(rows, inside)) + s_dim == inside.bit_count()

@@ -23,6 +23,20 @@ SHOR_GENS = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI",
 CYCLIC11_GENS = tuple("XXZZXXIXIXI"[i:] + "XXZZXXIXIXI"[:i] for i in range(11))
 
 
+def shor_grid_generators(m: int) -> str:
+    """Generalized Shor [[m^2,1,m]] on an m x m grid: ZZ on neighbours in
+    each row, X on all 2m qubits of each pair of adjacent rows."""
+    gens = []
+    for row in range(m):
+        for col in range(m - 1):
+            letters = ["I"] * (m * m)
+            letters[m * row + col] = letters[m * row + col + 1] = "Z"
+            gens.append("".join(letters))
+    for row in range(m - 1):
+        gens.append("I" * (m * row) + "X" * (2 * m) + "I" * (m * (m - 2 - row)))
+    return ",".join(gens)
+
+
 def cached_fixture(name: str) -> codes.QuantumCode:
     if name not in _CACHE:
         _CACHE[name] = codes.fixture(name)
@@ -146,6 +160,51 @@ def abelian_groups(draw, max_n: int) -> stab.StabilizerGroup:
     gens = [codes.PauliOperator(n, x, z, (x & z).bit_count() % 2 + 2 * minus)
             for (x, z), minus in zip(rows, signs)]
     return stab.StabilizerGroup.from_generators(gens, n=n)
+
+
+def _project(group: stab.StabilizerGroup, vecs: np.ndarray) -> np.ndarray:
+    """Apply prod (I + g)/2 to a state vector, one generator at a time."""
+    for g in group.generators:
+        vecs = (vecs + g.apply(vecs)) / 2
+    return vecs
+
+
+def _projector_diagonal(group: stab.StabilizerGroup) -> np.ndarray:
+    """<j|P|j> for every basis state j, from the Z-type subgroup alone.
+
+    P is the average of the 2^r group elements, and only elements without
+    an X part have diagonal entries, so with h_1..h_t generating those,
+    <j|P|j> = 2^-r prod_i (1 + <j|h_i|j>), which is 0 or 2^(t-r).  Every
+    factor is exactly 0 or 2, so the result is exact.
+    """
+    n, r = group.n, group.num_generators
+    ones = np.ones(1 << n)
+    diag = np.full(1 << n, 2.0 ** -r)
+    z_type = stab._eliminate(group.generators, ((1 << n) - 1) << n)  # rows vanishing on x
+    for h in z_type.values():
+        diag *= 1 + h.apply(ones).real
+    return diag
+
+
+def projection_codewords(group: stab.StabilizerGroup) -> np.ndarray:
+    """The (K, 2^n) codeword basis by projection, the route stab.codewords
+    replaced: each column P e_j is one pass of the generators over e_j,
+    chosen by largest remaining diagonal of P and deflated in order, then
+    gauge fixed.  Exact in its choices, so its bits are the reference."""
+    dim = 1 << group.n
+    diag = _projector_diagonal(group)
+    rem, rows = diag, []
+    for _ in range(round(float(diag.sum()))):
+        j = int(np.argmax(rem))
+        col = np.zeros(dim, dtype=complex)
+        col[j] = 1.0
+        col = _project(group, col)
+        for v in rows:
+            col = col - v * (v.conj() @ col)
+        v = col / np.linalg.norm(col)
+        rows.append(v)
+        rem = rem - np.abs(v) ** 2
+    return qla.gauge_fix_columns(np.array(rows).T).T
 
 
 # Reference implementations the tests compare the library against: the

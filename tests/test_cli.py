@@ -14,27 +14,13 @@ import pytest
 
 from eaqec import cli, codes, stab
 
-from conftest import cached_fixture, group_to_json, perturbed_pi_7_2_3
+from conftest import cached_fixture, group_to_json, perturbed_pi_7_2_3, shor_grid_generators
 
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
-
-
-def shor_grid_generators(m: int) -> str:
-    """Generalized Shor [[m^2,1,m]] on an m x m grid: ZZ on neighbours in
-    each row, X on all 2m qubits of each pair of adjacent rows."""
-    gens = []
-    for row in range(m):
-        for col in range(m - 1):
-            letters = ["I"] * (m * m)
-            letters[m * row + col] = letters[m * row + col + 1] = "Z"
-            gens.append("".join(letters))
-    for row in range(m - 1):
-        gens.append("I" * (m * row) + "X" * (2 * m) + "I" * (m * (m - 2 - row)))
-    return ",".join(gens)
 
 
 def write_code(tmp_path, n, amplitudes, name="code.json"):

@@ -3,9 +3,12 @@ subgroup extraction, correctability, codeword synthesis.
 
 Correctability and subgroup results are oracled against exhaustive dense
 computations (group-element scans, projector-based coefficient checks)
-that share no code with the GF(2) implementation.  Codeword synthesis is
-oracled against the dense 2^n x 2^n projector route it replaced, and the
-GF(2) verdicts against the numerical analysis on random abelian groups.
+that share no code with the GF(2) implementation.  The codewords, built
+from GF(2) orbits of basis states, are oracled twice: bit for bit, signed
+zeros included, against the projection build they replaced (one pass of
+the generators per column, conftest.projection_codewords), and against
+the dense 2^n x 2^n projector; the GF(2) verdicts are oracled against the
+numerical analysis on random abelian groups.
 """
 
 import tracemalloc
@@ -23,7 +26,8 @@ from eaqec.errors import (ContractError, InvalidStabilizerError, SizeError,
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture, gf2_matrix,
                       gf2_rank, group_to_json, oracle_matrix, pauli_matrix,
-                      reference_correctable, reference_subgroup_on)
+                      projection_codewords, reference_correctable, reference_subgroup_on,
+                      shor_grid_generators)
 
 FIVE_GENS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 STEANE_GENS = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
@@ -251,21 +255,24 @@ def _extended(gens, phases=None) -> stab.StabilizerGroup:
     return stab.ea_extend(stab.symplectic_gram_schmidt(g))
 
 
+NAMED_GROUPS = [
+    pytest.param(lambda: stab.StabilizerGroup.from_strings(FIVE_GENS), id="five_gens"),
+    pytest.param(lambda: stab.StabilizerGroup.from_strings(codes._FIVE_QUBIT_GENERATORS),
+                 id="five_qubit"),
+    pytest.param(lambda: stab.StabilizerGroup.from_strings(STEANE_GENS), id="steane_gens"),
+    pytest.param(lambda: stab.StabilizerGroup.from_strings(codes._STEANE_GENERATORS),
+                 id="steane"),
+    pytest.param(lambda: stab.StabilizerGroup.from_strings(SHOR_GENS), id="shor"),
+    pytest.param(lambda: stab.StabilizerGroup.from_strings(CYCLIC11_GENS), id="cyclic11"),
+    pytest.param(lambda: _extended(("XZZ", "ZYY", "ZZX", "YYZ")), id="ext_five"),
+    pytest.param(lambda: _extended(("X", "Z")), id="ext_bell"),
+    pytest.param(lambda: _extended(("X", "Z"), phases=["-", "+"]), id="ext_bell_minus"),
+    pytest.param(lambda: _extended(("XII", "ZII", "IZZ")), id="ext_mixed"),
+]
+
+
 class TestCodewordsAgainstDense:
-    @pytest.mark.parametrize("group", [
-        pytest.param(lambda: stab.StabilizerGroup.from_strings(FIVE_GENS), id="five_gens"),
-        pytest.param(lambda: stab.StabilizerGroup.from_strings(codes._FIVE_QUBIT_GENERATORS),
-                     id="five_qubit"),
-        pytest.param(lambda: stab.StabilizerGroup.from_strings(STEANE_GENS), id="steane_gens"),
-        pytest.param(lambda: stab.StabilizerGroup.from_strings(codes._STEANE_GENERATORS),
-                     id="steane"),
-        pytest.param(lambda: stab.StabilizerGroup.from_strings(SHOR_GENS), id="shor"),
-        pytest.param(lambda: stab.StabilizerGroup.from_strings(CYCLIC11_GENS), id="cyclic11"),
-        pytest.param(lambda: _extended(("XZZ", "ZYY", "ZZX", "YYZ")), id="ext_five"),
-        pytest.param(lambda: _extended(("X", "Z")), id="ext_bell"),
-        pytest.param(lambda: _extended(("X", "Z"), phases=["-", "+"]), id="ext_bell_minus"),
-        pytest.param(lambda: _extended(("XII", "ZII", "IZZ")), id="ext_mixed"),
-    ])
+    @pytest.mark.parametrize("group", NAMED_GROUPS)
     def test_bit_identical(self, group):
         g = group()
         assert np.array_equal(stab.codewords(g).basis, oracle_codewords(g))
@@ -287,6 +294,29 @@ class TestCodewordsAgainstDense:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a complex array, C-contiguous, so signed zeros count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestCodewordsAgainstProjection:
+    """The GF(2) orbits against the projection build they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("group", NAMED_GROUPS + [pytest.param(
+        lambda: stab.StabilizerGroup.from_strings(shor_grid_generators(4).split(",")),
+        id="shor_16_1_4")])
+    def test_named_groups(self, group):
+        g = group()
+        assert np.array_equal(_bits(stab.codewords(g).basis), _bits(projection_codewords(g)))
+
+    @settings(max_examples=300)
+    @given(abelian_groups(max_n=8))
+    def test_random_groups(self, g):
+        got, want = stab.codewords(g).basis, projection_codewords(g)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestCodewords:
@@ -317,6 +347,15 @@ class TestCodewords:
     def test_empty_eigenspace(self):
         with pytest.raises(InvalidStabilizerError):
             stab.StabilizerGroup.from_strings(("X", "X"), phases=["+", "-"])
+
+    @pytest.mark.parametrize("letters", ["ZI", "XI", "YZ"])
+    def test_empty_eigenspace_of_a_group_built_directly(self, letters):
+        # the constructor skips from_generators' phase check, so g and -g
+        # both reach codewords, and no state is fixed by both
+        g = PauliOperator.from_string(letters)
+        minus = PauliOperator.from_string(letters, "-")
+        with pytest.raises(InvalidStabilizerError, match="empty"):
+            stab.codewords(stab.StabilizerGroup(n=2, generators=(g, minus)))
 
 
 class TestSubgroupOn:

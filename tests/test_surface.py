@@ -8,8 +8,9 @@ public method or property of a class counts as used when some attribute
 reference (.name) in those files carries its name.  The package's
 __init__ only imports modules, so it never counts.  Tests do not count
 either: a helper that only its own tests call is dead code, and lives in
-tests/conftest.py if the tests need it as an oracle.  The few names kept
-on purpose without a caller are listed with their reason.
+tests/conftest.py if the tests need it as an oracle.  The few names and
+members kept on purpose without a caller are listed with their reason,
+and each listing expires once its name or member gains a caller.
 
 Every name a file under src/, tests/ or scripts/ imports must be
 referenced in that file; __future__ imports and __init__.py are exempt.
@@ -32,6 +33,11 @@ KEPT_WITHOUT_CALLER = {
     "subgroup_on": "the subgroup inside a set, whose size gives C = 2^(b - s): bench/oracle.py, "
                    "the tests and acceptance test 05 use it, and stabilizer inputs are to "
                    "read C (ROADMAP item 3) and EA generators (item 9) from it",
+}
+
+KEPT_UNREAD = {
+    "codes.PauliOperator.apply": "bench/layertrace.py wraps it and tests/test_scripts.py "
+                                 "requires every wrapped target to resolve (ROADMAP item 1)",
 }
 
 
@@ -103,7 +109,10 @@ def _unread_members() -> list[str]:
 
 
 def test_every_public_member_is_read():
-    assert _unread_members() == []
+    unread = _unread_members()
+    assert [member for member in unread if member not in KEPT_UNREAD] == []
+    # an exception whose member gained a reader, or vanished, is stale
+    assert sorted(member for member in unread if member in KEPT_UNREAD) == sorted(KEPT_UNREAD)
 
 
 def _unused_imports(path: Path) -> list[str]:
