@@ -123,8 +123,8 @@ def _report_json(report: analysis.KLReport) -> dict:
         "residual_max": report.residual_max,
     }
     if report.matrix is not None:
-        data["matrix"] = qla.to_re_im(report.matrix)
-        data["kernel"] = qla.to_re_im(report.kernel)
+        data["matrix"] = qla.array_to_json(report.matrix)
+        data["kernel"] = qla.array_to_json(report.kernel)
     return data
 
 

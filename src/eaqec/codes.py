@@ -332,7 +332,7 @@ def code_to_json(code: QuantumCode) -> dict:
     rows = []
     for row in code.basis:
         entries = []
-        for idx in np.flatnonzero(np.abs(row) > 1e-14):
+        for idx in np.flatnonzero(row):
             amp = row[idx]
             entries.append({"bits": format(int(idx), f"0{code.n}b"),
                             "re": float(amp.real), "im": float(amp.imag)})
@@ -362,7 +362,7 @@ def code_from_json(data: dict) -> QuantumCode:
                 ) from exc
             if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise ContractError(f"bad bitstring {bits!r} for n={n}")
-            basis[i, int(bits, 2)] = re + 1j * im
+            basis[i, int(bits, 2)] = complex(re, im)
     return QuantumCode(n=n, basis=basis, label=str(data.get("label", "")))
 
 

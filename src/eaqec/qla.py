@@ -5,7 +5,9 @@ is the leftmost tensor factor and the most significant bit of a basis index,
 so |b_1 b_2 ... b_n> sits at index int(b, 2).  Eigen- and singular
 decompositions are gauge fixed for reproducible output: values descending,
 and inside a degenerate block each vector is scaled so its first nonzero
-entry is real positive, blocks ordered by that pivot index.
+entry is real positive, blocks ordered by that pivot index.  Reports carry
+complex arrays as sparse JSON records of their nonzero entries
+(`array_to_json`).
 """
 
 from __future__ import annotations
@@ -201,10 +203,20 @@ def is_orthonormal(gram: CMatrix) -> bool:
     return bool(np.linalg.norm(gram - np.eye(dim)) <= bound)
 
 
-def to_re_im(a) -> list:
-    """A complex array as nested [re, im] pairs of Python floats, for JSON."""
+def array_to_json(a) -> dict:
+    """A complex array as the JSON record of its nonzero entries.
+
+    `shape` is the array's shape, `index` the ascending C-order flat
+    positions of the entries that are not exactly zero (no tolerance), and
+    `re` and `im` their parts as Python floats.  An omitted entry reads back
+    as +0.0, the only loss: a -0.0 there drops its sign.
+    """
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    flat = a.reshape(-1)
+    index = np.flatnonzero(flat)
+    values = flat[index]
+    return {"shape": list(a.shape), "index": index.tolist(),
+            "re": values.real.tolist(), "im": values.imag.tolist()}
 
 
 def sqrtm_psd(m: CMatrix) -> CMatrix:

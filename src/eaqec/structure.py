@@ -211,8 +211,8 @@ def decomposition_to_json(dec: StructureDecomposition) -> dict:
         "k_dim": dec.k_dim,
         "dim_A": dec.ancilla_dim,
         "ancilla_spectrum": [float(x) for x in dec.ancilla_spectrum],
-        "shared_state": qla.to_re_im(dec.shared_state),
-        "isometry_columns": qla.to_re_im(dec.isometry.T),
+        "shared_state": qla.array_to_json(dec.shared_state),
+        "isometry_columns": qla.array_to_json(dec.isometry.T),
         "residual": dec.residual,
         "isometry_defect": dec.isometry_defect,
     }
@@ -229,8 +229,8 @@ def eacode_to_json(dec: StructureDecomposition, ea: EACode, d: int) -> dict:
         "receiver_dim": ea.receiver_dim,
         "schmidt_rank": ea.schmidt_rank,
         "ebit_cost": ea.ebit_cost,
-        "shared_state": qla.to_re_im(ea.shared_state),
+        "shared_state": qla.array_to_json(ea.shared_state),
     }
     if ea.compress_isometry is not None:
-        data["compress_isometry_columns"] = qla.to_re_im(ea.compress_isometry.T)
+        data["compress_isometry_columns"] = qla.array_to_json(ea.compress_isometry.T)
     return data

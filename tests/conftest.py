@@ -108,6 +108,25 @@ def group_to_json(group: stab.StabilizerGroup) -> dict:
     return data
 
 
+def array_from_json(record: dict) -> np.ndarray:
+    """Inverse of qla.array_to_json: the listed entries at their C-order flat
+    positions, every other entry +0.0."""
+    flat = np.zeros(math.prod(record["shape"]), dtype=complex)
+    flat.real[record["index"]] = record["re"]
+    flat.imag[record["index"]] = record["im"]
+    return flat.reshape(record["shape"])
+
+
+def assert_bit_exact(got: np.ndarray, source: np.ndarray) -> None:
+    """got equals source bit for bit, an exactly zero source entry (also
+    -0.0 + 0.0j) counting as +0.0, which is how array_from_json reads an
+    omitted entry."""
+    want = np.where(source == 0, 0j, np.asarray(source, dtype=complex))
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
 def perturbed_pi_7_2_3() -> codes.QuantumCode:
     """pi_7_2_3 perturbed by 1e-6 and re-orthonormalised: on {6,7} the
     marginal has three eigenvalues near 1/3 and one near 6e-11, and the

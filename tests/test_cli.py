@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eaqec import cli, codes, stab
+from eaqec import analysis, cli, codes, stab
 
-from conftest import cached_fixture, group_to_json, perturbed_pi_7_2_3, shor_grid_generators
+from conftest import (SHOR_GENS, array_from_json, assert_bit_exact, cached_fixture,
+                      group_to_json, perturbed_pi_7_2_3, shor_grid_generators)
 
 
 def run(capsys, *argv):
@@ -113,8 +114,25 @@ class TestAnalyze:
             assert rc == want_rc
             assert data["trichotomy"] == cls
             assert data["C"] == c and data["matrix_rank"] == 2 ** b * c
-            assert len(data["matrix"]) == 4 ** b
-            assert len(data["kernel"]) == 4 ** b - data["matrix_rank"]
+            assert data["matrix"]["shape"] == [4 ** b, 4 ** b]
+            assert data["kernel"]["shape"] == [4 ** b - data["matrix_rank"], 4 ** b]
+
+    def test_json_full_arrays_round_trip_bit_for_bit(self, capsys):
+        rc, out, _ = run(capsys, "analyze", "--fixture", "pi_7_2_3", "--subset", "6,7",
+                         "--format", "json", "--full")
+        assert rc == 0
+        data = json.loads(out)
+        report = analysis.kl_matrix(cached_fixture("pi_7_2_3"), (6, 7))
+        assert_bit_exact(array_from_json(data["matrix"]), report.matrix)
+        assert_bit_exact(array_from_json(data["kernel"]), report.kernel)
+
+    def test_json_full_widest_set_is_small(self, capsys):
+        # 1.8 million matrix and kernel entries, 40,960 of them nonzero: only those
+        # are written
+        rc, out, _ = run(capsys, "analyze", "--fixture", "steane", "--subset", "1,2,3,4,5",
+                         "--full", "--format", "json")
+        assert rc == 2
+        assert len(out.encode()) < 2_000_000
 
     def test_consecutive_calls_share_no_state(self, capsys):
         # main reuses one parser per process; --full must not reach the next call
@@ -172,6 +190,14 @@ class TestDecompose:
         assert data["ea"]["compressed"]["model_validity"] == "noiseless_only"
         assert data["ea"]["presend"]["sender_dim"] == 8
         assert data["distance"] == 3
+
+    def test_shor_json_payload_is_small(self, capsys):
+        # its arrays hold 1,600 entries of which 28 are nonzero, and only
+        # those are written
+        rc, out, _ = run(capsys, "decompose", "--stabilizers", ",".join(SHOR_GENS),
+                         "--subset", "1,5", "--format", "json")
+        assert rc == 0
+        assert len(out.encode()) < 2000
 
     def test_stabilizer_distance_from_the_group(self, capsys, monkeypatch):
         # a stabilizer input's distance reads GF(2) verdicts, not dense ones

@@ -21,8 +21,8 @@ from eaqec.codes import PauliOperator, QuantumCode
 from eaqec.config import MAX_DIM, RESIDUAL_TOL
 from eaqec.errors import ContractError, SizeError
 
-from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture,
-                      oracle_matrix, pauli_basis_on, pauli_matrix, random_state)
+from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, assert_bit_exact,
+                      cached_fixture, oracle_matrix, pauli_basis_on, pauli_matrix, random_state)
 
 letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=3)
 
@@ -461,6 +461,17 @@ class TestJson:
         p1 = codes.projector(c)
         p2 = codes.projector(back)
         assert np.linalg.norm(p1 - p2) < 1e-12
+
+    @pytest.mark.parametrize("source", [
+        *(pytest.param(lambda name=name: cached_fixture(name), id=name)
+          for name in codes.FIXTURE_NAMES),
+        # a 1e-16 amplitude and a -0.0 imaginary part are data like any other
+        pytest.param(lambda: QuantumCode(2, np.array([[complex(1.0, -0.0), 1e-16, 0, 0]])),
+                     id="tiny_amplitude")])
+    def test_round_trip_bit_for_bit(self, source):
+        c = source()
+        back = codes.code_from_json(json.loads(json.dumps(codes.code_to_json(c))))
+        assert_bit_exact(back.basis, c.basis)
 
     def test_sparse_amplitudes(self):
         c = cached_fixture("xp_7_8_2")

@@ -4,6 +4,8 @@ Oracles here are written from first principles with einsum/kron index
 gymnastics, independent of the library's reshape-based implementations.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,8 @@ from eaqec import qla
 from eaqec.config import HERMITICITY_TOL, RANK_TOL
 from eaqec.errors import ContractError, SizeError
 
-from conftest import random_density, random_hermitian, random_state
+from conftest import (array_from_json, assert_bit_exact, random_density, random_hermitian,
+                      random_state)
 
 
 def oracle_partial_trace(rho, n, traced_qubits):
@@ -338,3 +341,43 @@ class TestSmallHelpers:
         # first nonzero entry of each column becomes real positive
         assert fixed[1, 0].real > 0 and abs(fixed[1, 0].imag) < 1e-15
         assert fixed[0, 1].real > 0
+
+
+def _json_round_trip(a):
+    return json.loads(json.dumps(qla.array_to_json(a)))
+
+
+class TestArrayJson:
+    def test_record_layout(self):
+        a = np.array([[0, 1 + 2j], [0, -3]])
+        assert _json_round_trip(a) == {"shape": [2, 2], "index": [1, 3],
+                                       "re": [1.0, -3.0], "im": [2.0, 0.0]}
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (0,), (0, 4)])
+    def test_all_zero_array_keeps_its_shape(self, shape):
+        record = _json_round_trip(np.zeros(shape, dtype=complex))
+        assert record == {"shape": list(shape), "index": [], "re": [], "im": []}
+        assert_bit_exact(array_from_json(record), np.zeros(shape, dtype=complex))
+
+    def test_signed_zero_part_of_a_nonzero_entry_is_kept(self):
+        a = np.array([complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0), 0j])
+        record = _json_round_trip(a)
+        assert record["index"] == [0, 1]
+        got = array_from_json(record)
+        assert np.signbit(got.real[0]) and not np.signbit(got.imag[0])
+        assert np.signbit(got.imag[1]) and not np.signbit(got.real[1])
+        # an omitted entry reads +0.0, so the -0.0 - 0.0j entry loses its signs
+        assert_bit_exact(got, a)
+        assert not np.signbit(got.real[2]) and not np.signbit(got.imag[2])
+
+    @pytest.mark.parametrize("shape", [(64,), (8, 16), (16, 8)])
+    def test_sparse_arrays_round_trip_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.3)
+        a[a.real > 1.0] = a[a.real > 1.0].imag  # some entries with an exact zero imaginary part
+        for source in (a, a.T):  # a transposed view is read in its own C order
+            record = _json_round_trip(source)
+            index = np.array(record["index"])
+            assert np.all(np.diff(index) > 0)
+            assert np.array_equal(index, np.flatnonzero(np.ascontiguousarray(source)))
+            assert_bit_exact(array_from_json(record), source)

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, qla, structure
+from eaqec import analysis, codes, qla, stab, structure
 from eaqec.errors import ContractError, NotCorrectableError, StructureViolationError
 
-from conftest import apply_on_kept, cached_fixture, logical_unitary_on_complement
+from conftest import (CYCLIC11_GENS, SHOR_GENS, apply_on_kept, array_from_json, assert_bit_exact,
+                      cached_fixture, logical_unitary_on_complement)
 from test_analysis import oracle_erased_marginal
 
 # (fixture, subset, ancilla dim, nonzero ancilla spectrum)
@@ -27,6 +28,19 @@ CASES = [
     ("pi_7_2_3", (6, 7), 3, (1 / 3,) * 3),
     ("steane", (5, 6, 7), 8, (0.125,) * 8),
     ("steane", (4, 5, 6, 7), 4, (0.25,) * 4),
+]
+
+# (code, erased set, distance) whose decompose payload must round-trip exactly
+ROUND_TRIP_CASES = [
+    pytest.param(lambda: cached_fixture("five_qubit"), (4, 5), 3, id="five_qubit"),
+    pytest.param(lambda: cached_fixture("steane"), (4, 5, 6, 7), 3, id="steane"),
+    pytest.param(lambda: cached_fixture("pi_4_2_2"), (4,), 2, id="pi_4_2_2"),
+    pytest.param(lambda: cached_fixture("pi_7_2_3"), (6, 7), 3, id="pi_7_2_3"),
+    pytest.param(lambda: cached_fixture("xp_7_8_2"), (7,), 2, id="xp_7_8_2"),
+    pytest.param(lambda: stab.codewords(stab.StabilizerGroup.from_strings(SHOR_GENS)),
+                 (1, 5), 3, id="shor"),
+    pytest.param(lambda: stab.codewords(stab.StabilizerGroup.from_strings(CYCLIC11_GENS)),
+                 (2, 9), 3, id="cyclic11"),
 ]
 
 
@@ -340,10 +354,9 @@ class TestJson:
         assert data["n"] == 7 and data["subset"] == [6, 7]
         assert data["dim_A"] == 3
         np.testing.assert_allclose(data["ancilla_spectrum"], [1 / 3] * 3, atol=1e-10)
-        rebuilt = np.array([[complex(re, im) for re, im in col]
-                            for col in data["isometry_columns"]]).T
+        rebuilt = array_from_json(data["isometry_columns"]).T
         np.testing.assert_allclose(rebuilt, dec.isometry, atol=1e-15)
-        shared = np.array([complex(re, im) for re, im in data["shared_state"]])
+        shared = array_from_json(data["shared_state"])
         np.testing.assert_allclose(shared, dec.shared_state, atol=1e-15)
 
     def test_eacode_payload(self):
@@ -358,9 +371,32 @@ class TestJson:
         assert data["stabilizer_form"] is None
         assert data["strategy"] == "compressed"
         assert data["ebit_cost"] == 2
-        v = np.array([[complex(re, im) for re, im in col]
-                      for col in data["compress_isometry_columns"]]).T
+        v = array_from_json(data["compress_isometry_columns"]).T
         np.testing.assert_allclose(v, ea.compress_isometry, atol=1e-15)
+
+    @pytest.mark.parametrize("source, subset, d", ROUND_TRIP_CASES)
+    def test_arrays_round_trip_bit_for_bit(self, source, subset, d):
+        code = source()
+        dec = structure.decompose(code, subset)
+        strategies = {"presend": structure.presend_from_decomposition(dec, code),
+                      "structure": structure.ea_from_structure(dec),
+                      "compressed": structure.compress(dec)}
+        payload = {"decomposition": structure.decomposition_to_json(dec),
+                   "ea": {name: structure.eacode_to_json(dec, ea, d)
+                          for name, ea in strategies.items()}}
+        data = json.loads(json.dumps(payload))
+        assert_bit_exact(array_from_json(data["decomposition"]["shared_state"]),
+                         dec.shared_state)
+        assert_bit_exact(array_from_json(data["decomposition"]["isometry_columns"]),
+                         dec.isometry.T)
+        for name, ea in strategies.items():
+            record = data["ea"][name]
+            assert_bit_exact(array_from_json(record["shared_state"]), ea.shared_state)
+            if ea.compress_isometry is None:
+                assert "compress_isometry_columns" not in record
+            else:
+                assert_bit_exact(array_from_json(record["compress_isometry_columns"]),
+                                 ea.compress_isometry.T)
 
     def test_uncompressed_payload_has_no_isometry(self):
         dec = structure.decompose(cached_fixture("five_qubit"), (4, 5))
