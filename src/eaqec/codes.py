@@ -93,10 +93,6 @@ class PauliOperator:
         return PauliOperator(self.n, self.x_bits ^ other.x_bits,
                              self.z_bits ^ other.z_bits, exp)
 
-    def adjoint(self) -> "PauliOperator":
-        exp = -self.phase_exp + 2 * (self.x_bits & self.z_bits).bit_count()
-        return PauliOperator(self.n, self.x_bits, self.z_bits, exp)
-
     def commutes_with(self, other: "PauliOperator") -> bool:
         """Symplectic commutation test; phases are irrelevant here."""
         if other.n != self.n:

@@ -2,9 +2,10 @@
 
 Generators are bit-packed (one x mask and one z mask per generator) and all
 group arithmetic goes through PauliOperator.compose, so phases are never
-approximated.  The GF(2) work that needs group elements (independent
-generators, the subgroup inside a qubit set, the Z-type subgroup) is one
-elimination on those masks; ranks only count pivots of the masked rows.
+approximated.  All GF(2) work is one elimination on those masks, each row
+carrying its own index bit: its pivots count the rank, and each dependent
+generator comes with the generators that cancel it, composed only where a
+phase is read (independent generators, Z-type and in-set subgroups).
 A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
@@ -37,9 +38,11 @@ from .errors import ConsistencyError, ContractError, InvalidStabilizerError
 
 # ------------------------------------------------------------ GF(2) rows
 
-def _row(p: PauliOperator) -> int:
-    """GF(2) row [x_1..x_n | z_1..z_n] as one int, qubit 1's x bit on top."""
-    return (p.x_bits << p.n) | p.z_bits
+def _rows(ops) -> tuple[int, ...]:
+    """Each op's GF(2) row [x_1..x_n | z_1..z_n], qubit 1's x bit on top,
+    with its own index bit appended below: row << r | 1 << i for op i of r."""
+    r = len(ops)
+    return tuple(((g.x_bits << g.n | g.z_bits) << r) | 1 << i for i, g in enumerate(ops))
 
 
 def _support_mask(n: int, subset) -> int:
@@ -52,59 +55,38 @@ def _support_mask(n: int, subset) -> int:
     return (m << n) | m
 
 
-def _eliminate(ops, mask: int):
-    """Gaussian elimination over GF(2) on the rows of `ops` restricted to `mask`.
+def _eliminate(rows, mask: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Gaussian elimination over GF(2) on the rows (as _rows makes them)
+    restricted to `mask`, their index bits always kept.
 
-    Keeps a fully reduced echelon of operator products in append order, each
-    pivoting on the top set bit of its masked row.  Returns {index: product}
-    for every op whose masked row depends on the ops before it: that op
-    times the echelon products that cancel it, so the product's row vanishes
-    on `mask`.  For commuting Hermitian ops the
-    products do not depend on the order of composition.
+    Each row is reduced by the kept pivot rows, looked up by its top set
+    bit, until its masked part vanishes or shows a new top bit and is kept.
+    Returns the echelon {top bit length: row}, whose size is the GF(2)
+    rank, and {i: combination} for each row i that depends on the rows
+    before it: the index bits of the rows that cancel it on `mask`, i on
+    top, the others kept rows, so the combination is unique.
     """
-    echelon = []  # (pivot bit, masked row, product with exactly that masked row)
-    residues = {}
-    for i, g in enumerate(ops):
-        v, op = _row(g) & mask, g
-        for pivot, row, e in echelon:
-            if v & pivot:
-                v ^= row
-                op = e.adjoint().compose(op)
-        if not v:
-            residues[i] = op
-            continue
-        top = 1 << (v.bit_length() - 1)
-        # keep reduced rows fully reduced against each other
-        for k, (pivot, row, e) in enumerate(echelon):
-            if row & top:
-                echelon[k] = (pivot, row ^ v, op.adjoint().compose(e))
-        echelon.append((top, v, op))
-    return residues
-
-
-def _pivots(rows, mask: int) -> dict[int, int]:
-    """Echelon of the int rows (as _row makes them) restricted to `mask`:
-    {top bit length: row}, one entry per pivot, so its size is the GF(2) rank.
-
-    Each masked row is reduced by the kept pivot rows, looked up by its top
-    set bit, until it vanishes or shows a new top bit and is kept; no
-    operator is composed.
-    """
-    pivots = {}  # top bit length -> reduced row with that top bit
+    r = len(rows)
+    low = (1 << r) - 1
+    mask = mask << r | low
+    pivots, dependents = {}, {}
     for row in rows:
         v = row & mask
-        while v:
+        while v > low:                      # the masked part is not yet zero
             top = v.bit_length()
             if top not in pivots:
                 pivots[top] = v
                 break
             v ^= pivots[top]
-    return pivots
+        else:
+            dependents[v.bit_length() - 1] = v
+    return pivots, dependents
 
 
-def _rank(ops, mask: int) -> int:
-    """GF(2) rank of the rows of `ops` restricted to `mask`."""
-    return len(_pivots(map(_row, ops), mask))
+def _factors(ops, combination: int) -> list[PauliOperator]:
+    """The ops whose index bits are set in `combination`, in index order;
+    composed, commuting Hermitian ones give an order-free product."""
+    return [g for i, g in enumerate(ops) if combination >> i & 1]
 
 
 # ------------------------------------------------------------------- groups
@@ -112,25 +94,31 @@ def _rank(ops, mask: int) -> int:
 def _canonicalize(paulis, n):
     """Drop GF(2)-redundant generators, verifying every dependency is +I.
 
-    Keeps the surviving generators in input order.  Dependencies are
-    evaluated in pivot order; for commuting generators the outcome is
-    order-free.  A generator squaring to -I, or a dependency composing to
-    anything but +I, is rejected at the first generator that shows it.
+    Keeps the surviving generators in input order.  A dependency (see
+    _eliminate) whose generators pairwise commute has an order-free
+    product, which must be +I; one with an anticommuting pair has no
+    order-free sign and is not checked.  A generator squaring to -I, or a
+    dependency composing to -I, is rejected at the first generator that
+    shows it.
     """
     bad = next((i for i, g in enumerate(paulis) if g.n != n or not g.is_hermitian()),
                len(paulis))
-    residues = _eliminate(paulis[:bad], -1)  # every bit
-    for op in residues.values():
-        if op.phase_exp != 0:
-            phase, _ = op.to_string()
-            raise InvalidStabilizerError(
-                f"generators are dependent with inconsistent phase ({phase}I in group)")
+    ops = paulis[:bad]
+    _, dependents = _eliminate(_rows(ops), -1)  # every bit
+    for combination in dependents.values():
+        factors = _factors(ops, combination)
+        if all(a.commutes_with(b) for a, b in itertools.combinations(factors, 2)):
+            op = functools.reduce(PauliOperator.compose, factors)
+            if op.phase_exp != 0:
+                phase, _ = op.to_string()
+                raise InvalidStabilizerError(
+                    f"generators are dependent with inconsistent phase ({phase}I in group)")
     if bad < len(paulis):
         g = paulis[bad]
         if g.n != n:
             raise ContractError(f"generator {g} acts on {g.n} qubits, group has {n}")
         raise InvalidStabilizerError(f"generator {g} squares to -I")
-    return tuple(g for i, g in enumerate(paulis) if i not in residues)
+    return tuple(g for i, g in enumerate(paulis) if i not in dependents)
 
 
 @dataclass(frozen=True)
@@ -170,8 +158,8 @@ class StabilizerGroup:
 
     @functools.cached_property
     def rows(self) -> tuple[int, ...]:
-        """Each generator's GF(2) row (_row), built once per group."""
-        return tuple(map(_row, self.generators))
+        """The generators' rows for _eliminate (_rows), built once per group."""
+        return _rows(self.generators)
 
     @property
     def k_dim(self) -> int:
@@ -270,7 +258,8 @@ def _check_form(form: SymplecticForm, group: StabilizerGroup) -> None:
             same_pair = (i // 2 == j // 2) and i < 2 * form.c and j < 2 * form.c
             if same_pair == a.commutes_with(b):
                 raise ConsistencyError("pairing violates the symplectic form")
-    if _rank(group.generators, -1) != _rank(group.generators + tuple(flat), -1):
+    every = group.generators + tuple(flat)
+    if len(_eliminate(group.rows, -1)[0]) != len(_eliminate(_rows(every), -1)[0]):
         raise ConsistencyError("pairing changed the generated group")
     if len(flat) != group.num_generators:
         raise ConsistencyError("pairing lost generators")
@@ -328,19 +317,20 @@ def codewords(group: StabilizerGroup, label: str = "") -> QuantumCode:
     n = group.n
     dim = 1 << n
     qla.check_dim((1 << (n - group.num_generators)) * dim)
-    x_bits = (dim - 1) << n
-    z_type = _eliminate(group.generators, x_bits)
+    gens = group.generators
+    pivots, z_type = _eliminate(group.rows, (dim - 1) << n)   # the x bits
     index = np.arange(dim)
     plus = np.ones(dim, dtype=bool)
-    for h in z_type.values():                 # <j|h|j> = i^p (-1)^|z & j|, p even
+    for combination in z_type.values():       # <j|h|j> = i^p (-1)^|z & j|, p even
+        h = functools.reduce(PauliOperator.compose, _factors(gens, combination))
         plus &= (np.bitwise_count(index & h.z_bits) & 1) == h.phase_exp >> 1
     x, z, p = np.zeros((3, 1), dtype=np.int64)
-    movers = [g for i, g in enumerate(group.generators) if i not in z_type]
+    movers = [g for i, g in enumerate(gens) if i not in z_type]
     for g in movers:                          # double the orbit elements e into e and g e
         x, z, p = (np.concatenate([x, g.x_bits ^ x]), np.concatenate([z, g.z_bits ^ z]),
                    np.concatenate([p, g.phase_exp + p + 2 * np.bitwise_count(g.z_bits & x)]))
-    pivots = sum(1 << (top - 1) for top in _pivots(group.rows, x_bits)) >> n
-    anchors = np.flatnonzero(plus & ((index & pivots) == 0))
+    x_pivots = sum(1 << (top - 1) for top in pivots) >> (len(gens) + n)
+    anchors = np.flatnonzero(plus & ((index & x_pivots) == 0))
     if not anchors.size:
         raise InvalidStabilizerError("joint eigenspace is empty (inconsistent phases)")
     exps = p + 2 * np.bitwise_count(anchors[:, None] & z)
@@ -355,14 +345,15 @@ def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
     """Subgroup of elements supported entirely inside the given qubit set.
 
     Eliminates the generators on the row bits outside the set: each
-    dependent generator, times the products that cancel it there, is one
+    dependent generator, times the generators that cancel it there, is one
     generator of the subgroup (order-free because the group must be
     abelian; a nonabelian one is a ContractError).
     """
     _require_abelian(group, "subgroup_on")
-    outside = ~_support_mask(group.n, subset)
-    residues = _eliminate(group.generators, outside)
-    return StabilizerGroup.from_generators(residues.values(), n=group.n)
+    _, dependents = _eliminate(group.rows, ~_support_mask(group.n, subset))
+    return StabilizerGroup.from_generators(
+        (functools.reduce(PauliOperator.compose, _factors(group.generators, c))
+         for c in dependents.values()), n=group.n)
 
 
 def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
@@ -379,6 +370,5 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     """
     _require_abelian(group, "is_correctable_stab")
     inside = _support_mask(group.n, subset)
-    rows = group.rows
-    s_dim = len(rows) - len(_pivots(rows, ~inside))
-    return len(_pivots(rows, inside)) + s_dim == inside.bit_count()
+    s_dim = len(group.rows) - len(_eliminate(group.rows, ~inside)[0])
+    return len(_eliminate(group.rows, inside)[0]) + s_dim == inside.bit_count()

@@ -188,20 +188,32 @@ def _project(group: stab.StabilizerGroup, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def group_elements(group: stab.StabilizerGroup):
+    """All 2^m group elements as PauliOperators, via explicit products."""
+    elems = [PauliOperator(group.n, 0, 0)]
+    for g in group.generators:
+        elems += [e.compose(g) for e in elems]
+    return elems
+
+
 def _projector_diagonal(group: stab.StabilizerGroup) -> np.ndarray:
     """<j|P|j> for every basis state j, from the Z-type subgroup alone.
 
     P is the average of the 2^r group elements, and only elements without
-    an X part have diagonal entries, so with h_1..h_t generating those,
+    an X part have diagonal entries.  Those are taken from group_elements,
+    and h_1..h_t generating them are picked greedily: an element is kept
+    when its Z part is outside the span of the ones kept before.  Then
     <j|P|j> = 2^-r prod_i (1 + <j|h_i|j>), which is 0 or 2^(t-r).  Every
     factor is exactly 0 or 2, so the result is exact.
     """
     n, r = group.n, group.num_generators
     ones = np.ones(1 << n)
     diag = np.full(1 << n, 2.0 ** -r)
-    z_type = stab._eliminate(group.generators, ((1 << n) - 1) << n)  # rows vanishing on x
-    for h in z_type.values():
-        diag *= 1 + h.apply(ones).real
+    span = {0}                                # Z parts of the kept elements' products
+    for h in group_elements(group):
+        if not h.x_bits and h.z_bits not in span:
+            span |= {z ^ h.z_bits for z in span}
+            diag *= 1 + h.apply(ones).real
     return diag
 
 

@@ -1,7 +1,7 @@
 """Pauli algebra, code model, fixtures, distance, JSON round-trips.
 
 The Pauli oracle below builds dense matrices by chaining 2x2 kron factors
-and never touches the bitmask implementation, so composition, adjoints,
+and never touches the bitmask implementation, so composition,
 commutation, and state application are all checked against an independent
 construction.
 """
@@ -92,12 +92,6 @@ class TestPauliAlgebra:
         got = pauli_matrix(a.compose(b))
         want = oracle_matrix(la, pa) @ oracle_matrix(lb, pb)
         assert np.allclose(got, want, atol=1e-14)
-
-    @given(letters_strategy, phase_strategy)
-    def test_adjoint(self, letters, phase):
-        p = PauliOperator.from_string(letters, phase=phase)
-        assert np.allclose(pauli_matrix(p.adjoint()),
-                           oracle_matrix(letters, phase).conj().T, atol=1e-14)
 
     @given(letters_strategy, phase_strategy)
     def test_hermitian_flag(self, letters, phase):

@@ -12,6 +12,7 @@ numerical analysis on random abelian groups.
 """
 
 import tracemalloc
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -25,20 +26,12 @@ from eaqec.errors import (ContractError, InvalidStabilizerError, SizeError,
                           StructureViolationError)
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, cached_fixture, gf2_matrix,
-                      gf2_rank, group_to_json, oracle_matrix, pauli_matrix,
+                      gf2_rank, group_elements, group_to_json, oracle_matrix, pauli_matrix,
                       projection_codewords, reference_correctable, reference_subgroup_on,
                       shor_grid_generators)
 
 FIVE_GENS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 STEANE_GENS = ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
-
-
-def group_elements(group: stab.StabilizerGroup):
-    """All 2^m group elements as PauliOperators, via explicit products."""
-    elems = [PauliOperator(group.n, 0, 0)]
-    for g in group.generators:
-        elems += [e.compose(g) for e in elems]
-    return elems
 
 
 class TestCommutes:
@@ -83,7 +76,18 @@ class TestEliminationAgainstMatrixKit:
         ops = [PauliOperator(n, x, z) for x, z in pairs]
         # row bit 2n-1-c holds column c of the [x_1..x_n | z_1..z_n] layout
         cols = [c for c in range(2 * n) if mask >> (2 * n - 1 - c) & 1]
-        assert stab._rank(ops, mask) == gf2_rank(gf2_matrix(ops, n)[:, cols])
+        masked = gf2_matrix(ops, n)[:, cols]
+        pivots, dependents = stab._eliminate(stab._rows(ops), mask)
+        assert len(pivots) == gf2_rank(masked)
+        # the dependents are the rows that add no rank to the rows before
+        # them; each combination has its own row on top, and the rows it
+        # picks cancel on the mask
+        assert list(dependents) == \
+            [i for i in range(len(ops)) if gf2_rank(masked[:i + 1]) == gf2_rank(masked[:i])]
+        for i, combination in dependents.items():
+            assert combination >> i == 1
+            chosen = [j for j in range(len(ops)) if combination >> j & 1]
+            assert not (masked[chosen].sum(axis=0) % 2).any()
 
 
 class TestCanonicalization:
@@ -107,13 +111,45 @@ class TestCanonicalization:
             stab.StabilizerGroup.from_strings(FIVE_GENS + ("XYIYX",),
                                               phases=["+"] * 4 + ["-"])
 
-    def test_dependencies_follow_pivot_order(self):
-        # -YZ is -I times the first generator, but the pivot-order elimination
-        # cancels it through products that carry the anticommuting XX and IX
-        # and meets +I there; an order-free elimination rejects the list
-        g = stab.StabilizerGroup.from_strings(("YZ", "YZ", "XX", "IX", "YZ"),
-                                              phases=["+", "+", "-", "+", "-"])
-        assert [str(p) for p in g.generators] == ["YZ", "-XX", "IX"]
+    @pytest.mark.parametrize("gens,phases", [
+        (("YZ", "YZ", "XX", "IX", "YZ"), "++-+-"), (("XX", "XX", "ZI"), "+-+")],
+        ids=["YZ,YZ,XX,IX,YZ", "XX,XX,ZI"])
+    def test_commuting_dependency_checked_in_nonabelian_list(self, gens, phases):
+        # the last YZ is cancelled by the first alone, and YZ and -YZ compose
+        # to -I in either order, although XX and IX anticommute with YZ; the
+        # same holds for XX and -XX beside ZI
+        with pytest.raises(InvalidStabilizerError, match=r"\(-I in group\)"):
+            stab.StabilizerGroup.from_strings(gens, phases=list(phases))
+
+    def test_anticommuting_dependency_not_checked(self):
+        # XI ZI YI: the product of XI and ZI is -iYI in that order and +iYI
+        # in the other, so the sign of YI is not fixed by the other two
+        for phase in "+-":
+            g = stab.StabilizerGroup.from_strings(("XI", "ZI", "YI"), phases=["+", "+", phase])
+            assert [str(p) for p in g.generators] == ["XI", "ZI"]
+
+    @given(abelian_groups(max_n=6), st.data())
+    def test_appended_products_keep_the_group(self, g, data):
+        # products of the generators (the identity among them), each under a
+        # random sign: all are dropped when every sign is the product's own,
+        # and any other sign puts -I in the group
+        m = g.num_generators
+        appended = data.draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.booleans()),
+                                      max_size=4))
+        gens, own = list(g.generators), True
+        for combination, minus in appended:
+            p = reduce(PauliOperator.compose,
+                       [h for j, h in enumerate(g.generators) if combination >> j & 1],
+                       PauliOperator(g.n, 0, 0))
+            signed = PauliOperator(g.n, p.x_bits, p.z_bits,
+                                   (p.x_bits & p.z_bits).bit_count() + 2 * minus)
+            own &= signed == p
+            gens.append(signed)
+        if own:
+            assert stab.StabilizerGroup.from_generators(gens, n=g.n).generators == g.generators
+        else:
+            with pytest.raises(InvalidStabilizerError, match="inconsistent phase"):
+                stab.StabilizerGroup.from_generators(gens, n=g.n)
 
     def test_nonhermitian_generator_rejected(self):
         with pytest.raises(InvalidStabilizerError):
