@@ -14,6 +14,10 @@ across B (codes.cut_trace, whose K^2 4^b entries are size-checked
 first): the moments and their residual, varrho_B = (sum_i T_ii)^T / K
 with its spectrum and rank C, and each codeword's kept-side rank from
 the eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
+It runs on a stack of sets of one size at once, with no loop over the
+sets before the reports are built; analyze_subset and kl_matrix are the
+stack of one, and only kl_matrix fixes the gauge of varrho_B's
+eigenvectors, which its kernel prints.
 Correctable sets classify three ways from the marginal: pure (maximally
 mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
 (rank deficient).  The coefficient matrix lambda_FG = Tr(varrho_B E_F^dag
@@ -40,6 +44,8 @@ from .errors import NotCorrectableError
 PURE = "pure"
 IMPURE_NONDEGENERATE = "impure_nondegenerate"
 DEGENERATE = "degenerate"
+
+SCAN_CHUNK = 1 << 12    # entries of a scan chunk's cut, and of its partial traces
 
 
 @dataclass(frozen=True)
@@ -71,28 +77,35 @@ class KLReport:
         return self.split.dim_erased * self.marginal_rank
 
 
-def _analyze(code: QuantumCode, split: qla.SubsystemSplit, residual_tol: float,
-             rank_tol: float) -> tuple[KLReport, np.ndarray, np.ndarray]:
-    """The report for one erased set, its Pauli moments and the gauge-fixed
-    eigenvectors of varrho_B (columns, in the order of marginal_spectrum),
-    all read off the one partial trace T (codes.cut_trace)."""
-    t = cut_trace(code, split.erased)
+def _analyze(code: QuantumCode, subsets, residual_tol: float,
+             rank_tol: float) -> tuple[list[KLReport], np.ndarray, np.ndarray]:
+    """The reports for a list of erased sets of one size, and the moments
+    (S, 4^b, K, K) and B-marginals (S, 2^b, 2^b) they were read from: one
+    stacked partial trace (codes.cut_trace), moment transform, kl_check,
+    and eigensolve each of the marginals and of the kept blocks T_ii."""
+    t = cut_trace(code, np.array(subsets, dtype=np.intp))
     k = code.k_dim
     moments = trace_moments(t)
-    residual_max, correctable = kl_check(moments, residual_tol)
-    blocks = t[np.arange(k), :, np.arange(k), :]          # T_ii, shape (K, 2^b, 2^b)
-    eigs, vecs = qla.eig_hermitian(blocks.sum(axis=0).T / k)
-    spectrum = np.maximum(eigs, 0.0)
-    marginal_rank = qla.numerical_rank(spectrum, rank_tol)
-    kept_ranks = tuple(qla.numerical_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))
-    report = KLReport(
-        split=split, matrix=None, residual_max=residual_max,
-        correctable=correctable,
-        marginal_spectrum=spectrum, marginal_rank=marginal_rank,
-        kept_marginal_ranks=kept_ranks, kernel=None)
-    if report.correctable:
-        report = replace(report, trichotomy=classify(report))
-    return report, moments, vecs
+    residuals, verdicts = kl_check(moments, residual_tol)
+    diag = np.arange(k)
+    blocks = t[:, diag, :, diag]                          # T_ii, shape (K, S, 2^b, 2^b)
+    marginals = blocks.sum(axis=0).swapaxes(-2, -1) / k
+    spectra = np.maximum(qla.eigvals_hermitian(marginals), 0.0)
+    marginal_ranks = qla.numerical_rank(spectra, rank_tol)
+    kept_ranks = qla.numerical_rank(np.linalg.eigvalsh(blocks), rank_tol).T
+    reports = []
+    for subset, residual, correctable, spectrum, rank, kept in zip(
+            subsets, residuals.tolist(), verdicts.tolist(), spectra,
+            marginal_ranks.tolist(), kept_ranks.tolist()):
+        report = KLReport(
+            split=qla.SubsystemSplit(n=code.n, erased=subset), matrix=None,
+            residual_max=residual, correctable=correctable,
+            marginal_spectrum=spectrum, marginal_rank=rank,
+            kept_marginal_ranks=tuple(kept), kernel=None)
+        if correctable:
+            report = replace(report, trichotomy=classify(report))
+        reports.append(report)
+    return reports, moments, marginals
 
 
 def require_correctable(code: QuantumCode, subset,
@@ -132,7 +145,8 @@ def kl_matrix(code: QuantumCode, subset,
     b, de = split.b, split.dim_erased
     qla.check_dim(16 ** b)
 
-    report, moments, vecs = _analyze(code, split, residual_tol, rank_tol)
+    (report,), (moments,), (marginal,) = _analyze(code, [split.erased], residual_tol, rank_tol)
+    vecs = qla.eig_hermitian(marginal)[1]
     c = (np.trace(moments, axis1=1, axis2=2) / code.k_dim).reshape(de, de)  # [z, x]
     xor, sign = pauli_tables(b)
     signs = sign[:, xor]                                  # signs[z, f, g] = sign[z, f ^ g]
@@ -173,9 +187,8 @@ def analyze_subset(code: QuantumCode, subset,
     kl_matrix).  No coefficient matrix or eigensolve of one is formed, so
     matrix and kernel are None.
     """
-    subset = tuple(subset)
-    return _analyze(code, qla.SubsystemSplit(n=code.n, erased=subset),
-                    residual_tol, rank_tol)[0]
+    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
+    return _analyze(code, [split.erased], residual_tol, rank_tol)[0][0]
 
 
 def scan_subsets(code: QuantumCode, size: int,
@@ -183,10 +196,16 @@ def scan_subsets(code: QuantumCode, size: int,
                  rank_tol: float = RANK_TOL):
     """analyze_subset for every subset of the given size, lexicographically.
 
-    The K^2 4^size moment check runs at the call, before any work; reports
-    are then produced one at a time, so a scan holds one subset's moments
-    and marginal at a time.
+    The K^2 4^size moment check runs at the call, before any work.  The
+    subsets are decided in chunks, each one stacked pass (_analyze), so a
+    scan holds one chunk's cut, moments and marginals at a time; a chunk
+    holds at most SCAN_CHUNK entries of its cut (K 2^n a subset) and of its
+    partial traces (K^2 4^size a subset), or a single subset.
     """
-    qla.check_dim(code.k_dim ** 2 * 4 ** size)
-    return (analyze_subset(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
-            for subset in itertools.combinations(range(1, code.n + 1), size))
+    k = code.k_dim
+    qla.check_dim(k ** 2 * 4 ** size)
+    chunk = max(1, SCAN_CHUNK // max(k * code.dim, k ** 2 * 4 ** size))
+    subsets = itertools.combinations(range(1, code.n + 1), size)
+    chunks = iter(lambda: list(itertools.islice(subsets, chunk)), [])
+    return (report for batch in chunks
+            for report in _analyze(code, batch, residual_tol, rank_tol)[0])

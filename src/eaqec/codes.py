@@ -238,37 +238,45 @@ def pauli_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
     return xor, sign
 
 
-def cut_trace(code: QuantumCode, subset) -> np.ndarray:
-    """The partial traces T_ij = A_i^dag A_j of the codewords cut across a subset.
+def cut_trace(code: QuantumCode, subsets) -> np.ndarray:
+    """The partial traces T_ij = A_i^dag A_j of the codewords cut across erased sets.
 
+    subsets is one erased set, or an (S, b) array of S sets of one size.
     A_i is codeword i as a kept x erased matrix (qla.bipartite_matrix), so
-    T has shape (K, 2^b, K, 2^b) and holds everything the erasure analysis
-    reads about the subset: the Pauli moments (trace_moments), the
-    B-marginal (sum_i T_ii)^T / K, and each codeword's kept-side spectrum,
-    that of T_ii.  Its K^2 4^b entries, as many as the moments', are
-    size-checked before anything is built.
+    T has shape (K, 2^b, K, 2^b), with a leading S axis for a stack, and
+    holds everything the erasure analysis reads about a set: the Pauli
+    moments (trace_moments), the B-marginal (sum_i T_ii)^T / K, and each
+    codeword's kept-side spectrum, that of T_ii.  The S K^2 4^b entries of
+    T, as many as the moments', and the S K 2^n of the cut are size-checked
+    first.  One set, or a stack of one, is cut by its axis transpose, which
+    is cheaper than the index table of a stack's one gather.
     """
-    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
-    k, de = code.k_dim, split.dim_erased
-    qla.check_dim(k * k * de * de)
-    a = qla.bipartite_matrix(code.basis, split).reshape(split.dim_kept, k * de)
-    return (a.conj().T @ a).reshape(k, de, k, de)
+    erased = np.asarray(subsets, dtype=np.intp)
+    lead, b = erased.shape[:-1], erased.shape[-1]
+    count, k, de = math.prod(lead), code.k_dim, 1 << b
+    split = erased if count != 1 else qla.SubsystemSplit(code.n, erased.reshape(b).tolist())
+    qla.check_dim(count * k * k * de * de)
+    qla.check_dim(count * code.basis.size)
+    a = qla.bipartite_matrix(code.basis, split)
+    a = a.reshape(a.shape[:-3] + (a.shape[-3], k * de))
+    return (a.conj().swapaxes(-2, -1) @ a).reshape(lead + (k, de, k, de))
 
 
 def trace_moments(t: np.ndarray) -> np.ndarray:
     """Every <v_i|E_F|v_j> for the 4^b phase-free Paulis E_F on the subset,
     read off the cut_trace T as <v_i|X^x Z^z|v_j> = sum_f (-1)^|f & z| T_ij[f ^ x, f].
 
-    Returns shape (4^b, K, K).  E_F = X^x Z^z with F = x + 2^b z, where x and
-    z are local bit patterns over the subset in its given order (first
-    qubit most significant): identity first, x cycling fastest, the order
-    of pauli_tables.
+    Returns shape (4^b, K, K), after T's leading set axis if any.  E_F =
+    X^x Z^z with F = x + 2^b z, where x and z are local bit patterns over
+    the subset in its given order (first qubit most significant): identity
+    first, x cycling fastest, the order of pauli_tables.
     """
-    k, de = t.shape[:2]
+    lead, (k, de) = t.shape[:-4], t.shape[-4:-2]
     xor, sign = pauli_tables(de.bit_length() - 1)
-    u = t[:, xor, :, np.arange(de)]            # u[x, f, i, j] = T_ij[f ^ x, f]
-    m = sign @ u.transpose(1, 0, 2, 3).reshape(de, de * k * k)
-    return m.reshape(de * de, k, k)
+    u = t[..., xor, :, np.arange(de)]         # u[x, f, ..., i, j] = T_ij[f ^ x, f]
+    axes = (*range(2, 2 + len(lead)), 1, 0, -2, -1)
+    m = sign @ u.transpose(axes).reshape(lead + (de, de * k * k))
+    return m.reshape(lead + (de * de, k, k))
 
 
 def moment_residuals(moments: np.ndarray) -> np.ndarray:
@@ -278,13 +286,14 @@ def moment_residuals(moments: np.ndarray) -> np.ndarray:
     c_F = tr(m_F) / K, the closest multiple of the identity; E_F is
     detected when its residual is within the residual tolerance.
     """
-    k = moments.shape[1]
-    coefficients = np.trace(moments, axis1=1, axis2=2) / k
-    dev = moments - coefficients[:, None, None] * np.eye(k)
-    return np.linalg.norm(dev, axis=(1, 2))
+    k = moments.shape[-1]
+    coefficients = np.trace(moments, axis1=-2, axis2=-1) / k
+    dev = moments - coefficients[..., None, None] * np.eye(k)
+    return np.linalg.norm(dev, axis=(-2, -1))
 
 
-def kl_check(moments: np.ndarray, residual_tol: float) -> tuple[float, bool]:
+def kl_check(moments: np.ndarray,
+             residual_tol: float) -> tuple[float | np.ndarray, bool | np.ndarray]:
     """The Knill-Laflamme rule on a stack of K x K moment matrices.
 
     Returns the largest moment_residuals entry and whether it is within
@@ -292,9 +301,14 @@ def kl_check(moments: np.ndarray, residual_tol: float) -> tuple[float, bool]:
     describes.  Every dense verdict is this one: an erased set's 4^b Pauli
     moments (QuantumCode.is_correctable, analysis) and the m^2 Gram blocks
     V^dag E_a^dag E_b V of a recovery's error set (simulate.kl_recovery).
+    An (S, 4^b, K, K) stack of S sets gives each set's residual and
+    verdict, as arrays.
     """
-    residual = float(moment_residuals(moments).max())
-    return residual, bool(residual <= residual_tol)
+    residual = moment_residuals(moments).max(axis=-1)
+    ok = residual <= residual_tol
+    if residual.ndim:
+        return residual, ok
+    return float(residual), bool(ok)
 
 
 def min_distance(source, max_weight: int | None = None,

@@ -12,6 +12,7 @@ complex arrays as sparse JSON records of their nonzero entries
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,23 +77,69 @@ def _cut_axes(split: SubsystemSplit) -> list[int]:
     return list(split.kept) + [0] + list(split.erased)
 
 
-def bipartite_matrix(states, split: SubsystemSplit) -> np.ndarray:
+_BIT_GROUP = 8
+
+
+@functools.cache
+def _pattern_bits(m: int) -> np.ndarray:
+    """bits[j, p]: bit j of the m-bit pattern p, bit 0 most significant."""
+    bits = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+def _cut_index(n: int, erased: np.ndarray) -> np.ndarray:
+    """[s, r, c]: the basis index whose kept qubits (ascending) spell r and
+    whose erased qubits, as row s of the (S, b) labels stores them, spell c.
+
+    Built for the whole stack at once, as the outer OR of one factor per
+    group of _BIT_GROUP pattern bits, so no n x 2^n bit matrix is formed.
+    """
+    erased = np.asarray(erased, dtype=np.intp)
+    count, b = erased.shape
+    if erased.size and (erased.min() < 1 or erased.max() > n):
+        raise ContractError(f"qubit labels must lie within 1..{n}")
+    is_kept = np.ones((count, n), dtype=bool)
+    is_kept[np.arange(count)[:, None], erased - 1] = False
+    if np.count_nonzero(is_kept) != count * (n - b):
+        raise ContractError("an erased set repeats a qubit label")
+    kept = np.nonzero(is_kept)[1].reshape(count, n - b) + 1
+    weights = 1 << (n - np.concatenate([kept, erased], axis=1))
+    table = np.zeros((count, 1), dtype=np.intp)
+    for start in range(0, n, _BIT_GROUP):
+        group = weights[:, start:start + _BIT_GROUP]
+        factor = group @ _pattern_bits(group.shape[1])
+        table = (table[:, :, None] | factor[:, None, :]).reshape(
+            count, table.shape[1] * factor.shape[1])
+    return table.reshape(count, 1 << (n - b), 1 << b)
+
+
+def bipartite_matrix(states, split) -> np.ndarray:
     """Cut one state, or each row of a (K, 2^n) stack, across the split.
 
     Row index runs over the kept qubits (ascending), column index over the
     erased qubits in the split's stored order: one state gives a dim_kept x
     dim_erased matrix, a stack a (dim_kept, K, dim_erased) array whose
-    [:, i, :] is row i's matrix.  The cut is one axis transpose, so the
-    stack reshapes to dim_kept x (K dim_erased) without a further copy.
+    [:, i, :] is row i's matrix, so it reshapes to dim_kept x (K
+    dim_erased) without a further copy.  A SubsystemSplit is cut by one
+    axis transpose.  An (S, b) array of erased sets (1-based labels, each
+    row in its own order) puts a leading S axis on the result and is cut
+    by one gather through _cut_index.
     """
     states = np.asarray(states, dtype=complex)
-    dim = 2 ** split.n
-    if states.ndim not in (1, 2) or states.shape[-1] != dim:
-        raise ContractError(f"states have shape {states.shape}, expected ({dim},) "
-                            f"or (K, {dim})")
-    stack = states.reshape((-1,) + (2,) * split.n).transpose(_cut_axes(split))
-    out = stack.reshape(split.dim_kept, -1, split.dim_erased)
-    return out if states.ndim == 2 else out[:, 0]
+    dim = states.shape[-1] if states.ndim else 0
+    n = split.n if isinstance(split, SubsystemSplit) else max(dim.bit_length() - 1, 0)
+    if states.ndim not in (1, 2) or dim != 2 ** n:
+        raise ContractError(f"states have shape {states.shape}, expected ({2 ** n},) "
+                            f"or (K, {2 ** n})")
+    stack = states.reshape(-1, dim)
+    if isinstance(split, SubsystemSplit):
+        cut = stack.reshape((-1,) + (2,) * n).transpose(_cut_axes(split))
+        out = cut.reshape(split.dim_kept, -1, split.dim_erased)
+    else:
+        offsets = np.arange(len(stack))[:, None] << n
+        out = stack.reshape(-1)[_cut_index(n, split)[..., None, :] + offsets]
+    return out if states.ndim == 2 else out[..., 0, :]
 
 
 def unsplit(matrix: np.ndarray, split: SubsystemSplit) -> np.ndarray:
@@ -105,8 +152,8 @@ def unsplit(matrix: np.ndarray, split: SubsystemSplit) -> np.ndarray:
 
 
 def _require_hermitian(m: CMatrix, tol: float) -> None:
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > tol * scale:
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1.0)
+    if np.any(np.linalg.norm(m - m.conj().swapaxes(-2, -1), axis=(-2, -1)) > tol * scale):
         raise ContractError("matrix is not Hermitian within tolerance")
 
 
@@ -158,6 +205,13 @@ def _block_order(values: np.ndarray, tol: float, vectors: np.ndarray) -> np.ndar
     return np.lexsort((_pivot_rows(vectors), block))
 
 
+def eigvals_hermitian(m: CMatrix) -> np.ndarray:
+    """eig_hermitian's eigenvalues, of one matrix or of each of a stack."""
+    m = np.asarray(m, dtype=complex)
+    _require_hermitian(m, HERMITICITY_TOL)
+    return np.linalg.eigh(m)[0][..., ::-1]
+
+
 def eig_hermitian(m: CMatrix):
     """Eigenvalues (descending) and gauge-fixed eigenvectors of a Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
@@ -183,15 +237,15 @@ def svd(m: CMatrix):
     return u[:, order], s, vh[order, :]
 
 
-def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int:
+def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int | np.ndarray:
     """The one rank rule across a cut: how many of the marginal eigenvalues
     (squared Schmidt coefficients) exceed tol times the largest.  Callers
-    that hold singular values pass their squares."""
+    that hold singular values pass their squares; a stack gets the rank of
+    each row."""
     w = np.asarray(weights, dtype=float)
-    top = w.max(initial=0.0)
-    if top <= 0:
-        return 0
-    return int(np.count_nonzero(w > tol * top))
+    if w.ndim > 1:
+        return np.count_nonzero(w > tol * w.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
+    return int(np.count_nonzero(w > tol * w.max(initial=0.0)))
 
 
 def is_orthonormal(gram: CMatrix) -> bool:

@@ -184,7 +184,8 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     failures: dict[str, float] = {}
     for start in range(0, len(errors), batch):
         hit = apply_paulis(errors[start:start + batch], sent)        # (dim_reg, E, S)
-        got = decoders @ receive(hit.reshape(hit.shape[0], -1))      # (r, K, E*S)
+        got = (decoders.reshape(-1, code.dim) @ receive(hit.reshape(hit.shape[0], -1))
+               ).reshape(*decoders.shape[:2], -1)                 # (r, K, E*S)
         amps = np.einsum("rkes,sk->res", got.reshape(*got.shape[:2], -1, len(targets)),
                          targets.conj())
         worst = np.min(np.sum(np.abs(amps) ** 2, axis=0), axis=1)    # per error

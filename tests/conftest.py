@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eaqec import codes, qla, stab, structure
 from eaqec.codes import PauliOperator, QuantumCode
-from eaqec.config import UNITARITY_TOL
+from eaqec.config import RANK_TOL, RESIDUAL_TOL, UNITARITY_TOL
 from eaqec.errors import ContractError
 
 settings.register_profile(
@@ -118,11 +118,12 @@ def array_from_json(record: dict) -> np.ndarray:
 
 
 def assert_bit_exact(got: np.ndarray, source: np.ndarray) -> None:
-    """got equals source bit for bit, an exactly zero source entry (also
-    -0.0 + 0.0j) counting as +0.0, which is how array_from_json reads an
-    omitted entry."""
-    want = np.where(source == 0, 0j, np.asarray(source, dtype=complex))
-    assert got.shape == want.shape
+    """got equals source bit for bit, real or complex, an exactly zero
+    source entry (also -0.0 + 0.0j) counting as +0.0, which is how
+    array_from_json reads an omitted entry."""
+    source = np.asarray(source)
+    want = np.where(source == 0, source.dtype.type(0), source)
+    assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
                           np.ascontiguousarray(want).view(np.uint64))
 
@@ -236,6 +237,65 @@ def projection_codewords(group: stab.StabilizerGroup) -> np.ndarray:
         rows.append(v)
         rem = rem - np.abs(v) ** 2
     return qla.gauge_fix_columns(np.array(rows).T).T
+
+
+# The erasure analysis one subset at a time, the reference for the stacked
+# pass of analysis: the transpose cut, the moment transform of one partial
+# trace, the Knill-Laflamme residual and the eigenvalues of eig_hermitian.
+
+def oracle_cut_trace(code: QuantumCode, subset) -> np.ndarray:
+    """T_ij = A_i^dag A_j for one subset, each codeword cut by one axis
+    transpose (kept qubits ascending, codeword, erased qubits as given)."""
+    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
+    k, de = code.k_dim, split.dim_erased
+    axes = list(split.kept) + [0] + list(split.erased)
+    a = code.basis.reshape((k,) + (2,) * code.n).transpose(axes).reshape(split.dim_kept, k * de)
+    return (a.conj().T @ a).reshape(k, de, k, de)
+
+
+def oracle_trace_moments(t: np.ndarray) -> np.ndarray:
+    """The (4^b, K, K) Pauli moments of one partial trace."""
+    k, de = t.shape[:2]
+    xor, sign = codes.pauli_tables(de.bit_length() - 1)
+    u = t[:, xor, :, np.arange(de)]            # u[x, f, i, j] = T_ij[f ^ x, f]
+    m = sign @ u.transpose(1, 0, 2, 3).reshape(de, de * k * k)
+    return m.reshape(de * de, k, k)
+
+
+def oracle_kl_check(moments: np.ndarray, residual_tol: float) -> tuple[float, bool]:
+    """The largest ||m_F - tr(m_F) I / K||_F of one stack, and whether it
+    is within residual_tol."""
+    k = moments.shape[1]
+    coefficients = np.trace(moments, axis1=1, axis2=2) / k
+    dev = moments - coefficients[:, None, None] * np.eye(k)
+    residual = float(np.linalg.norm(dev, axis=(1, 2)).max())
+    return residual, bool(residual <= residual_tol)
+
+
+def _oracle_rank(weights: np.ndarray, tol: float) -> int:
+    top = weights.max(initial=0.0)
+    return 0 if top <= 0 else int(np.count_nonzero(weights > tol * top))
+
+
+def oracle_analysis(code: QuantumCode, subset, residual_tol: float = RESIDUAL_TOL,
+                    rank_tol: float = RANK_TOL) -> dict:
+    """Residual, verdict, marginal spectrum, C, kept ranks and class of one
+    subset, each read off its own partial trace."""
+    t = oracle_cut_trace(code, subset)
+    k, de = t.shape[:2]
+    residual, correctable = oracle_kl_check(oracle_trace_moments(t), residual_tol)
+    blocks = t[np.arange(k), :, np.arange(k), :]
+    spectrum = np.maximum(qla.eig_hermitian(blocks.sum(axis=0).T / k)[0], 0.0)
+    rank = _oracle_rank(spectrum, rank_tol)
+    trichotomy = None
+    if correctable and rank != de:
+        trichotomy = "degenerate"
+    elif correctable:
+        pure = np.max(np.abs(spectrum - 1.0 / de)) <= 1e-10
+        trichotomy = "pure" if pure else "impure_nondegenerate"
+    return {"subset": tuple(subset), "residual": residual, "correctable": correctable,
+            "spectrum": spectrum, "C": rank, "trichotomy": trichotomy,
+            "kept_ranks": tuple(_oracle_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))}
 
 
 # Reference implementations the tests compare the library against: the

@@ -14,12 +14,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eaqec import analysis, codes, qla, stab, structure
 from eaqec.config import MAX_DIM, RANK_TOL, RESIDUAL_TOL
 from eaqec.errors import NotCorrectableError, SizeError, StructureViolationError
 
-from conftest import cached_fixture, pauli_basis_on, pauli_matrix, perturbed_pi_7_2_3
+from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, assert_bit_exact,
+                      cached_fixture, oracle_analysis, pauli_basis_on, pauli_matrix,
+                      perturbed_pi_7_2_3)
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -631,3 +634,99 @@ class TestCertificateDifferential:
                     assert certified == correctable, subset
                     verdicts.add(correctable)
         assert verdicts == {True, False}
+
+
+def assert_matches_oracle(report, want):
+    """A report equals the per-subset oracle's: residual and spectrum bit
+    for bit, verdict, C, class and kept ranks exactly."""
+    assert report.split.erased == want["subset"]
+    assert_bit_exact(np.float64(report.residual_max), np.float64(want["residual"]))
+    assert_bit_exact(report.marginal_spectrum, want["spectrum"])
+    assert report.correctable == want["correctable"]
+    assert report.marginal_rank == want["C"]
+    assert report.trichotomy == want["trichotomy"]
+    assert report.kept_marginal_ranks == want["kept_ranks"]
+
+
+class TestStackedPass:
+    """scan_subsets and analyze_subset decide a stack of subsets in one pass;
+    every report equals the per-subset oracle (conftest.oracle_analysis)."""
+
+    @staticmethod
+    def check(code, sizes, **tols):
+        for b in sizes:
+            reports = list(analysis.scan_subsets(code, b, **tols))
+            subsets = list(itertools.combinations(range(1, code.n + 1), b))
+            assert [r.split.erased for r in reports] == subsets
+            for report in reports:
+                want = oracle_analysis(code, report.split.erased, **tols)
+                assert_matches_oracle(report, want)
+                assert_matches_oracle(analysis.analyze_subset(code, want["subset"], **tols), want)
+
+    @pytest.mark.parametrize("make,max_b", [
+        *(pytest.param(lambda name=name: cached_fixture(name), 4, id=name)
+          for name in codes.FIXTURE_NAMES),
+        pytest.param(lambda: stab.codewords(stab.StabilizerGroup.from_strings(SHOR_GENS)), 4,
+                     id="shor"),
+        pytest.param(lambda: stab.codewords(stab.StabilizerGroup.from_strings(CYCLIC11_GENS)),
+                     3, id="cyclic11"),
+    ])
+    def test_named_codes(self, make, max_b):
+        code = make()
+        self.check(code, range(1, min(max_b, code.n) + 1))
+
+    @pytest.mark.parametrize("residual_tol", [RESIDUAL_TOL, 1e-4])
+    def test_perturbed_code(self, residual_tol):
+        # {6,7} passes only the loosened tolerance, with a rank-3 marginal
+        code = perturbed_pi_7_2_3()
+        self.check(code, range(1, 5), residual_tol=residual_tol)
+        assert analysis.analyze_subset(code, (6, 7), residual_tol).correctable == (
+            residual_tol == 1e-4)
+
+    @settings(max_examples=50)
+    @given(abelian_groups(max_n=7))
+    def test_random_stabilizer_codes(self, group):
+        self.check(stab.codewords(group), range(1, min(3, group.n) + 1))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The number of subsets in each stacked pass, in the order they run."""
+        sizes = []
+        stacked = analysis._analyze
+
+        def spy(code, subsets, *args):
+            sizes.append(len(subsets))
+            return stacked(code, subsets, *args)
+
+        monkeypatch.setattr(analysis, "_analyze", spy)
+        return sizes
+
+    def test_chunks_run_in_order_and_on_demand(self, passes, monkeypatch):
+        # a bound of three subsets' cuts: steane's 35 triples (K 2^n = K^2 4^3
+        # = 256 entries each) run as 11 passes of three and one of two
+        code = cached_fixture("steane")
+        monkeypatch.setattr(analysis, "SCAN_CHUNK", 3 * 256)
+        scan = analysis.scan_subsets(code, 3)
+        assert passes == []                       # nothing runs before it is read
+        first = next(scan)
+        assert first.split.erased == (1, 2, 3) and passes == [3]
+        reports = [first] + list(scan)
+        assert passes == [3] * 11 + [2]
+        assert [r.split.erased for r in reports] == list(itertools.combinations(range(1, 8), 3))
+        for report in reports:
+            assert_matches_oracle(report, oracle_analysis(code, report.split.erased))
+
+    def test_chunks_bound_the_cut_and_the_partial_traces(self, passes, monkeypatch):
+        shor = stab.codewords(stab.StabilizerGroup.from_strings(SHOR_GENS))
+        list(analysis.scan_subsets(shor, 2))      # K 2^n = 1024 entries a subset
+        assert passes == [4] * 9
+        passes.clear()
+        list(analysis.scan_subsets(cached_fixture("five_qubit"), 4))   # K^2 4^4 = 1024
+        assert passes == [4, 1]
+        passes.clear()
+        list(analysis.scan_subsets(cached_fixture("xp_7_8_2"), 1))
+        assert passes == [4, 3]                   # K 2^n = 1024 on 7 qubits
+        passes.clear()
+        monkeypatch.setattr(analysis, "SCAN_CHUNK", 1)
+        list(analysis.scan_subsets(cached_fixture("pi_4_2_2"), 2))
+        assert passes == [1] * 6                  # never less than one subset

@@ -342,6 +342,40 @@ class TestPauliMoments:
             self.check(code, subset)
 
 
+class TestStackedMoments:
+    """cut_trace, trace_moments and kl_check on an (S, b) stack of sets:
+    slice s is bit for bit what the s-th set gives on its own."""
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda name=name: cached_fixture(name), id=name)
+          for name in codes.FIXTURE_NAMES),
+        pytest.param(lambda: stabilizer_code(SHOR_GENS), id="shor"),
+    ])
+    def test_slices_match_single_sets(self, make):
+        code = make()
+        for b in range(4):
+            sets = list(itertools.combinations(range(1, code.n + 1), b))
+            sets += [s[::-1] for s in sets]           # each set's own order sets the bits
+            t = codes.cut_trace(code, np.array(sets).reshape(len(sets), b))
+            moments = codes.trace_moments(t)
+            residuals, verdicts = codes.kl_check(moments, RESIDUAL_TOL)
+            assert verdicts.dtype == bool and residuals.shape == (len(sets),)
+            for s, subset in enumerate(sets):
+                single = codes.cut_trace(code, subset)
+                assert_bit_exact(t[s], single)
+                assert_bit_exact(moments[s], codes.trace_moments(single))
+                residual, ok = codes.kl_check(moments[s], RESIDUAL_TOL)
+                assert_bit_exact(residuals[s], np.float64(residual))
+                assert verdicts[s] == ok
+
+    def test_stack_is_size_checked_as_a_whole(self):
+        # four sets whose moments fit one at a time, but not together
+        code = QuantumCode(n=8, basis=np.eye(256, dtype=complex)[:64])
+        assert code.k_dim ** 2 * 4 ** 4 <= MAX_DIM < 4 * code.k_dim ** 2 * 4 ** 4
+        with pytest.raises(SizeError):
+            codes.cut_trace(code, [(1, 2, 3, 4)] * 4)
+
+
 class TestKLCheck:
     # two detected blocks (multiples of I, residual exactly 0) and one
     # undetected off-diagonal block whose residual is exactly 0.5

@@ -130,6 +130,33 @@ class TestBipartiteMatrix:
                 qla.bipartite_matrix(bad, split)
 
 
+class TestStackedCut:
+    """An (S, b) array of erased sets cuts through one gather, each slice
+    bit for bit the axis-transpose cut of its own split."""
+
+    @given(st.integers(1, 9), st.data())
+    def test_each_slice_is_its_splits_cut(self, n, data):
+        b = data.draw(st.integers(0, n))
+        count = data.draw(st.integers(0, 5))
+        sets = [tuple(data.draw(st.permutations(range(1, n + 1)))[:b]) for _ in range(count)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        states = np.array([random_state(rng, 1 << n) for _ in range(3)])
+        erased = np.array(sets, dtype=int).reshape(count, b)
+        cut = qla.bipartite_matrix(states, erased)
+        one = qla.bipartite_matrix(states[0], erased)
+        assert cut.shape == (count, 1 << (n - b), 3, 1 << b)
+        assert one.shape == (count, 1 << (n - b), 1 << b)
+        for s, subset in enumerate(sets):
+            split = qla.SubsystemSplit(n=n, erased=subset)
+            assert_bit_exact(cut[s], qla.bipartite_matrix(states, split))
+            assert_bit_exact(one[s], qla.bipartite_matrix(states[0], split))
+
+    @pytest.mark.parametrize("erased", [[[0, 1]], [[1, 4]], [[1, 1]], [[1, 2], [2, 2]]])
+    def test_bad_labels_are_refused(self, erased):
+        with pytest.raises(ContractError):
+            qla.bipartite_matrix(np.zeros(8), np.array(erased))
+
+
 def random_mixture(rng, n, k):
     """k orthonormal n-qubit states (rows) and random weights summing to one."""
     states, _ = np.linalg.qr(rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k)))
@@ -279,6 +306,22 @@ class TestEigHermitian:
         with pytest.raises(ContractError):
             qla.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_eigenvalues_are_eig_hermitians(self, seed):
+        # one stacked solve, each matrix's values bit for bit eig_hermitian's
+        cases = [(h + h.conj().T) / 2 for _, h in _gauge_cases(seed)]
+        dim = cases[0].shape[0]
+        stack = np.array([h for h in cases if h.shape[0] == dim])
+        got = qla.eigvals_hermitian(stack)
+        for vals, h in zip(got, stack):
+            assert vals.tobytes() == qla.eig_hermitian(h)[0].tobytes()
+
+    def test_stack_with_one_nonhermitian_matrix_is_refused(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        qla.eigvals_hermitian(stack[:1])
+        with pytest.raises(ContractError):
+            qla.eigvals_hermitian(stack)
+
     def test_gauge_deterministic(self):
         rng = np.random.default_rng(3)
         m = random_hermitian(rng, 9)
@@ -317,6 +360,12 @@ class TestRankAndPinv:
         assert qla.numerical_rank(np.array([2.0, 2e-9]), 1e-9) == 1
         assert qla.numerical_rank(np.array([]), 1e-9) == 0
         assert qla.numerical_rank(np.zeros(3), 1e-9) == 0
+
+    def test_numerical_rank_of_a_stack(self):
+        rows = [[1.0, 0.5, 1e-12], [2.0, 2e-9, 0.0], [0.0, 0.0, 0.0], [-1.0, -2.0, 0.0]]
+        got = qla.numerical_rank(np.array(rows), 1e-9)
+        assert got.tolist() == [qla.numerical_rank(np.array(row), 1e-9) for row in rows]
+        assert type(qla.numerical_rank(np.array(rows[0]), 1e-9)) is int
 
 
 class TestSmallHelpers:

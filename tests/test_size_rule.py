@@ -24,6 +24,11 @@ def product_code(n: int) -> codes.QuantumCode:
     return codes.QuantumCode(n=n, basis=v[None, :])
 
 
+def wide_code() -> codes.QuantumCode:
+    """K = 128 basis states of 8 qubits."""
+    return codes.QuantumCode(n=8, basis=np.eye(256, dtype=complex)[:128])
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -42,6 +47,10 @@ OVER_CAP = {
                                ({"n": 16, "k_dim": 32, "basis": [[]] * 32},)),
     # 16^6 matrix entries
     "kl_matrix": lambda: (analysis.kl_matrix, (cached_fixture("steane"), (1, 2, 3, 4, 5, 6))),
+    # K^2 4^b = 2^14 4^4 moments of one erased set
+    "analyze_subset": lambda: (analysis.analyze_subset, (wide_code(), (1, 2, 3, 4))),
+    "is_correctable": lambda: (wide_code().is_correctable, ((1, 2, 3, 4),)),
+    "scan_subsets": lambda: (analysis.scan_subsets, (wide_code(), 4)),
 }
 
 
