@@ -90,7 +90,7 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
     diag = np.arange(k)
     blocks = t[:, diag, :, diag]                          # T_ii, shape (K, S, 2^b, 2^b)
     marginals = blocks.sum(axis=0).swapaxes(-2, -1) / k
-    spectra = np.maximum(qla.eigvals_hermitian(marginals), 0.0)
+    spectra = np.maximum(qla.eigh(marginals)[0], 0.0)
     marginal_ranks = qla.numerical_rank(spectra, rank_tol)
     kept_ranks = qla.numerical_rank(np.linalg.eigvalsh(blocks), rank_tol).T
     reports = []

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, codes, qla, simulate, stab, structure
-from .config import RANK_TOL, RESIDUAL_TOL
+from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, EaqecError,
                      ModelMismatchError, NotCorrectableError,
                      StructureViolationError)
@@ -251,6 +251,9 @@ def cmd_verify(args) -> int:
         "failures": [{"error": p, "fidelity": f} for p, f in report.failures],
         "exploratory": report.exploratory,
         "passed": report.passed,
+        "tol_residual": residual_tol, "tol_rank": rank_tol, "fidelity_slack": FIDELITY_SLACK,
+        "recovery_residual": report.recovery_residual,
+        "recovery_gram_defect": report.recovery_gram_defect,
     }
     _emit(args, "\n".join(lines), payload)
     if report.exploratory:

@@ -3,8 +3,9 @@
 Vectors and operators are numpy complex arrays over qubit registers.  Qubit 1
 is the leftmost tensor factor and the most significant bit of a basis index,
 so |b_1 b_2 ... b_n> sits at index int(b, 2).  Eigen- and singular
-decompositions are gauge fixed for reproducible output: values descending,
-and inside a degenerate block each vector is scaled so its first nonzero
+decompositions are gauge fixed for reproducible output (eigh, for uses
+that read nothing the gauge changes, is not): values descending, and
+inside a degenerate block each vector is scaled so its first nonzero
 entry is real positive, blocks ordered by that pivot index.  Reports carry
 complex arrays as sparse JSON records of their nonzero entries
 (`array_to_json`).
@@ -205,19 +206,18 @@ def _block_order(values: np.ndarray, tol: float, vectors: np.ndarray) -> np.ndar
     return np.lexsort((_pivot_rows(vectors), block))
 
 
-def eigvals_hermitian(m: CMatrix) -> np.ndarray:
-    """eig_hermitian's eigenvalues, of one matrix or of each of a stack."""
+def eigh(m: CMatrix):
+    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix, or of
+    each of a stack, as np.linalg.eigh gives them: no gauge fix."""
     m = np.asarray(m, dtype=complex)
     _require_hermitian(m, HERMITICITY_TOL)
-    return np.linalg.eigh(m)[0][..., ::-1]
+    w, v = np.linalg.eigh(m)
+    return w[..., ::-1], v[..., ::-1]
 
 
 def eig_hermitian(m: CMatrix):
     """Eigenvalues (descending) and gauge-fixed eigenvectors of a Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    _require_hermitian(m, HERMITICITY_TOL)
-    w, v = np.linalg.eigh(m)
-    w, v = w[::-1], v[:, ::-1]
+    w, v = eigh(m)
     v = gauge_fix_columns(v)
     return w, v[:, _block_order(w, HERMITICITY_TOL, v)]
 
@@ -248,13 +248,13 @@ def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int | np.ndarr
     return int(np.count_nonzero(w > tol * w.max(initial=0.0)))
 
 
-def is_orthonormal(gram: CMatrix) -> bool:
-    """Whether the Gram matrix M^dag M of some M shows M's columns orthonormal:
-    its distance to the identity is within UNITARITY_TOL sqrt(columns)."""
+def orthonormal_defect(gram: CMatrix) -> tuple[float, float]:
+    """The distance of the Gram matrix M^dag M of some M to the identity, and
+    the bound UNITARITY_TOL sqrt(columns) within which M's columns count as
+    orthonormal."""
     gram = np.asarray(gram)
     dim = gram.shape[0]
-    bound = UNITARITY_TOL * max(1.0, dim ** 0.5)
-    return bool(np.linalg.norm(gram - np.eye(dim)) <= bound)
+    return float(np.linalg.norm(gram - np.eye(dim))), UNITARITY_TOL * max(1.0, dim ** 0.5)
 
 
 def array_to_json(a) -> dict:

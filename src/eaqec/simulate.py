@@ -4,22 +4,18 @@ Recovery follows the standard construction from the error correlation
 matrix: diagonalize it, rotate the error set into orthogonal channels F_k,
 and take Kraus operators P F_k^dag / sqrt(d_k).  Verification only asks how
 much of each recovered state lands on a code state, so the recovery is kept
-in the code basis as the K x 2^n decoders V^dag F_k^dag / sqrt(d_k), built
-from the images E_a V, which are one codes.apply_paulis call on the
-codewords; no 2^n x 2^n operator is formed.  Verification then drives
-encoded states through error + recovery and demands unit fidelity.  It
-applies the errors in batches, each one apply_paulis gather no larger than
-the decoders the recovery already holds, so one decode and one fidelity
-reduction serve a whole batch and memory stays at the recovery's level.
-Every EA strategy is verified on the register it actually transmits: the n
-code qubits, or for the compressed strategy the kept qubits plus the
-carrier qubits of the compressed share; errors act there, and one receiver
-map brings the result back to the code qubits for decoding.
+factored: the images E_a V (one codes.apply_paulis call on the codewords),
+their Gram matrix G and the channel weights; no decoder array and no 2^n x
+2^n operator is formed.  Verification drives encoded states through error
++ recovery and demands unit fidelity, on the register each EA strategy
+transmits.  On the n code qubits every fidelity is read off columns of G,
+so no error is applied twice; the compressed strategy's kept plus carrier
+qubits take the errors, a receiver map and a decode against the images.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,24 +29,35 @@ NOISELESS = "noiseless"
 NOISY = "noisy"
 
 
+# NamedTuples, not frozen dataclasses: those take about seven times longer to build at import
+class Recovery(NamedTuple):
+    images: np.ndarray     # (2^n, m K): column a K + i is E_a V e_i
+    gram: np.ndarray       # (m K, m K): G = images^dag images
+    weights: np.ndarray    # (m, r): column k is u_k / sqrt(d_k)
+    residual: float        # Knill-Laflamme residual of the Gram blocks
+    defect: float          # distance of the decoders' Gram matrix to the identity
+
+
 def kl_recovery(code: QuantumCode, errors,
                 residual_tol: float = RESIDUAL_TOL,
-                rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Canonical recovery for a correctable error set, read out in the code basis.
+                rank_tol: float = RANK_TOL) -> Recovery:
+    """Canonical recovery for a correctable error set, in factored form.
 
-    errors: PauliOperators; the set should contain the identity.  Returns
-    D of shape (r, K, 2^n) with D_k = V^dag F_k^dag / sqrt(d_k): Kraus
-    operator k of the recovery followed by readout in the codeword basis
-    V, so a state |s> is recovered into the code state V w with fidelity
-    sum_k |w^dag D_k |s>|^2.  r is the numerical rank of the error
-    correlation matrix.  The trace-preserving completion is left out: its
-    range is orthogonal to span{F_k V}, which contains the code space when
-    the identity is an error, so it adds nothing to such a fidelity.
-    Raises SizeError before building anything when the #errors*K*2^n
-    images or their (#errors*K)^2 Gram matrix exceed MAX_DIM,
-    NotCorrectableError when codes.kl_check on the Gram blocks shows the
-    set is not correctable, and ConsistencyError when the r*K rows of D
-    are not orthonormal.
+    errors: m PauliOperators; the set should contain the identity.  Returns
+    the images E_a V, their Gram matrix G, the weights u_k / sqrt(d_k) of
+    the r eigenpairs (d_k, u_k) of the error correlation matrix tr(V^dag
+    E_a^dag E_b V) / K above the rank cutoff, and the margins of the two
+    checks below.  Read out in the codeword basis V, Kraus operator k is
+    D_k = (u_k (x) I_K)^dag images^dag / sqrt(d_k), so a state |s> is
+    recovered into the code state V w with fidelity sum_k |w^dag D_k
+    |s>|^2; for |s> = E_b V w each amplitude is w^dag (u_k (x) I_K)^dag
+    G[:, b] w / sqrt(d_k).  The trace-preserving completion is left out:
+    its range is orthogonal to span{F_k V}, which contains the code space
+    when the identity is an error, so it adds nothing to such a fidelity.
+    Raises SizeError before building anything when the m*K*2^n images or G
+    exceed MAX_DIM, NotCorrectableError when codes.kl_check on the m^2 Gram
+    blocks shows the set is not correctable, and ConsistencyError when the
+    r*K decoder rows are not orthonormal.
     """
     errors = list(errors)
     if not errors:
@@ -58,50 +65,41 @@ def kl_recovery(code: QuantumCode, errors,
     m, k = len(errors), code.k_dim
     qla.check_dim(m * k * code.dim)                # the images E_a V
     qla.check_dim((m * k) ** 2)                    # and their Gram matrix
-    v = code.basis.T                               # 2^n x K
-    flat = apply_paulis(errors, v).reshape(v.shape[0], m * k)    # column a*K + i: E_a V e_i
-    gram = (flat.conj().T @ flat).reshape(m, k, m, k)            # blocks V^dag E_a^dag E_b V
-    worst, correctable = kl_check(gram.transpose(0, 2, 1, 3).reshape(m * m, k, k), residual_tol)
+    images = apply_paulis(errors, code.basis.T).reshape(code.dim, m * k)
+    gram = images.conj().T @ images
+    blocks = gram.reshape(m, k, m, k)              # V^dag E_a^dag E_b V
+    worst, correctable = kl_check(blocks.transpose(0, 2, 1, 3).reshape(m * m, k, k), residual_tol)
     if not correctable:
         raise NotCorrectableError(
             f"error set violates the correctability condition (residual {worst:.2e})")
 
-    lam = np.einsum("aibi->ab", gram) / k
-    vals, vecs = qla.eig_hermitian(lam)          # descending: keep the first r
+    vals, vecs = qla.eigh(np.einsum("aibi->ab", blocks) / k)   # descending: keep the first r
     r = qla.numerical_rank(vals, rank_tol)
-    w = np.kron(vecs[:, :r] / np.sqrt(vals[:r]), np.eye(k))
-    # the decoders' Gram matrix D D^dag = W^dag (flat^dag flat) W, read off gram
-    if not qla.is_orthonormal(w.conj().T @ gram.reshape(m * k, m * k) @ w):
-        raise ConsistencyError("recovery decoders are not orthonormal")
-    # column k*K + i of flat W is F_k V e_i / sqrt(d_k); conjugated in place,
-    # its transpose is the only decoder-sized array and reshapes as a view
-    rows = (flat @ w).T
-    np.conjugate(rows, out=rows)
-    return rows.reshape(-1, k, v.shape[0])
+    weights = vecs[:, :r] / np.sqrt(vals[:r])
+    # the decoders' Gram matrix W^dag G W, W = weights (x) I_K, one side at a time
+    left = (weights.conj().T @ gram.reshape(m, -1)).reshape(r, k, m, k).transpose(0, 1, 3, 2)
+    decoder_gram = (left @ weights).transpose(0, 1, 3, 2).reshape(r * k, r * k)
+    defect, bound = qla.orthonormal_defect(decoder_gram)
+    if defect > bound:
+        raise ConsistencyError(f"recovery decoders are not orthonormal "
+                               f"(Gram defect {defect:.2e}, bound {bound:.2e})")
+    return Recovery(images, gram, weights, worst, defect)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     strategy: str
     model: str
     error_weight: int
     cases_run: int
     min_fidelity: float
     failures: tuple[tuple[str, float], ...]
+    recovery_residual: float        # the recovery's Knill-Laflamme residual
+    recovery_gram_defect: float     # and its decoders' Gram defect
     exploratory: bool = False
 
     @property
     def passed(self) -> bool:
         return self.min_fidelity >= 1.0 - FIDELITY_SLACK
-
-
-def _test_states(k: int) -> np.ndarray:
-    """Coefficient rows w of the test states w @ code.basis: each
-    codeword, then their equal superposition."""
-    states = np.eye(k)
-    if k > 1:
-        states = np.vstack([states, np.full(k, 1.0 / np.sqrt(k))])
-    return states
 
 
 def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
@@ -114,12 +112,14 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     Every strategy runs on the register that is actually transmitted: the
     n code qubits for structure and presend; for compressed, the kept
     qubits followed by ebit_cost carrier qubits that hold the receiver's
-    C-dimensional share, padded to 2^ebit_cost.  The codewords and their
-    equal superposition are prepared there together, each error hits all
-    of them at once, and the receiver maps the result back to the code
-    qubits before the canonical recovery decodes it.  For compressed that
-    map reads the first C carrier amplitudes and re-expands them through
-    compress_isometry; amplitude an error pushes outside them is lost.
+    C-dimensional share, padded to 2^ebit_cost.  The test states are the
+    codewords and their equal superposition.  On the code qubits the
+    errors are the recovered list's weight-w tail (or the identity at its
+    head), and each amplitude is read off the recovery's Gram matrix.  For
+    compressed every error hits all the test states at once, in batches no
+    larger than the images, and the receiver reads the first C carrier
+    amplitudes and re-expands them through compress_isometry before the
+    recovery decodes them; amplitude an error pushes outside them is lost.
 
     noiseless: errors act on the kept qubits only (the receiver's share is
     pristine).  noisy: errors act on every transmitted qubit.  A
@@ -130,8 +130,6 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     (fidelities below one are expected; that is the cost the compression
     trades away).  Failures are named by the error's letters on the
     transmitted register, split as kept|carrier for the compressed strategy.
-    The errors run in batches whose hit states hold no more entries than
-    the r x K x 2^n decoders.
     """
     if model not in (NOISELESS, NOISY):
         raise ContractError(f"unknown error model {model!r}")
@@ -145,54 +143,50 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
 
     split = dec.split
     allowed = split.kept if model == NOISELESS else tuple(range(1, split.n + 1))
-    recovered = [p for w in range(weight + 1) for p in paulis_of_weight(split.n, allowed, w)]
-    decoders = kl_recovery(code, recovered, residual_tol=residual_tol, rank_tol=rank_tol)
-    targets = _test_states(code.k_dim)          # one test state w per row
+    levels = [list(paulis_of_weight(split.n, allowed, w)) for w in range(weight + 1)]
+    recovered = [p for level in levels for p in level]
+    rec = kl_recovery(code, recovered, residual_tol=residual_tol, rank_tol=rank_tol)
+    targets = np.eye(code.k_dim)    # rows w of the test states w @ code.basis: each codeword,
+    if code.k_dim > 1:              # then their equal superposition
+        targets = np.vstack([targets, np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim))])
+    m, n_kept = len(recovered), len(split.kept)
 
-    if ea.compress_isometry is not None:
-        n_kept, c, carrier_dim = len(split.kept), ea.receiver_dim, 1 << ea.ebit_cost
-        n_reg = n_kept + ea.ebit_cost
+    if ea.compress_isometry is None:
+        hit, sep = (slice(m - len(levels[-1]), m) if levels[-1] else slice(0, 1)), ""
+        errors = recovered[hit]
+        # <E_a V e_i| E_e V t_s>: columns e of the Gram matrix, times t_s
+        overlaps = [rec.gram.reshape(-1, m, code.k_dim)[:, hit] @ targets.T]
+    else:
+        c, carrier_dim, n_reg, sep = ea.receiver_dim, 1 << ea.ebit_cost, n_kept + ea.ebit_cost, "|"
         sites = range(1, (n_kept if model == NOISELESS else n_reg) + 1)
         sent = np.zeros((split.dim_kept, carrier_dim, len(targets)), dtype=complex)
         sent[:, :c] = np.einsum("si,kia,ac->kcs", targets,
                                 dec.isometry.reshape(split.dim_kept, code.k_dim, -1),
                                 ea.shared_state.reshape(ea.sender_dim, c))
-        sent = sent.reshape(-1, len(targets))
+        errors = list(paulis_of_weight(n_reg, sites, weight)) or [PauliOperator(n_reg, 0, 0)]
+        batch = max(1, rec.images.size // (code.dim * len(targets)))
 
-        def receive(hit):
-            share = hit.reshape(split.dim_kept, carrier_dim, -1)[:, :c]
-            back = np.einsum("kcs,ec->kes", share, ea.compress_isometry)
+        def received(batch_errors):            # back on the code qubits, (2^n, E*S)
+            hits = apply_paulis(batch_errors, sent.reshape(-1, len(targets)))
+            share = hits.reshape(split.dim_kept, carrier_dim, -1)
+            back = ea.compress_isometry @ share[:, :c]             # (kept, erased, E*S)
             return qla.unsplit(back.transpose(0, 2, 1), split).T
 
-        def label(letters):
-            return letters[:n_kept] + "|" + letters[n_kept:]
-    else:
-        n_reg, sites = split.n, allowed
-        sent = (targets @ code.basis).T
+        overlaps = (rec.images.conj().T @ received(errors[start:start + batch])
+                    for start in range(0, len(errors), batch))
 
-        def receive(hit):
-            return hit
-
-        def label(letters):
-            return letters
-
-    errors = list(paulis_of_weight(n_reg, sites, weight)) or [PauliOperator(n_reg, 0, 0)]
-    # batches of errors, each no larger than the decoders the recovery holds
-    per_error = max(sent.shape[0], code.dim) * len(targets)
-    batch = max(1, decoders.size // per_error)
-    min_fid = 1.0
-    failures: dict[str, float] = {}
-    for start in range(0, len(errors), batch):
-        hit = apply_paulis(errors[start:start + batch], sent)        # (dim_reg, E, S)
-        got = (decoders.reshape(-1, code.dim) @ receive(hit.reshape(hit.shape[0], -1))
-               ).reshape(*decoders.shape[:2], -1)                 # (r, K, E*S)
-        amps = np.einsum("rkes,sk->res", got.reshape(*got.shape[:2], -1, len(targets)),
-                         targets.conj())
-        worst = np.min(np.sum(np.abs(amps) ** 2, axis=0), axis=1)    # per error
-        min_fid = min(min_fid, float(worst.min()))
-        for e in np.flatnonzero(worst < 1.0 - FIDELITY_SLACK):
-            failures[label(errors[start + e].to_string()[1] or "I")] = float(worst[e])
+    worst = []
+    for block in overlaps:       # (m K, E S) -> <E_a V t_s|psi_es> -> t_s^dag D_k psi_es
+        per_error = block.reshape(m, code.k_dim, -1, len(targets)) * targets.conj().T[:, None]
+        amps = rec.weights.conj().T @ per_error.sum(axis=1).reshape(m, -1)
+        worst.append(np.sum(np.abs(amps) ** 2, axis=0).reshape(-1, len(targets)).min(axis=1))
+    worst = np.concatenate(worst)                    # per error
+    failures = {}
+    for e in np.flatnonzero(worst < 1.0 - FIDELITY_SLACK):
+        letters = errors[e].to_string()[1] or "I"          # kept|carrier for compressed
+        failures[letters[:n_kept] + sep + letters[n_kept:]] = float(worst[e])
     return VerificationReport(
         strategy=ea.strategy, model=model, error_weight=weight,
-        cases_run=len(errors) * len(targets), min_fidelity=min_fid,
-        failures=tuple(sorted(failures.items())), exploratory=exploratory and noiseless_only)
+        cases_run=len(errors) * len(targets), min_fidelity=min(1.0, float(worst.min())),
+        failures=tuple(sorted(failures.items())), recovery_residual=rec.residual,
+        recovery_gram_defect=rec.defect, exploratory=exploratory and noiseless_only)

@@ -181,8 +181,8 @@ def compress(dec: StructureDecomposition) -> EACode:
     weights = np.linalg.norm(psi_mat, axis=1)
     v_embed = (psi_mat / weights[:, None]).conj().T      # dim_erased x r
     gram = v_embed.conj().T @ v_embed
-    if not qla.is_orthonormal(gram):
-        defect = np.linalg.norm(gram - np.eye(r))
+    defect, bound = qla.orthonormal_defect(gram)
+    if defect > bound:
         raise ConsistencyError(f"compression map is not an isometry (defect {defect:.2e})")
     return EACode(
         strategy=COMPRESSED, shared_state=np.diag(weights.astype(complex)).reshape(-1),

@@ -268,6 +268,17 @@ class TestRankRule:
         assert data["decomposition"]["dim_A"] == 3
         assert data["ea"]["compressed"]["receiver_dim"] == 3
 
+    def test_perturbed_code_verify_names_the_decoder_defect(self, capsys, tmp_path):
+        # the set passes at --tol-residual 1e-2, but the decoders' Gram
+        # matrix is 6.1e-05 from the identity, against UNITARITY_TOL sqrt(r K)
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(codes.code_to_json(perturbed_pi_7_2_3())))
+        rc, _, err = run(capsys, "verify", "--code", str(path), "--subset", "6,7",
+                         "--tol-residual", "1e-2")
+        assert rc == 3
+        assert "recovery decoders are not orthonormal (Gram defect 6.08e-05, " \
+            "bound 5.66e-10)" in err
+
 
 class TestVerify:
     def test_noiseless_pass(self, capsys):
@@ -329,6 +340,21 @@ class TestVerify:
         assert data["passed"] is True
         assert data["min_fidelity"] >= 1 - 1e-9
         assert data["failures"] == []
+
+    def test_json_margins(self, capsys):
+        # the tolerances in force, the pass margin, and the recovery's two
+        # checks: its Knill-Laflamme residual and its decoders' Gram defect
+        rc, out, _ = run(capsys, "verify", "--fixture", "pi_7_2_3", "--subset", "6,7",
+                         "--model", "noisy", "--tol-residual", "1e-7", "--format", "json")
+        data = json.loads(out)
+        assert rc == 0
+        assert (data["tol_residual"], data["tol_rank"], data["fidelity_slack"]) == \
+            (1e-7, 1e-9, 1e-9)
+        assert 0.0 <= data["recovery_residual"] <= 1e-12
+        assert 0.0 <= data["recovery_gram_defect"] <= 1e-12
+        rc, text, _ = run(capsys, "verify", "--fixture", "pi_7_2_3", "--subset", "6,7",
+                          "--model", "noisy")
+        assert rc == 0 and "residual" not in text and "defect" not in text
 
     def test_needs_no_distance(self, capsys, tmp_path):
         # a K = 1 code has no distance (every Pauli is detected), and verify

@@ -308,19 +308,21 @@ class TestEigHermitian:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stacked_eigenvalues_are_eig_hermitians(self, seed):
-        # one stacked solve, each matrix's values bit for bit eig_hermitian's
+        # one stacked solve, each matrix's values bit for bit eig_hermitian's,
+        # and its vectors, not gauge fixed, eigenvectors of the matrix
         cases = [(h + h.conj().T) / 2 for _, h in _gauge_cases(seed)]
         dim = cases[0].shape[0]
         stack = np.array([h for h in cases if h.shape[0] == dim])
-        got = qla.eigvals_hermitian(stack)
-        for vals, h in zip(got, stack):
+        got, vecs = qla.eigh(stack)
+        for vals, v, h in zip(got, vecs, stack):
             assert vals.tobytes() == qla.eig_hermitian(h)[0].tobytes()
+            np.testing.assert_allclose(h @ v, v * vals, atol=1e-12)
 
     def test_stack_with_one_nonhermitian_matrix_is_refused(self):
         stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
-        qla.eigvals_hermitian(stack[:1])
+        qla.eigh(stack[:1])
         with pytest.raises(ContractError):
-            qla.eigvals_hermitian(stack)
+            qla.eigh(stack)
 
     def test_gauge_deterministic(self):
         rng = np.random.default_rng(3)
@@ -371,8 +373,9 @@ class TestRankAndPinv:
 class TestSmallHelpers:
     def test_is_isometry(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert qla.is_orthonormal(v.T @ v)
-        assert not qla.is_orthonormal(4 * v.T @ v)
+        assert qla.orthonormal_defect(v.T @ v) == (0.0, 1e-10 * 2 ** 0.5)
+        defect, bound = qla.orthonormal_defect(4 * v.T @ v)
+        assert defect == pytest.approx(3 * 2 ** 0.5) and defect > bound
 
     def test_sqrtm_psd(self):
         rng = np.random.default_rng(5)

@@ -4,8 +4,9 @@ The replacer channel is checked entry by entry against an independent
 construction (kept entries copied under an erased-index delta, scaled by
 1/2^b), and recovery channels are validated operationally: every error in
 the set must be undone exactly on a spanning family of code states.  The
-code-basis recovery is compared with the dense trace-preserving channel it
-replaces, kept here as the oracle.
+factored code-basis recovery is compared with the dense trace-preserving
+channel it replaces, kept here as the oracle, and verify_ea with a per-case
+loop over that dense channel.
 """
 
 import tracemalloc
@@ -13,15 +14,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eaqec import codes, qla, simulate, stab, structure
 from eaqec.codes import PauliOperator
-from eaqec.config import FIDELITY_SLACK, RANK_TOL
-from eaqec.errors import (ConsistencyError, ContractError, ModelMismatchError,
+from eaqec.config import FIDELITY_SLACK, MAX_DIM, RANK_TOL, RESIDUAL_TOL, UNITARITY_TOL
+from eaqec.errors import (ConsistencyError, ContractError, EaqecError, ModelMismatchError,
                           NotCorrectableError, SizeError)
 
-from conftest import (KrausChannel, cached_fixture, channel_form_check, pauli_matrix,
-                      random_density, random_state, replacer_channel)
+from conftest import (KrausChannel, abelian_groups, cached_fixture, channel_form_check,
+                      oracle_kl_check, pauli_matrix, random_density, random_state,
+                      replacer_channel)
 from test_analysis import oracle_projector
 
 
@@ -73,12 +77,20 @@ def _fidelity(decoders, w, state):
     return float(np.sum(np.abs((decoders @ state) @ w.conj()) ** 2))
 
 
-def oracle_kl_recovery(code, errors, rank_tol=RANK_TOL):
+def _decoders(recovery, k):
+    """The (r, K, 2^n) decoders D_k = (weights[:, k] (x) I_K)^dag images^dag of a
+    factored recovery, built from its factors."""
+    rows = np.conj((recovery.images @ np.kron(recovery.weights, np.eye(k))).T)
+    return rows.reshape(-1, k, recovery.images.shape[0])
+
+
+def oracle_kl_recovery(code, errors, rank_tol=RANK_TOL, complete=True):
     """Dense canonical recovery channel on the full 2^n-dimensional space.
 
     Kraus operators P F_k^dag / sqrt(d_k) from the eigen-decomposition of
     the correlation matrix, completed to a trace-preserving map by
-    sqrt(I - sum K^dag K).  Assumes the error set is correctable.
+    sqrt(I - sum K^dag K) unless complete is False.  Assumes the error set
+    is correctable.
     """
     mats = [pauli_matrix(e) if isinstance(e, PauliOperator) else np.asarray(e, dtype=complex)
             for e in errors]
@@ -99,14 +111,21 @@ def oracle_kl_recovery(code, errors, rank_tol=RANK_TOL):
         f_op = sum(vecs[j, idx] * mats[j] for j in range(len(mats)))
         kraus.append(proj @ f_op.conj().T / np.sqrt(vals[idx]))
     gap = np.eye(dim) - sum(op.conj().T @ op for op in kraus)
-    if np.linalg.norm(gap) > 1e-12 * dim:
+    if complete and np.linalg.norm(gap) > 1e-12 * dim:
         kraus.append(qla.sqrtm_psd(gap))
     return kraus
 
 
-def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
+def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False, rank_tol=RANK_TOL):
     """verify_ea as a loop over (error, test state) pairs, one route per case.
 
+    The recovery is the dense channel of oracle_kl_recovery, without its
+    trace-preserving completion, whose range is orthogonal to the code
+    states (TestKlRecoveryAgainstDense checks the fidelities with it).  It
+    is refused as verify_ea refuses it, but by dense means: the size rule
+    on the #errors*K*2^n images and their Gram matrix, then oracle_kl_check
+    on the moments V^dag E_a^dag E_b V, then the orthonormality of the
+    decoder rows V^dag K_k.  Errors act through their dense matrices.
     Uncompressed strategies apply each error to the code state itself.  The
     compressed strategy holds each test state as a kept x C matrix: a
     noiseless error is rewritten as an operator on the kept factor; a noisy
@@ -117,9 +136,21 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
     split = dec.split
     n, kept = split.n, split.kept
     allowed = kept if model == simulate.NOISELESS else tuple(range(1, n + 1))
-    decoders = simulate.kl_recovery(
-        code, [PauliOperator(n, 0, 0)] + [p for w in range(1, weight + 1)
-                                          for p in codes.paulis_of_weight(n, allowed, w)])
+    recovered = [PauliOperator(n, 0, 0)] + [p for w in range(1, weight + 1)
+                                            for p in codes.paulis_of_weight(n, allowed, w)]
+    k = code.k_dim
+    if max(len(recovered) * k << n, (len(recovered) * k) ** 2) > MAX_DIM:
+        raise SizeError("recovery images exceed MAX_DIM")
+    images = np.stack([pauli_matrix(e) @ code.basis.T for e in recovered])
+    moments = np.einsum("aji,bjl->abil", images.conj(), images).reshape(-1, k, k)
+    residual, correctable = oracle_kl_check(moments, RESIDUAL_TOL)
+    if not correctable:
+        raise NotCorrectableError(f"residual {residual:.2e}")
+    kraus = np.array(oracle_kl_recovery(code, recovered, rank_tol, complete=False))
+    rows = np.concatenate([code.basis.conj() @ op for op in kraus])
+    defect = float(np.linalg.norm(rows @ rows.conj().T - np.eye(len(rows))))
+    if defect > UNITARITY_TOL * max(1.0, len(rows) ** 0.5):
+        raise ConsistencyError(f"Gram defect {defect:.2e}")
     states = list(np.eye(code.k_dim))
     if code.k_dim > 1:
         states.append(np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim)))
@@ -148,7 +179,7 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
     def share_noise_corrupt(mat, err):
         padded = np.zeros((mat.shape[0], 1 << ea.ebit_cost), dtype=complex)
         padded[:, :c] = mat
-        return err.apply(padded.reshape(-1)).reshape(padded.shape)[:, :c]
+        return (pauli_matrix(err) @ padded.reshape(-1)).reshape(padded.shape)[:, :c]
 
     share_noise = compressed and model == simulate.NOISY
     n_err, sites = (m + ea.ebit_cost, range(1, m + ea.ebit_cost + 1)) if share_noise \
@@ -166,13 +197,14 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
             label = letters
         for w in states:
             if not compressed:
-                full = err.apply(w @ code.basis)
+                full = pauli_matrix(err) @ (w @ code.basis)
             else:
                 sent = compressed_state(w)
                 hit = (share_noise_corrupt(sent, err) if share_noise
-                       else restrict_to_kept(err).apply(sent))
+                       else pauli_matrix(restrict_to_kept(err)) @ sent)
                 full = (hit @ ea.compress_isometry.T).reshape(-1)[inv]
-            fid = float(np.sum(np.abs((decoders @ full) @ w.conj()) ** 2))
+            t = w @ code.basis
+            fid = float(np.sum(np.abs((kraus @ full) @ t.conj()) ** 2))
             cases += 1
             min_fid = min(min_fid, fid)
             if fid < 1.0 - FIDELITY_SLACK:
@@ -180,6 +212,7 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False):
     return simulate.VerificationReport(
         strategy=ea.strategy, model=model, error_weight=weight, cases_run=cases,
         min_fidelity=min_fid, failures=tuple(sorted(failures.items())),
+        recovery_residual=residual, recovery_gram_defect=defect,
         exploratory=exploratory and compressed)
 
 
@@ -268,8 +301,11 @@ class TestKlRecovery:
     def test_corrects_every_single_qubit_error(self):
         code = cached_fixture("five_qubit")
         errors = self._weight_one_set(5)
-        d = simulate.kl_recovery(code, errors)
-        assert d.shape == (16, code.k_dim, 32)  # one decoder per error channel
+        rec = simulate.kl_recovery(code, errors)
+        assert rec.images.shape == (32, 16 * code.k_dim)
+        assert rec.gram.shape == (16 * code.k_dim,) * 2
+        assert rec.weights.shape == (16, 16)    # one decoder per error channel
+        d = _decoders(rec, code.k_dim)
         for err in errors:
             e = pauli_matrix(err)
             for w in _code_coefficients(code.k_dim):
@@ -279,7 +315,7 @@ class TestKlRecovery:
     def test_kraus_action_proportional_to_projector(self):
         code = cached_fixture("five_qubit")
         errors = [PauliOperator.from_string(s) for s in ["IIIII", "XIIII", "IIZII"]]
-        d = simulate.kl_recovery(code, errors)
+        d = _decoders(simulate.kl_recovery(code, errors), code.k_dim)
         p = oracle_projector(code)
         for dk in d:
             op = code.basis.T @ dk   # the Kraus operator P F_k^dag / sqrt(d_k)
@@ -292,7 +328,7 @@ class TestKlRecovery:
         code = cached_fixture("steane")
         stab_err = PauliOperator.from_string("IIIZZZZ")
         errors = [PauliOperator(7, 0, 0), stab_err]
-        d = simulate.kl_recovery(code, errors)
+        d = _decoders(simulate.kl_recovery(code, errors), code.k_dim)
         # correlation matrix has rank one, so a single decoder
         assert d.shape[0] == 1
         for err in errors:
@@ -311,7 +347,7 @@ class TestKlRecovery:
         # decoders V^dag and V^dag X whose rows overlap through logical X
         code = cached_fixture("five_qubit")
         errors = [PauliOperator(5, 0, 0), PauliOperator.from_string("XXXXX")]
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"Gram defect \S+, bound 2\.00e-10"):
             simulate.kl_recovery(code, errors, residual_tol=10.0)
 
     def test_empty_error_set_rejected(self):
@@ -349,7 +385,7 @@ class TestKlRecoveryAgainstDense:
         sites = (qla.SubsystemSplit(n=n, erased=subset).kept if model == simulate.NOISELESS
                  else range(1, n + 1))
         errors = [PauliOperator(n, 0, 0)] + list(codes.paulis_of_weight(n, sites, 1))
-        decoders = simulate.kl_recovery(code, errors)
+        decoders = _decoders(simulate.kl_recovery(code, errors), code.k_dim)
         kraus = oracle_kl_recovery(code, errors)
         targets = _code_coefficients(code.k_dim)
         # code states, and one random input outside the code space
@@ -449,6 +485,31 @@ class TestVerifyEa:
         assert report.cases_run == 99   # 33 errors x 3 states
         assert peak < 32 * 2 ** 20
 
+    @pytest.mark.parametrize("strategy", [structure.STRUCTURE, structure.PRESEND])
+    @pytest.mark.parametrize("model", [simulate.NOISELESS, simulate.NOISY])
+    def test_code_register_applies_the_errors_once(self, strategy, model, monkeypatch):
+        # the recovery's images are the only error pass: every case is read
+        # off their Gram matrix, and one recovery serves the whole verify
+        code, dec = self._setup("pi_7_2_3", (6, 7))
+        ea = TestVerifyEaAgainstOracle._build(strategy, dec, code)
+        applied, recovered = [], []
+        monkeypatch.setattr(simulate, "apply_paulis",
+                            lambda *a: applied.append(len(a[0])) or codes.apply_paulis(*a))
+        build = simulate.kl_recovery
+        monkeypatch.setattr(simulate, "kl_recovery",
+                            lambda *a, **kw: recovered.append(1) or build(*a, **kw))
+        report = simulate.verify_ea(ea, dec, code, model, 1)
+        assert report.passed
+        sites = 5 if model == simulate.NOISELESS else 7
+        assert applied == [1 + 3 * sites] and recovered == [1]
+
+    def test_margins_reported(self):
+        code, dec = self._setup("pi_7_2_3", (6, 7))
+        report = simulate.verify_ea(structure.ea_from_structure(dec), dec, code,
+                                    simulate.NOISY, 1)
+        assert 0.0 <= report.recovery_residual <= 1e-12
+        assert 0.0 <= report.recovery_gram_defect <= 1e-12
+
     def test_bad_model_and_weight(self):
         code, dec = self._setup("five_qubit", (4, 5))
         ea = structure.ea_from_structure(dec)
@@ -475,7 +536,7 @@ class TestVerifyEaAgainstOracle:
     def _outcome(verify, *args, **kwargs):
         try:
             return verify(*args, **kwargs)
-        except (NotCorrectableError, SizeError) as exc:
+        except (NotCorrectableError, SizeError, ConsistencyError) as exc:
             return type(exc)
 
     @pytest.mark.parametrize("name,subset", EA_EXAMPLES)
@@ -500,31 +561,85 @@ class TestVerifyEaAgainstOracle:
             assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12
             for (_, f), (_, g) in zip(got.failures, want.failures):
                 assert abs(f - g) <= 1e-12
+            assert abs(got.recovery_residual - want.recovery_residual) <= 1e-12
+            assert abs(got.recovery_gram_defect - want.recovery_gram_defect) <= 1e-12
 
     @pytest.mark.parametrize("name,subset,strategy,model", [
         ("steane", (5, 6, 7), structure.COMPRESSED, simulate.NOISY),
         ("pi_7_2_3", (6, 7), structure.STRUCTURE, simulate.NOISY),
         ("five_qubit", (4, 5), structure.PRESEND, simulate.NOISELESS)])
-    def test_matches_oracle_over_several_batches(self, name, subset, strategy, model):
-        # E errors times K + 1 test states outnumber the r K decoder rows,
-        # so verify_ea splits the errors into more than one batch
+    def test_matches_oracle_over_several_batches(self, name, subset, strategy, model,
+                                                 monkeypatch):
+        # compressed: E errors times K + 1 test states outnumber the m K
+        # columns of the images, so verify_ea splits the errors into more
+        # than one batch; the code register reads every case off the Gram
+        # matrix, with no batch at all
         code = cached_fixture(name)
         dec = structure.decompose(code, subset)
         ea = self._build(strategy, dec, code)
         exploratory = strategy == structure.COMPRESSED
-        got, want = (verify(ea, dec, code, model, 1, exploratory=exploratory)
-                     for verify in (simulate.verify_ea, oracle_verify_ea))
+        want = oracle_verify_ea(ea, dec, code, model, 1, exploratory=exploratory)
+        calls = []
+        monkeypatch.setattr(simulate, "apply_paulis",
+                            lambda *a: calls.append(len(a[0])) or codes.apply_paulis(*a))
+        got = simulate.verify_ea(ea, dec, code, model, 1, exploratory=exploratory)
         allowed = dec.split.kept if model == simulate.NOISELESS else range(1, code.n + 1)
-        recovered = [PauliOperator(code.n, 0, 0)] + list(
-            codes.paulis_of_weight(code.n, allowed, 1))
-        r, k = simulate.kl_recovery(code, recovered).shape[:2]
-        assert got.cases_run > r * k
+        m = 1 + len(list(codes.paulis_of_weight(code.n, allowed, 1)))
+        assert calls[0] == m            # the recovery's images
+        if exploratory:
+            assert got.cases_run > m * code.k_dim
+            assert len(calls) > 2 and sum(calls[1:]) * (code.k_dim + 1) == got.cases_run
+        else:
+            assert len(calls) == 1
         assert got.cases_run == want.cases_run
         assert [p for p, _ in got.failures] == [p for p, _ in want.failures]
         assert (len(got.failures) > 0) == exploratory
         assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12
         for (_, f), (_, g) in zip(got.failures, want.failures):
             assert abs(f - g) <= 1e-12
+
+
+class TestVerifyEaOnDrawnCodes:
+    """verify_ea against the per-case oracle on the codewords of drawn
+    stabilizer groups, at every erased set that decompose certifies.
+
+    Every recovered error is corrected, so at the default rank cutoff each
+    fidelity is one.  The correlation matrix of a stabilizer code has
+    integer eigenvalues (the sizes of its classes of equivalent errors, at
+    most 19 here); a cutoff of 0.55 times the largest, which no ratio of
+    two of them meets, drops the smaller channels, so the errors that
+    live there fail and their labels and fidelities are compared too.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_matches_oracle(self, data):
+        group = data.draw(abelian_groups(max_n=6))
+        rank_tol = data.draw(st.sampled_from([RANK_TOL, 0.55]))
+        code = stab.codewords(group)
+        subset = data.draw(st.lists(st.integers(1, group.n), min_size=1,
+                                    max_size=min(group.n, 3), unique=True))
+        try:
+            dec = structure.decompose(code, subset)
+        except EaqecError:
+            return
+        outcome = TestVerifyEaAgainstOracle._outcome
+        for strategy in (structure.STRUCTURE, structure.PRESEND):
+            ea = TestVerifyEaAgainstOracle._build(strategy, dec, code)
+            for model in (simulate.NOISELESS, simulate.NOISY):
+                for weight in (0, 1):
+                    got, want = (outcome(verify, ea, dec, code, model, weight,
+                                         rank_tol=rank_tol)
+                                 for verify in (simulate.verify_ea, oracle_verify_ea))
+                    case = (strategy, model, weight, rank_tol)
+                    if isinstance(want, type) or isinstance(got, type):
+                        assert got is want, case
+                        continue
+                    assert got.cases_run == want.cases_run, case
+                    assert [p for p, _ in got.failures] == [p for p, _ in want.failures], case
+                    assert abs(got.min_fidelity - want.min_fidelity) <= 1e-12, case
+                    for (_, f), (_, g) in zip(got.failures, want.failures):
+                        assert abs(f - g) <= 1e-12, case
 
 
 class TestChannelFormCheck:
