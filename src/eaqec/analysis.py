@@ -27,16 +27,22 @@ coefficients and its kernel from the eigenvectors of varrho_B past C, only
 on request, after qla.check_dim passes its 16^b entries, which refuses
 sets of more than 5 qubits.  E_F = X^x Z^z with F = x + 2^b z is the one
 local Pauli order (codes.pauli_tables).
+A stabilizer group (stab.StabilizerGroup) takes the other route, the one
+analyze_subset, scan_subsets and require_correctable choose for it: every
+field of its report follows from GF(2) ranks of the group (_gf2_report),
+with no codewords and no tolerance, and the report's method says which
+route it came from.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from . import qla
+from . import qla, stab
 from .codes import QuantumCode, cut_trace, kl_check, pauli_tables, trace_moments
 from .config import RANK_TOL, RESIDUAL_TOL
 from .errors import NotCorrectableError
@@ -45,17 +51,20 @@ PURE = "pure"
 IMPURE_NONDEGENERATE = "impure_nondegenerate"
 DEGENERATE = "degenerate"
 
+MOMENTS = "moments"     # the dense route: codes.kl_check on the cut's Pauli moments
+GF2 = "gf2"             # a stabilizer group's route: ranks over GF(2), no codewords
+
 SCAN_CHUNK = 1 << 12    # entries of a scan chunk's cut, and of its partial traces
 
 
-@dataclass(frozen=True)
-class KLReport:
+class KLReport(NamedTuple):
     """Correctability verdict and spectral data for one erased set.
 
     matrix_rank is the rank of the 4^b x 4^b coefficient matrix, read off
     the marginal as 2^b C.  matrix and kernel are filled only by
     kl_matrix, both from the moments and varrho_B; analyze_subset leaves
-    both None.
+    both None.  method names the route the report was read from, MOMENTS
+    or GF2.
     """
 
     split: qla.SubsystemSplit
@@ -67,6 +76,7 @@ class KLReport:
     kept_marginal_ranks: tuple[int, ...]  # per-codeword rank on the kept side
     kernel: np.ndarray | None             # coefficient rows spanning ker(matrix)
     trichotomy: str | None = None
+    method: str = MOMENTS
 
     @property
     def matrix_dim(self) -> int:
@@ -103,19 +113,62 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
             marginal_spectrum=spectrum, marginal_rank=rank,
             kept_marginal_ranks=tuple(kept), kernel=None)
         if correctable:
-            report = replace(report, trichotomy=classify(report))
+            report = report._replace(trichotomy=classify(report))
         reports.append(report)
     return reports, moments, marginals
 
 
-def require_correctable(code: QuantumCode, subset,
+def _gf2_residual(group: stab.StabilizerGroup, correctable: bool) -> float:
+    """The largest moment residual that the GF(2) verdict implies.  An
+    undetected Pauli acts on the codespace as a nontrivial logical Pauli,
+    a traceless K x K unitary, so its residual is sqrt(K); every other
+    Pauli's moments are 0 or a multiple of the identity."""
+    return 0.0 if correctable else math.sqrt(group.k_dim)
+
+
+def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLReport:
+    """The report on one erased set of a stabilizer code, from three GF(2)
+    eliminations and no codewords.
+
+    verdict_and_s gives the verdict and s, the dimension of the subgroup
+    S_B inside the set.  The B-marginal is 2^-b times the sum of S_B's
+    elements, 2^(s-b) times the projector onto their joint +1 space, so
+    its spectrum is 1/C repeated C = 2^(b - s) times, then zeros, and the
+    set is pure iff s = 0 and degenerate otherwise (classify).  Every
+    codeword is a stabilizer state of one group (codeword_dim_on), so each
+    kept rank is 2^(b - s').  The 2^b spectrum entries and the K kept ranks
+    are size-checked first.
+    """
+    k, b, de = group.k_dim, split.b, split.dim_erased
+    qla.check_dim(de)
+    qla.check_dim(k)
+    correctable, s = stab.verdict_and_s(group, split.erased)
+    rank = 1 << (b - s)
+    spectrum = np.zeros(de)
+    spectrum[:rank] = 1.0 / rank
+    kept = 1 << (b - stab.codeword_dim_on(group, split.erased))
+    report = KLReport(
+        split=split, matrix=None, residual_max=_gf2_residual(group, correctable),
+        correctable=correctable, marginal_spectrum=spectrum, marginal_rank=rank,
+        kept_marginal_ranks=(kept,) * k, kernel=None, method=GF2)
+    return report._replace(trichotomy=classify(report)) if correctable else report
+
+
+def require_correctable(source: QuantumCode | stab.StabilizerGroup, subset,
                         residual_tol: float = RESIDUAL_TOL) -> None:
     """Raise NotCorrectableError when some Pauli on the subset goes undetected.
 
-    Computes only the residual (no marginal, matrix or eigensolve).
+    A stabilizer group is decided over GF(2) (is_correctable_stab), with no
+    codewords and no tolerance; an explicit basis by its moment residual
+    alone (no marginal, matrix or eigensolve).
     """
     subset = tuple(subset)
-    residual, correctable = kl_check(trace_moments(cut_trace(code, subset)), residual_tol)
+    if isinstance(source, stab.StabilizerGroup):
+        correctable = stab.is_correctable_stab(source, subset)
+        residual = _gf2_residual(source, correctable)
+    else:
+        residual, correctable = kl_check(trace_moments(cut_trace(source, subset)),
+                                         residual_tol)
     if not correctable:
         raise NotCorrectableError(
             "subset {" + ",".join(map(str, subset)) + "} fails the correctability "
@@ -159,7 +212,7 @@ def kl_matrix(code: QuantumCode, subset,
     null = vecs[:, report.marginal_rank:]
     kernel = (signs[..., None] * null[xor]).transpose(1, 3, 0, 2)
     kernel = kernel.conj().reshape(-1, de * de) / np.sqrt(de)
-    return replace(report, matrix=lam, kernel=kernel)
+    return report._replace(matrix=lam, kernel=kernel)
 
 
 def classify(report: KLReport) -> str:
@@ -175,37 +228,46 @@ def classify(report: KLReport) -> str:
     return IMPURE_NONDEGENERATE
 
 
-def analyze_subset(code: QuantumCode, subset,
+def analyze_subset(source: QuantumCode | stab.StabilizerGroup, subset,
                    residual_tol: float = RESIDUAL_TOL,
                    rank_tol: float = RANK_TOL) -> KLReport:
     """Verdict plus classification when the subset turns out correctable.
 
-    One route for every b: the verdict is the erasure residual with c_F =
-    tr(V^dag E_F V) / K, and C, the spectrum and the kept ranks come from
-    the same partial trace (codes.cut_trace), whose K^2 4^b size check is
-    the only size limit; matrix_rank is 2^b rank(varrho_B) (see
-    kl_matrix).  No coefficient matrix or eigensolve of one is formed, so
-    matrix and kernel are None.
+    A stabilizer group is read over GF(2) (_gf2_report), with no codewords,
+    and reads neither tolerance.  For an explicit basis there is one route
+    for every b: the verdict is the erasure residual with c_F = tr(V^dag
+    E_F V) / K, and C, the spectrum and the kept ranks come from the same
+    partial trace (codes.cut_trace), whose K^2 4^b size check is the only
+    size limit; matrix_rank is 2^b rank(varrho_B) (see kl_matrix).  No
+    coefficient matrix or eigensolve of one is formed, so matrix and kernel
+    are None.
     """
-    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
-    return _analyze(code, [split.erased], residual_tol, rank_tol)[0][0]
+    split = qla.SubsystemSplit(n=source.n, erased=tuple(subset))
+    if isinstance(source, stab.StabilizerGroup):
+        return _gf2_report(source, split)
+    return _analyze(source, [split.erased], residual_tol, rank_tol)[0][0]
 
 
-def scan_subsets(code: QuantumCode, size: int,
+def scan_subsets(source: QuantumCode | stab.StabilizerGroup, size: int,
                  residual_tol: float = RESIDUAL_TOL,
                  rank_tol: float = RANK_TOL):
     """analyze_subset for every subset of the given size, lexicographically.
 
-    The K^2 4^size moment check runs at the call, before any work.  The
-    subsets are decided in chunks, each one stacked pass (_analyze), so a
-    scan holds one chunk's cut, moments and marginals at a time; a chunk
-    holds at most SCAN_CHUNK entries of its cut (K 2^n a subset) and of its
-    partial traces (K^2 4^size a subset), or a single subset.
+    A stabilizer group gives each subset's GF(2) report in turn.  For an
+    explicit basis the K^2 4^size moment check runs at the call, before any
+    work.  The subsets are decided in chunks, each one stacked pass
+    (_analyze), so a scan holds one chunk's cut, moments and marginals at a
+    time; a chunk holds at most SCAN_CHUNK entries of its cut (K 2^n a
+    subset) and of its partial traces (K^2 4^size a subset), or a single
+    subset.
     """
-    k = code.k_dim
+    subsets = itertools.combinations(range(1, source.n + 1), size)
+    if isinstance(source, stab.StabilizerGroup):
+        return (_gf2_report(source, qla.SubsystemSplit(n=source.n, erased=subset))
+                for subset in subsets)
+    k = source.k_dim
     qla.check_dim(k ** 2 * 4 ** size)
-    chunk = max(1, SCAN_CHUNK // max(k * code.dim, k ** 2 * 4 ** size))
-    subsets = itertools.combinations(range(1, code.n + 1), size)
+    chunk = max(1, SCAN_CHUNK // max(k * source.dim, k ** 2 * 4 ** size))
     chunks = iter(lambda: list(itertools.islice(subsets, chunk)), [])
     return (report for batch in chunks
-            for report in _analyze(code, batch, residual_tol, rank_tol)[0])
+            for report in _analyze(source, batch, residual_tol, rank_tol)[0])

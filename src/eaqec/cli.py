@@ -3,9 +3,10 @@
 Commands: analyze, decompose, verify, distance, scan, fixtures.  Codes come
 from a built-in fixture, a code JSON file, inline stabilizer strings, or a
 stabilizer JSON file; reports go to stdout (or --output) as text or as one
-compact JSON object on one line.  A stabilizer input keeps its group: its
-distance is found over GF(2), and its codewords are built only by the
-commands that read them.
+compact JSON object on one line.  A stabilizer input keeps its group:
+analyze, scan, the correctability gate of decompose and verify, and the
+distance are read off it over GF(2), and its codewords are built only by
+analyze --full, decompose and verify, after the gate.
 
 Exit codes: 0 ok, 1 input error, 2 not correctable, 3 structure violation
 (also used for a failed verification), 4 model mismatch.  Qubit indices are
@@ -73,10 +74,6 @@ def _as_code(source) -> codes.QuantumCode:
     return stab.codewords(source) if isinstance(source, stab.StabilizerGroup) else source
 
 
-def _load_code(args) -> codes.QuantumCode:
-    return _as_code(_load_source(args))
-
-
 def _parse_subset(text: str, n: int) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
@@ -108,7 +105,7 @@ def _subset_str(subset) -> str:
     return "{" + ",".join(str(q) for q in subset) + "}"
 
 
-def _report_json(report: analysis.KLReport) -> dict:
+def _report_json(report: analysis.KLReport, rank_tol: float, residual_tol: float) -> dict:
     data = {
         "n": report.split.n,
         "subset": list(report.split.erased),
@@ -121,7 +118,12 @@ def _report_json(report: analysis.KLReport) -> dict:
         "matrix_rank": report.matrix_rank,
         "matrix_dim": report.matrix_dim,
         "residual_max": report.residual_max,
+        "method": report.method,
     }
+    # the GF(2) route reads neither tolerance
+    gf2 = report.method == analysis.GF2
+    data["tol_residual"] = None if gf2 else residual_tol
+    data["tol_rank"] = None if gf2 else rank_tol
     if report.matrix is not None:
         data["matrix"] = qla.array_to_json(report.matrix)
         data["kernel"] = qla.array_to_json(report.kernel)
@@ -130,11 +132,14 @@ def _report_json(report: analysis.KLReport) -> dict:
 
 def cmd_analyze(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
-    code = _load_code(args)
-    subset = _parse_subset(args.subset, code.n)
-    # only --full builds the 16^b coefficient matrix, which MAX_DIM caps at b = 5
-    analyze = analysis.kl_matrix if args.full else analysis.analyze_subset
-    report = analyze(code, subset, residual_tol=residual_tol, rank_tol=rank_tol)
+    source = _load_source(args)
+    subset = _parse_subset(args.subset, source.n)
+    if args.full:       # the 16^b coefficient matrix, which MAX_DIM caps at b = 5
+        report = analysis.kl_matrix(_as_code(source), subset,
+                                    residual_tol=residual_tol, rank_tol=rank_tol)
+    else:
+        report = analysis.analyze_subset(source, subset,
+                                         residual_tol=residual_tol, rank_tol=rank_tol)
     lines = [
         f"subset: {_subset_str(subset)}",
         f"correctable: {'yes' if report.correctable else 'no'}",
@@ -147,7 +152,7 @@ def cmd_analyze(args) -> int:
         f"coefficient matrix rank: {report.matrix_rank} of {report.matrix_dim}",
         f"max residual: {report.residual_max:.3e}",
     ]
-    _emit(args, "\n".join(lines), _report_json(report))
+    _emit(args, "\n".join(lines), _report_json(report, rank_tol, residual_tol))
     return 0 if report.correctable else 2
 
 
@@ -176,9 +181,9 @@ def _ea_line(label: str, dec: structure.StructureDecomposition,
 def cmd_decompose(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     source = _load_source(args)
+    subset = _parse_subset(args.subset, source.n)
+    analysis.require_correctable(source, subset, residual_tol=residual_tol)
     code = _as_code(source)
-    subset = _parse_subset(args.subset, code.n)
-    analysis.require_correctable(code, subset, residual_tol=residual_tol)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
     d = _distance_for(source, args, residual_tol)
@@ -213,9 +218,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
-    code = _load_code(args)
-    subset = _parse_subset(args.subset, code.n)
-    analysis.require_correctable(code, subset, residual_tol=residual_tol)
+    source = _load_source(args)
+    subset = _parse_subset(args.subset, source.n)
+    analysis.require_correctable(source, subset, residual_tol=residual_tol)
+    code = _as_code(source)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
     if args.strategy == structure.COMPRESSED:
@@ -278,12 +284,12 @@ def cmd_distance(args) -> int:
 
 def cmd_scan(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
-    code = _load_code(args)
+    source = _load_source(args)
     size = args.size
-    if not 1 <= size <= code.n:
-        raise ContractError(f"scan size must be within 1..{code.n}")
+    if not 1 <= size <= source.n:
+        raise ContractError(f"scan size must be within 1..{source.n}")
     rows = [(r.split.erased, r.correctable, r.trichotomy, r.marginal_rank)
-            for r in analysis.scan_subsets(code, size, residual_tol=residual_tol,
+            for r in analysis.scan_subsets(source, size, residual_tol=residual_tol,
                                            rank_tol=rank_tol)]
     correctable_count = sum(ok for _, ok, _, _ in rows)
     lines = []
@@ -294,7 +300,7 @@ def cmd_scan(args) -> int:
             lines.append(f"{_subset_str(subset)}: not correctable")
     lines.append(f"{correctable_count} of {len(rows)} subsets correctable")
     payload = {
-        "n": code.n,
+        "n": source.n,
         "size": size,
         "correctable_count": correctable_count,
         "subsets": [

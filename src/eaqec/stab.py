@@ -10,7 +10,10 @@ A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
 inside S are all of them.  StabilizerGroup.is_correctable gives that
-verdict to codes.min_distance, the one distance search.  The codewords
+verdict to codes.min_distance, the one distance search, and the same two
+eliminations give analysis s(B) and so C = 2^(b - s) (verdict_and_s); one
+more, on the rows of the group that fixes each codeword, gives each kept
+rank (codeword_dim_on).  The codewords
 come from the same elimination, on the x bits: each is one orbit of basis
 states under the generators with independent X parts, anchored at a state
 that the Z-type subgroup fixes with eigenvalue +1, so building all K of
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +165,22 @@ class StabilizerGroup:
         """The generators' rows for _eliminate (_rows), built once per group."""
         return _rows(self.generators)
 
+    @functools.cached_property
+    def codeword_rows(self) -> tuple[int, ...]:
+        """Rows (_rows) of the group that fixes each codeword up to signs,
+        built once per group: the generators plus the Z-type Paulis Z^z
+        that commute with all of them, z in the GF(2) null space of their
+        x bits.  Codeword i is P|j_i> (codewords), and Z^z P|j_i> = P Z^z
+        |j_i> = +-P|j_i>, so every codeword is a stabilizer state of this
+        one group of dimension n, each with its own signs.  The null space
+        comes from _eliminate on the columns of the x bits, one row per
+        qubit carrying its own bit of a z mask.
+        """
+        n, gens = self.n, self.generators
+        columns = [sum((g.x_bits >> q & 1) << i for i, g in enumerate(gens)) for q in range(n)]
+        _, null = _eliminate([col << n | 1 << q for q, col in enumerate(columns)], -1)
+        return _rows(gens + tuple(PauliOperator(n, 0, z) for z in null.values()))
+
     @property
     def k_dim(self) -> int:
         """Dimension 2^(n - r) of the codespace; needs an abelian group."""
@@ -194,8 +214,7 @@ def group_from_json(data: dict) -> StabilizerGroup:
 
 # -------------------------------------------------- symplectic Gram-Schmidt
 
-@dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(NamedTuple):
     """Generators reorganized into anticommuting pairs plus a commuting rest."""
 
     n: int
@@ -356,8 +375,9 @@ def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
          for c in dependents.values()), n=group.n)
 
 
-def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
-    """Erasure correctability of the qubit set, decided purely over GF(2).
+def verdict_and_s(group: StabilizerGroup, subset) -> tuple[bool, int]:
+    """Erasure correctability of the qubit set, decided purely over GF(2),
+    and s(B), the dimension of the subgroup inside it.
 
     The set B is correctable exactly when every Pauli on B that commutes
     with the group is (up to phase) in it.  The symplectic form on B is
@@ -371,4 +391,20 @@ def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     _require_abelian(group, "is_correctable_stab")
     inside = _support_mask(group.n, subset)
     s_dim = len(group.rows) - len(_eliminate(group.rows, ~inside)[0])
-    return len(_eliminate(group.rows, inside)[0]) + s_dim == inside.bit_count()
+    return len(_eliminate(group.rows, inside)[0]) + s_dim == inside.bit_count(), s_dim
+
+
+def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
+    """The verdict of verdict_and_s alone."""
+    return verdict_and_s(group, subset)[0]
+
+
+def codeword_dim_on(group: StabilizerGroup, subset) -> int:
+    """s'(B), the dimension of the elements inside the qubit set of the
+    group that fixes each codeword (StabilizerGroup.codeword_rows): n minus
+    that group's rank outside the set, one elimination.  Each codeword is a
+    pure stabilizer state, so its marginal on the set, and so on the kept
+    qubits, has rank 2^(b - s'(B)).  A nonabelian group is a ContractError.
+    """
+    _require_abelian(group, "codeword_dim_on")
+    return group.n - len(_eliminate(group.codeword_rows, ~_support_mask(group.n, subset))[0])

@@ -15,6 +15,7 @@ factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ NOISELESS_AND_NOISY = "noiseless_and_noisy"
 NOISELESS_ONLY = "noiseless_only"
 
 
-@dataclass(frozen=True)
-class StructureDecomposition:
+class StructureDecomposition(NamedTuple):
     """Certified factorization of a code over a kept/erased split.
 
     isometry maps the message register (index major) and ancilla (index

@@ -77,7 +77,8 @@ class TestAnalyze:
         rc, out, _ = run(capsys, "analyze", "--code", str(path),
                          "--subset", "1,2,3,4,5,6", "--format", "json")
         data = json.loads(out)
-        assert rc == 0 and "method" not in data
+        assert rc == 0 and data["method"] == "moments"
+        assert data["tol_residual"] == 1e-8 and data["tol_rank"] == 1e-9
         assert data["trichotomy"] == "degenerate" and data["C"] == 2
         assert data["matrix_rank"] == 2 ** 6 * 2 and data["matrix_dim"] == 4 ** 6
         assert data["residual_max"] == 0.0
@@ -463,16 +464,24 @@ class TestScan:
         assert data["correctable_count"] == 4
         assert all(row["trichotomy"] == "pure" for row in data["subsets"])
 
-    def test_size_out_of_range(self, capsys):
+    def test_size_out_of_range(self, capsys, tmp_path):
         rc, _, err = run(capsys, "scan", "--fixture", "five_qubit", "--size", "0")
         assert rc == 1
         rc, _, err = run(capsys, "scan", "--fixture", "steane", "--size", "8")
         assert rc == 1
         assert "within 1..7" in err
-        # K = 128: the K^2 4^4 moments of one size-4 subset exceed MAX_DIM
-        rc, _, err = run(capsys, "scan", "--stabilizers", "ZIIIIIII", "--size", "4")
+        # K = 128 as an explicit basis: the K^2 4^4 moments of one size-4
+        # subset exceed MAX_DIM
+        path = tmp_path / "k128.json"
+        group = stab.StabilizerGroup.from_strings(["ZIIIIIII"])
+        path.write_text(json.dumps(codes.code_to_json(stab.codewords(group))))
+        rc, _, err = run(capsys, "scan", "--code", str(path), "--size", "4")
         assert rc == 1
         assert "exceeds cap" in err
+        # the same code as a group is scanned over GF(2), with no moments
+        rc, out, err = run(capsys, "scan", "--stabilizers", "ZIIIIIII", "--size", "4")
+        assert rc == 0 and err == ""
+        assert "0 of 70 subsets correctable" in out
 
     def test_wider_than_coefficient_matrix(self, capsys):
         rc, out, _ = run(capsys, "scan", "--fixture", "steane", "--size", "6")
@@ -574,11 +583,18 @@ class TestInputSources:
         assert out == ""
 
     def test_codespace_too_large_refused(self, capsys):
-        # n = 12 with one generator: K 2^n = 2^23 is over MAX_DIM
+        # n = 12 with one generator: K 2^n = 2^23 is over MAX_DIM, so the
+        # commands that build codewords refuse after their GF(2) gate
+        for command in ("decompose", "verify"):
+            rc, out, err = run(capsys, command, "--stabilizers", "Z" + "I" * 11,
+                               "--subset", "1")
+            assert rc == 1 and out == ""
+            assert err.startswith("error:") and "exceeds cap" in err
+        # analyze reads the group over GF(2) and builds none
         rc, out, err = run(capsys, "analyze", "--stabilizers", "Z" + "I" * 11,
                            "--subset", "1")
-        assert rc == 1
-        assert err.startswith("error:") and "exceeds cap" in err
+        assert rc == 0 and err == ""
+        assert "class: degenerate" in out and "C: 1" in out
 
     def test_sixteen_qubit_shor_in_small_memory(self, capsys):
         # a dense 2^16 x 2^16 projector of the [[16,1,4]] code would take 64 GiB
@@ -593,6 +609,27 @@ class TestInputSources:
         assert rc == 0
         assert data["trichotomy"] == "pure" and data["C"] == 8
         assert peak < 32 * 2 ** 20
+
+    def test_twenty_five_qubit_shor_in_small_memory(self, capsys):
+        # [[25,1,5]]: its K x 2^25 codeword basis would exceed MAX_DIM 64 times
+        # over, and analyze and scan read the group over GF(2) instead
+        gens = shor_grid_generators(5)
+        for argv in (("analyze", "--subset", "1,2,3,4"), ("scan", "--size", "2")):
+            tracemalloc.start()
+            try:
+                rc, out, err = run(capsys, argv[0], "--stabilizers", gens, *argv[1:],
+                                   "--format", "json")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0 and err == ""
+            assert peak < 2 * 2 ** 20
+        assert json.loads(out)["correctable_count"] == 300
+        rc, out, _ = run(capsys, "analyze", "--stabilizers", gens, "--subset", "1,2,3,4",
+                         "--format", "json")
+        data = json.loads(out)
+        assert (data["trichotomy"], data["C"], data["method"]) == ("degenerate", 2, "gf2")
+        assert data["tol_residual"] is None and data["tol_rank"] is None
 
     def test_stab_json_file(self, capsys, tmp_path):
         group = stab.StabilizerGroup.from_strings(

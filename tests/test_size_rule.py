@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, structure
+from eaqec import analysis, codes, stab, structure
 from eaqec.errors import SizeError
 
 from conftest import cached_fixture
@@ -51,6 +51,9 @@ OVER_CAP = {
     "analyze_subset": lambda: (analysis.analyze_subset, (wide_code(), (1, 2, 3, 4))),
     "is_correctable": lambda: (wide_code().is_correctable, ((1, 2, 3, 4),)),
     "scan_subsets": lambda: (analysis.scan_subsets, (wide_code(), 4)),
+    # the K = 2^21 kept ranks of a group's GF(2) report
+    "analyze_subset_gf2": lambda: (analysis.analyze_subset,
+                                   (stab.StabilizerGroup.from_strings(["Z" + "I" * 21]), (1,))),
 }
 
 

@@ -477,9 +477,24 @@ class TestCorrectability:
             assert stab.is_correctable_stab(g, subset)
 
 
+def assert_same_report(gf2, dense):
+    """Every field of a group's GF(2) report against the moment route's
+    report on its codewords."""
+    assert (gf2.method, dense.method) == (analysis.GF2, analysis.MOMENTS)
+    assert gf2.split == dense.split
+    assert gf2.correctable == dense.correctable
+    assert gf2.trichotomy == dense.trichotomy
+    assert gf2.marginal_rank == dense.marginal_rank
+    assert gf2.kept_marginal_ranks == dense.kept_marginal_ranks
+    np.testing.assert_allclose(gf2.marginal_spectrum, dense.marginal_spectrum, rtol=0, atol=1e-12)
+    assert abs(gf2.residual_max - dense.residual_max) <= 1e-9
+    assert gf2.matrix is gf2.kernel is None
+
+
 class TestGf2AgainstAnalysis:
     """Three independent verdicts on every drawn code: GF(2), the moment
-    residual of analysis, and the certificate of structure.decompose."""
+    residual of analysis, and the certificate of structure.decompose; and
+    every field of the GF(2) report and scan against the moment route."""
 
     @given(abelian_groups(max_n=7), st.data())
     def test_verdict_and_receiver_dim(self, g, data):
@@ -489,6 +504,10 @@ class TestGf2AgainstAnalysis:
         report = analysis.analyze_subset(code, subset)
         correctable = stab.is_correctable_stab(g, subset)
         assert correctable == report.correctable
+        assert_same_report(analysis.analyze_subset(g, subset), report)
+        for gf2, dense in zip(analysis.scan_subsets(g, b), analysis.scan_subsets(code, b),
+                              strict=True):
+            assert_same_report(gf2, dense)
         if not correctable:
             with pytest.raises(StructureViolationError):
                 structure.decompose(code, subset)
@@ -497,6 +516,18 @@ class TestGf2AgainstAnalysis:
         assert report.marginal_rank == 1 << (b - s)
         assert structure.decompose(code, subset).ancilla_dim == 1 << (b - s)
         assert report.trichotomy == (analysis.PURE if s == 0 else analysis.DEGENERATE)
+
+    @pytest.mark.parametrize("gens", [FIVE_GENS, STEANE_GENS, SHOR_GENS, CYCLIC11_GENS],
+                             ids=["five_qubit", "steane", "shor", "cyclic11"])
+    def test_named_codes_every_field(self, gens):
+        g = stab.StabilizerGroup.from_strings(gens)
+        code = stab.codewords(g)
+        for b in (1, 2, 3):
+            for gf2, dense in zip(analysis.scan_subsets(g, b), analysis.scan_subsets(code, b),
+                                  strict=True):
+                assert_same_report(gf2, dense)
+                assert_same_report(analysis.analyze_subset(g, gf2.split.erased[::-1]),
+                                   analysis.analyze_subset(code, dense.split.erased[::-1]))
 
 
 class TestMinDistance:
