@@ -17,16 +17,14 @@ the eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
 It runs on a stack of sets of one size at once, with no loop over the
 sets before the reports are built; analyze_subset and kl_matrix are the
 stack of one, and only kl_matrix fixes the gauge of varrho_B's
-eigenvectors, which its kernel prints.
+eigenvectors, returning those past C with varrho_B itself.
 Correctable sets classify three ways from the marginal: pure (maximally
 mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
 (rank deficient).  The coefficient matrix lambda_FG = Tr(varrho_B E_F^dag
-E_G) has the spectrum of varrho_B scaled by 2^b, each value repeated 2^b
-times, so its rank is 2^b C; kl_matrix builds the matrix from the moment
-coefficients and its kernel from the eigenvectors of varrho_B past C, only
-on request, after qla.check_dim passes its 16^b entries, which refuses
-sets of more than 5 qubits.  E_F = X^x Z^z with F = x + 2^b z is the one
-local Pauli order (codes.pauli_tables).
+E_G) holds nothing more than varrho_B: its spectrum is varrho_B's scaled
+by 2^b, each value repeated 2^b times, so its rank is 2^b C, and its
+kernel is spanned by the Pauli coefficients of |e><u_nu| for the null
+vectors u_nu of varrho_B.  No report builds it.
 A stabilizer group (stab.StabilizerGroup) takes the other route, the one
 analyze_subset, scan_subsets and require_correctable choose for it: every
 field of its report follows from GF(2) ranks of the group (_gf2_report),
@@ -43,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qla, stab
-from .codes import QuantumCode, cut_trace, kl_check, pauli_tables, trace_moments
-from .config import RANK_TOL, RESIDUAL_TOL
+from .codes import QuantumCode, cut_trace, kl_check, trace_moments
+from .config import PURITY_TOL, RANK_TOL, RESIDUAL_TOL
 from .errors import NotCorrectableError
 
 PURE = "pure"
@@ -61,22 +59,21 @@ class KLReport(NamedTuple):
     """Correctability verdict and spectral data for one erased set.
 
     matrix_rank is the rank of the 4^b x 4^b coefficient matrix, read off
-    the marginal as 2^b C.  matrix and kernel are filled only by
-    kl_matrix, both from the moments and varrho_B; analyze_subset leaves
-    both None.  method names the route the report was read from, MOMENTS
-    or GF2.
+    the marginal as 2^b C.  marginal and null_vectors are filled only by
+    kl_matrix; analyze_subset leaves both None.  method names the route
+    the report was read from, MOMENTS or GF2.
     """
 
     split: qla.SubsystemSplit
-    matrix: np.ndarray | None             # 4^b x 4^b coefficient matrix
     residual_max: float
     correctable: bool
     marginal_spectrum: np.ndarray         # eigenvalues of varrho_B, descending, >= 0
     marginal_rank: int
     kept_marginal_ranks: tuple[int, ...]  # per-codeword rank on the kept side
-    kernel: np.ndarray | None             # coefficient rows spanning ker(matrix)
     trichotomy: str | None = None
     method: str = MOMENTS
+    marginal: np.ndarray | None = None      # varrho_B, 2^b x 2^b
+    null_vectors: np.ndarray | None = None  # columns: eigenvectors of varrho_B past C
 
     @property
     def matrix_dim(self) -> int:
@@ -88,15 +85,14 @@ class KLReport(NamedTuple):
 
 
 def _analyze(code: QuantumCode, subsets, residual_tol: float,
-             rank_tol: float) -> tuple[list[KLReport], np.ndarray, np.ndarray]:
-    """The reports for a list of erased sets of one size, and the moments
-    (S, 4^b, K, K) and B-marginals (S, 2^b, 2^b) they were read from: one
-    stacked partial trace (codes.cut_trace), moment transform, kl_check,
-    and eigensolve each of the marginals and of the kept blocks T_ii."""
+             rank_tol: float) -> tuple[list[KLReport], np.ndarray]:
+    """The reports for a list of erased sets of one size, and the
+    B-marginals (S, 2^b, 2^b) they were read from: one stacked partial
+    trace (codes.cut_trace), moment transform, kl_check, and eigensolve
+    each of the marginals and of the kept blocks T_ii."""
     t = cut_trace(code, np.array(subsets, dtype=np.intp))
     k = code.k_dim
-    moments = trace_moments(t)
-    residuals, verdicts = kl_check(moments, residual_tol)
+    residuals, verdicts = kl_check(trace_moments(t), residual_tol)
     diag = np.arange(k)
     blocks = t[:, diag, :, diag]                          # T_ii, shape (K, S, 2^b, 2^b)
     marginals = blocks.sum(axis=0).swapaxes(-2, -1) / k
@@ -108,14 +104,14 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
             subsets, residuals.tolist(), verdicts.tolist(), spectra,
             marginal_ranks.tolist(), kept_ranks.tolist()):
         report = KLReport(
-            split=qla.SubsystemSplit(n=code.n, erased=subset), matrix=None,
+            split=qla.SubsystemSplit(n=code.n, erased=subset),
             residual_max=residual, correctable=correctable,
             marginal_spectrum=spectrum, marginal_rank=rank,
-            kept_marginal_ranks=tuple(kept), kernel=None)
+            kept_marginal_ranks=tuple(kept))
         if correctable:
             report = report._replace(trichotomy=classify(report))
         reports.append(report)
-    return reports, moments, marginals
+    return reports, marginals
 
 
 def _gf2_residual(group: stab.StabilizerGroup, correctable: bool) -> float:
@@ -148,9 +144,9 @@ def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLRep
     spectrum[:rank] = 1.0 / rank
     kept = 1 << (b - stab.codeword_dim_on(group, split.erased))
     report = KLReport(
-        split=split, matrix=None, residual_max=_gf2_residual(group, correctable),
+        split=split, residual_max=_gf2_residual(group, correctable),
         correctable=correctable, marginal_spectrum=spectrum, marginal_rank=rank,
-        kept_marginal_ranks=(kept,) * k, kernel=None, method=GF2)
+        kept_marginal_ranks=(kept,) * k, method=GF2)
     return report._replace(trichotomy=classify(report)) if correctable else report
 
 
@@ -178,41 +174,16 @@ def require_correctable(source: QuantumCode | stab.StabilizerGroup, subset,
 def kl_matrix(code: QuantumCode, subset,
               residual_tol: float = RESIDUAL_TOL,
               rank_tol: float = RANK_TOL) -> KLReport:
-    """analyze_subset's report with the coefficient matrix and its kernel.
+    """analyze_subset's report with varrho_B and its gauge-fixed null vectors.
 
-    Both are read off what the analysis already holds; their 16^b entries
-    are size-checked before anything is built, which refuses sets of more
-    than 5 qubits (16^5 = MAX_DIM).  With F = x + 2^b z, E_F^dag E_G =
-    (-1)^|z_F & (x_F ^ x_G)| E_{F ^ G}, so lambda_FG is that sign times c_{F ^
-    G}, where c_H = tr(m_H) / K = Tr(varrho_B E_H) are the moment
-    coefficients; the identity row lambda_{0F} is c_F itself.  lambda a = 0
-    exactly when sum_G a_G E_G annihilates varrho_B, so the kernel rows are
-    the Pauli coefficients of sqrt(2^b) |e><u_nu|, for every basis state e
-    of B and every eigenvector u_nu of varrho_B past its rank C: row e (2^b
-    - C) + nu, with a_G = conj(sign[z_G, e ^ x_G] u_nu[e ^ x_G]) / sqrt(2^b).
-    The 2^b (2^b - C) rows are orthonormal by construction, and
-    matrix_rank = 2^b C counts the rest.
+    Both come from the analysis's own partial trace, so the size limit is
+    analyze_subset's.  They determine the coefficient matrix and its
+    kernel (see the module docstring), which are not built.
     """
-    subset = tuple(subset)
-    split = qla.SubsystemSplit(n=code.n, erased=subset)
-    b, de = split.b, split.dim_erased
-    qla.check_dim(16 ** b)
-
-    (report,), (moments,), (marginal,) = _analyze(code, [split.erased], residual_tol, rank_tol)
-    vecs = qla.eig_hermitian(marginal)[1]
-    c = (np.trace(moments, axis1=1, axis2=2) / code.k_dim).reshape(de, de)  # [z, x]
-    xor, sign = pauli_tables(b)
-    signs = sign[:, xor]                                  # signs[z, f, g] = sign[z, f ^ g]
-    # lam[zF, xF, zG, xG] = sign[zF, xF ^ xG] * c[zF ^ zG, xF ^ xG]
-    lam = signs[:, :, None, :] * c[xor[:, None, :, None], xor[None, :, None, :]]
-    lam = lam.reshape(de * de, de * de)
-    lam = (lam + lam.conj().T) / 2
-
-    # kernel[e, nu, z, x] = conj(sign[z, e ^ x] * u_nu[e ^ x]) / sqrt(2^b)
-    null = vecs[:, report.marginal_rank:]
-    kernel = (signs[..., None] * null[xor]).transpose(1, 3, 0, 2)
-    kernel = kernel.conj().reshape(-1, de * de) / np.sqrt(de)
-    return report._replace(matrix=lam, kernel=kernel)
+    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
+    (report,), (marginal,) = _analyze(code, [split.erased], residual_tol, rank_tol)
+    null = qla.eig_hermitian(marginal)[1][:, report.marginal_rank:]
+    return report._replace(marginal=marginal, null_vectors=null)
 
 
 def classify(report: KLReport) -> str:
@@ -223,7 +194,7 @@ def classify(report: KLReport) -> str:
     dim = report.split.dim_erased
     if report.marginal_rank != dim:
         return DEGENERATE
-    if np.max(np.abs(report.marginal_spectrum - 1.0 / dim)) <= 1e-10:
+    if np.max(np.abs(report.marginal_spectrum - 1.0 / dim)) <= PURITY_TOL:
         return PURE
     return IMPURE_NONDEGENERATE
 
@@ -238,9 +209,8 @@ def analyze_subset(source: QuantumCode | stab.StabilizerGroup, subset,
     for every b: the verdict is the erasure residual with c_F = tr(V^dag
     E_F V) / K, and C, the spectrum and the kept ranks come from the same
     partial trace (codes.cut_trace), whose K^2 4^b size check is the only
-    size limit; matrix_rank is 2^b rank(varrho_B) (see kl_matrix).  No
-    coefficient matrix or eigensolve of one is formed, so matrix and kernel
-    are None.
+    size limit; matrix_rank is 2^b rank(varrho_B).  marginal and
+    null_vectors are None (see kl_matrix).
     """
     split = qla.SubsystemSplit(n=source.n, erased=tuple(subset))
     if isinstance(source, stab.StabilizerGroup):

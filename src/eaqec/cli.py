@@ -124,9 +124,9 @@ def _report_json(report: analysis.KLReport, rank_tol: float, residual_tol: float
     gf2 = report.method == analysis.GF2
     data["tol_residual"] = None if gf2 else residual_tol
     data["tol_rank"] = None if gf2 else rank_tol
-    if report.matrix is not None:
-        data["matrix"] = qla.array_to_json(report.matrix)
-        data["kernel"] = qla.array_to_json(report.kernel)
+    if report.marginal is not None:
+        data["marginal"] = qla.array_to_json(report.marginal)
+        data["null_vectors"] = qla.array_to_json(report.null_vectors)
     return data
 
 
@@ -134,7 +134,7 @@ def cmd_analyze(args) -> int:
     rank_tol, residual_tol = _tolerances(args)
     source = _load_source(args)
     subset = _parse_subset(args.subset, source.n)
-    if args.full:       # the 16^b coefficient matrix, which MAX_DIM caps at b = 5
+    if args.full:
         report = analysis.kl_matrix(_as_code(source), subset,
                                     residual_tol=residual_tol, rank_tol=rank_tol)
     else:
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, metavar="Q1,Q2,...",
                    help="erased qubits, 1-based")
     p.add_argument("--full", action="store_true",
-                   help="include the coefficient matrix and kernel in JSON")
+                   help="include the erased marginal and its null vectors in JSON")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("decompose",

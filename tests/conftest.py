@@ -298,6 +298,30 @@ def oracle_analysis(code: QuantumCode, subset, residual_tol: float = RESIDUAL_TO
             "kept_ranks": tuple(_oracle_rank(w, rank_tol) for w in np.linalg.eigvalsh(blocks))}
 
 
+def coefficient_matrix(marginal: np.ndarray,
+                       null_vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4^b x 4^b Knill-Laflamme coefficient matrix and its kernel rows,
+    rebuilt from varrho_B and its null vectors by the README's formula.
+
+    With E_F = X^x Z^z and F = x + 2^b z, lambda_FG = (-1)^|z_F & (x_F ^ x_G)|
+    c_{F ^ G}, where c_H = Tr(varrho_B E_H).  The kernel rows are the Pauli
+    coefficients of sqrt(2^b) |e><u_nu| for each basis state e of the erased
+    qubits and each null vector u_nu (a column of null_vectors): row
+    e (2^b - C) + nu holds a_G = conj(sign[z_G, e ^ x_G] u_nu[e ^ x_G]) / sqrt(2^b).
+    """
+    de = marginal.shape[0]
+    xor, sign = codes.pauli_tables(de.bit_length() - 1)
+    # c[z, x] = Tr(varrho_B X^x Z^z) = sum_f (-1)^|f & z| varrho_B[f, f ^ x]
+    c = sign @ marginal[np.arange(de)[:, None], xor]
+    signs = sign[:, xor]                                  # signs[z, f, g] = sign[z, f ^ g]
+    # lam[zF, xF, zG, xG] = sign[zF, xF ^ xG] * c[zF ^ zG, xF ^ xG]
+    lam = signs[:, :, None, :] * c[xor[:, None, :, None], xor[None, :, None, :]]
+    lam = lam.reshape(de * de, de * de)
+    # kernel[e, nu, z, x] = conj(sign[z, e ^ x] * u_nu[e ^ x]) / sqrt(2^b)
+    kernel = (signs[..., None] * null_vectors[xor]).transpose(1, 3, 0, 2)
+    return (lam + lam.conj().T) / 2, kernel.conj().reshape(-1, de * de) / np.sqrt(de)
+
+
 # Reference implementations the tests compare the library against: the
 # local Pauli basis enumerated operator by operator, erasure as a dense
 # Kraus channel, and the erasure output against its structured form.

@@ -12,7 +12,7 @@ import numpy as np
 
 from eaqec import analysis, codes, qla, simulate, stab, structure
 
-from conftest import cached_fixture, channel_form_check, replacer_channel
+from conftest import cached_fixture, channel_form_check, coefficient_matrix, replacer_channel
 from test_stab import FIVE_GENS, STEANE_GENS
 
 
@@ -224,7 +224,8 @@ def test_11_module_invariants(capsys):
         for name in ["five_qubit", "steane", "pi_4_2_2", "pi_7_2_3", "xp_7_8_2"]:
             code = cached_fixture(name)
             for q in range(1, code.n + 1):
-                lam = analysis.kl_matrix(code, (q,)).matrix
+                report = analysis.kl_matrix(code, (q,))
+                lam, _ = coefficient_matrix(report.marginal, report.null_vectors)
                 assert np.linalg.norm(lam - lam.conj().T) <= 1e-12
                 assert np.linalg.eigvalsh(lam).min() >= -1e-10
                 np.testing.assert_allclose(np.diag(lam).real, 1.0, atol=1e-12)

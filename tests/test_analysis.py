@@ -1,8 +1,9 @@
 """Correctability analysis against dense-projector and partial-trace oracles.
 
-Every coefficient matrix checked here is recomputed through an independent
-route first: embedded error operators built by explicit kron products and
-lambda'_ij = Tr(P E_i^dag E_j P) / K through the dense codespace projector.
+Every coefficient matrix checked here is rebuilt from kl_matrix's marginal
+and null vectors (conftest.coefficient_matrix) and recomputed through an
+independent route: embedded error operators built by explicit kron products
+and lambda'_ij = Tr(P E_i^dag E_j P) / K through the dense codespace projector.
 Marginals are recomputed with an einsum-based partial trace that never calls
 the library's linear-algebra helpers.  Verdicts on sets too wide for the
 coefficient matrix are checked against the structure certificate.
@@ -21,8 +22,8 @@ from eaqec.config import MAX_DIM, RANK_TOL, RESIDUAL_TOL
 from eaqec.errors import NotCorrectableError, SizeError, StructureViolationError
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, assert_bit_exact,
-                      cached_fixture, oracle_analysis, pauli_basis_on, pauli_matrix,
-                      perturbed_pi_7_2_3)
+                      cached_fixture, coefficient_matrix, oracle_analysis, pauli_basis_on,
+                      pauli_matrix, perturbed_pi_7_2_3)
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -104,6 +105,25 @@ def oracle_gram_matrix(code, subset) -> np.ndarray:
     g = np.array([(pauli_matrix(p) @ sqrt_rho).ravel() for p in paulis])
     lam = g.conj() @ g.T
     return (lam + lam.conj().T) / 2
+
+
+def rebuilt(report) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient matrix and kernel rows of a kl_matrix report, rebuilt
+    from its marginal and null vectors."""
+    return coefficient_matrix(report.marginal, report.null_vectors)
+
+
+def check_marginal_and_null_vectors(report, code, subset) -> None:
+    """A kl_matrix report's varrho_B against the einsum partial trace of
+    P / K, and its null vectors: 2^b - C of them, orthonormal, annihilated
+    by varrho_B."""
+    d = report.split.dim_erased
+    np.testing.assert_allclose(report.marginal, oracle_erased_marginal(code, subset),
+                               rtol=0, atol=1e-12)
+    null = report.null_vectors
+    assert null.shape == (d, d - report.marginal_rank)
+    np.testing.assert_allclose(null.conj().T @ null, np.eye(null.shape[1]), rtol=0, atol=1e-12)
+    assert np.abs(report.marginal @ null).max(initial=0.0) <= 1e-12
 
 
 def local_unitaries(code, rng) -> codes.QuantumCode:
@@ -234,9 +254,9 @@ class TestCoefficientMatrix:
     ])
     def test_matches_projector_route(self, name, subset):
         code = cached_fixture(name)
-        report = analysis.kl_matrix(code, subset)
+        lam, _ = rebuilt(analysis.kl_matrix(code, subset))
         want = oracle_coefficients(code, subset)
-        np.testing.assert_allclose(report.matrix, want, atol=1e-10)
+        np.testing.assert_allclose(lam, want, atol=1e-10)
 
     @pytest.mark.parametrize("name", [
         "five_qubit", "steane", "pi_4_2_2", "pi_7_2_3", "xp_7_8_2"])
@@ -247,7 +267,7 @@ class TestCoefficientMatrix:
         code = cached_fixture(name)
         for b in range(4):
             for subset in itertools.combinations(range(1, code.n + 1), b):
-                got = analysis.kl_matrix(code, subset).matrix
+                got, _ = rebuilt(analysis.kl_matrix(code, subset))
                 assert np.abs(got - oracle_gram_matrix(code, subset)).max() <= 1e-14
 
     @pytest.mark.parametrize("make,subsets,residual_tol", [
@@ -269,24 +289,24 @@ class TestCoefficientMatrix:
                        for s in itertools.combinations(range(1, code.n + 1), b)]
         for subset in subsets:
             report = analysis.kl_matrix(code, subset, residual_tol=residual_tol)
+            lam, kernel = rebuilt(report)
             d = report.split.dim_erased
-            eigs = np.linalg.eigvalsh(report.matrix)
+            eigs = np.linalg.eigvalsh(lam)
             marginal = np.linalg.eigvalsh(oracle_erased_marginal(code, subset))
             assert np.abs(eigs - np.repeat(d * marginal, d)).max() <= 1e-12
             assert qla.numerical_rank(eigs) == report.matrix_rank
-            kernel = report.kernel
             assert kernel.shape == (d * d - report.matrix_rank, d * d)
             np.testing.assert_allclose(kernel @ kernel.conj().T, np.eye(len(kernel)),
                                        rtol=0, atol=1e-12)
             if len(kernel):
                 discarded = np.sort(eigs)[::-1][report.matrix_rank:].max()
-                assert np.linalg.norm(report.matrix @ kernel.T, 2) <= 1e-12 + discarded
+                assert np.linalg.norm(lam @ kernel.T, 2) <= 1e-12 + discarded
 
     def test_five_qubit_single_erasure_is_identity(self):
         # any one qubit of the five-qubit code carries a maximally mixed
         # marginal, so the coefficient matrix collapses to the identity
         report = analysis.kl_matrix(cached_fixture("five_qubit"), (5,))
-        np.testing.assert_allclose(report.matrix, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(rebuilt(report)[0], np.eye(4), atol=1e-12)
         assert report.matrix_rank == 4
         assert report.correctable
 
@@ -296,7 +316,7 @@ class TestCoefficientMatrix:
         code = cached_fixture(name)
         subsets = [(q,) for q in range(1, code.n + 1)] + [(1, 2), (code.n - 1, code.n)]
         for subset in subsets:
-            lam = analysis.kl_matrix(code, subset).matrix
+            lam, _ = rebuilt(analysis.kl_matrix(code, subset))
             np.testing.assert_allclose(lam, lam.conj().T, atol=1e-12)
             np.testing.assert_allclose(np.diag(lam).real, 1.0, atol=1e-12)
             assert np.linalg.eigvalsh(lam).min() >= -1e-10
@@ -319,8 +339,23 @@ class TestCoefficientMatrix:
         assert report.residual_max > 0.1
 
     def test_size_cap(self):
-        with pytest.raises(SizeError):
-            analysis.kl_matrix(cached_fixture("steane"), (1, 2, 3, 4, 5, 6))
+        # the marginal and its null vectors hold 4^b entries each, so kl_matrix
+        # refuses exactly where analyze_subset does, on the K^2 4^b partial
+        # trace: K = 128 on 8 qubits at b = 4 (2^22 entries)
+        code = stab.codewords(stab.StabilizerGroup.from_strings(["ZIIIIIII"]))
+        for call in (analysis.kl_matrix, analysis.analyze_subset):
+            with pytest.raises(SizeError, match="4194304 exceeds cap"):
+                call(code, (1, 2, 3, 4))
+        # and it answers Steane at b = 6 and 7, where the 16^b coefficient
+        # matrix itself would exceed MAX_DIM
+        steane = cached_fixture("steane")
+        for subset in [(1, 2, 3, 4, 5, 6), tuple(range(1, 8))]:
+            report = analysis.kl_matrix(steane, subset)
+            plain = analysis.analyze_subset(steane, subset)
+            assert not report.correctable and not plain.correctable
+            assert report.marginal_rank == plain.marginal_rank
+            assert np.array_equal(report.marginal_spectrum, plain.marginal_spectrum)
+            check_marginal_and_null_vectors(report, steane, subset)
 
 
 class TestResidual:
@@ -333,7 +368,7 @@ class TestResidual:
         for b in range(1, 4):
             for subset in itertools.combinations(range(1, code.n + 1), b):
                 report = analysis.kl_matrix(code, subset)
-                want = oracle_pair_residual(code, subset, report.matrix)
+                want = oracle_pair_residual(code, subset, rebuilt(report)[0])
                 moments = codes.trace_moments(codes.cut_trace(code, subset))
                 trace_coeff, _ = codes.kl_check(moments, RESIDUAL_TOL)
                 assert abs(report.residual_max - want) <= 1e-13
@@ -379,6 +414,14 @@ class TestMarginal:
         oracle_spec = np.sort(np.linalg.eigvalsh(oracle_erased_marginal(code, subset)))[::-1]
         np.testing.assert_allclose(report.marginal_spectrum, oracle_spec, atol=1e-10)
 
+    @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
+    def test_marginal_and_null_vectors_match_einsum_oracle(self, name):
+        # every subset with b <= 3
+        code = cached_fixture(name)
+        for b in range(4):
+            for subset in itertools.combinations(range(1, code.n + 1), b):
+                check_marginal_and_null_vectors(analysis.kl_matrix(code, subset), code, subset)
+
     def test_kept_ranks_match_marginal_rank_when_correctable(self):
         # every codeword shares the erased marginal, so each kept-side rank
         # equals the marginal rank
@@ -422,7 +465,7 @@ class TestClassify:
         assert report.trichotomy == analysis.PURE
         assert (report.matrix_rank, report.matrix_dim) == (1, 1)
         assert report.marginal_rank == 1
-        assert analysis.kl_matrix(cached_fixture("five_qubit"), ()).matrix.shape == (1, 1)
+        assert rebuilt(analysis.kl_matrix(cached_fixture("five_qubit"), ()))[0].shape == (1, 1)
 
 
 class TestKernel:
@@ -432,30 +475,31 @@ class TestKernel:
             p = oracle_projector(code)
             for b in range(3):
                 for subset in itertools.combinations(range(1, code.n + 1), b):
-                    report = analysis.kl_matrix(code, subset)
+                    _, kernel = rebuilt(analysis.kl_matrix(code, subset))
                     ops = oracle_embedded_paulis(code.n, subset)
-                    for row in report.kernel:
+                    for row in kernel:
                         combo = sum(c * op for c, op in zip(row, ops))
                         assert np.linalg.norm(combo @ p) <= 1e-7, (name, subset)
 
     def test_kernel_rows_orthonormal(self):
-        report = analysis.kl_matrix(cached_fixture("pi_7_2_3"), (6, 7))
-        gram = report.kernel @ report.kernel.conj().T
+        _, kernel = rebuilt(analysis.kl_matrix(cached_fixture("pi_7_2_3"), (6, 7)))
+        gram = kernel @ kernel.conj().T
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
     def test_degenerate_steane_kernel_sample(self):
         code = cached_fixture("steane")
         report = analysis.kl_matrix(code, (4, 5, 6, 7))
-        assert report.kernel.shape[0] == 256 - report.matrix_rank
+        _, kernel = rebuilt(report)
+        assert kernel.shape[0] == 256 - report.matrix_rank
         p = oracle_projector(code)
         ops = oracle_embedded_paulis(code.n, (4, 5, 6, 7))
-        for row in report.kernel[:5]:
+        for row in kernel[:5]:
             combo = sum(c * op for c, op in zip(row, ops))
             assert np.linalg.norm(combo @ p) <= 1e-7
 
     def test_kernel_empty_for_full_rank(self):
-        report = analysis.kl_matrix(cached_fixture("five_qubit"), (4, 5))
-        assert report.kernel.shape == (0, 16)
+        _, kernel = rebuilt(analysis.kl_matrix(cached_fixture("five_qubit"), (4, 5)))
+        assert kernel.shape == (0, 16)
 
 
 class TestInvariance:
@@ -550,7 +594,7 @@ class TestFindCorrectableSets:
         assert not report.correctable and report.trichotomy is None
         assert (report.correctable, report.trichotomy, report.marginal_rank) == \
             oracle_structural_report(code, subset)
-        assert report.matrix is None and report.kernel is None
+        assert report.marginal is None and report.null_vectors is None
         assert report.matrix_rank == 2 ** 6 * report.marginal_rank
         assert report.matrix_dim == 4 ** 6
         assert report.residual_max > 0.1
@@ -584,7 +628,8 @@ class TestSingleRoute:
             for subset in itertools.combinations(range(1, code.n + 1), b):
                 got = analysis.analyze_subset(code, subset)
                 want = analysis.kl_matrix(code, subset)
-                assert got.matrix_rank == want.matrix_rank, subset
+                lam, _ = rebuilt(want)
+                assert got.matrix_rank == qla.numerical_rank(np.linalg.eigvalsh(lam)), subset
                 assert got.correctable == want.correctable, subset
                 assert got.marginal_rank == want.marginal_rank
                 assert got.kept_marginal_ranks == want.kept_marginal_ranks

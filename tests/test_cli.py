@@ -12,10 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eaqec import analysis, cli, codes, stab
+from eaqec import analysis, cli, codes, qla, stab
 
 from conftest import (SHOR_GENS, array_from_json, assert_bit_exact, cached_fixture,
-                      group_to_json, perturbed_pi_7_2_3, shor_grid_generators)
+                      coefficient_matrix, group_to_json, perturbed_pi_7_2_3,
+                      shor_grid_generators)
+from test_stab import STEANE_GENS
 
 
 def run(capsys, *argv):
@@ -86,12 +88,26 @@ class TestAnalyze:
                          "--subset", "1,2,3,4,5,6", "--distance", "1")
         assert rc == 0 and "dim_A: 2" in out
 
-    def test_full_above_cap_exits_one(self, capsys):
-        # --full builds the 16^b coefficient matrix: 16^6 entries exceed MAX_DIM
-        rc, out, err = run(capsys, "analyze", "--fixture", "steane",
-                           "--subset", "1,2,3,4,5,6", "--format", "json", "--full")
-        assert rc == 1 and out == ""
-        assert "16777216 exceeds cap 1048576" in err
+    def test_full_above_cap_exits_one(self, capsys, tmp_path):
+        # --full refuses exactly where analyze does: K = 128 basis states of 8
+        # qubits at b = 4 hold K^2 4^b = 2^22 partial-trace entries
+        path = tmp_path / "wide.json"
+        basis = [[{"bits": format(i, "08b"), "re": 1.0, "im": 0.0}] for i in range(128)]
+        path.write_text(json.dumps({"n": 8, "k_dim": 128, "basis": basis}))
+        for extra in ((), ("--full",)):
+            rc, out, err = run(capsys, "analyze", "--code", str(path),
+                               "--subset", "1,2,3,4", "--format", "json", *extra)
+            assert rc == 1 and out == ""
+            assert "4194304 exceeds cap 1048576" in err
+        # and answers Steane at b = 6 and 7, where the 16^b coefficient matrix
+        # itself would exceed MAX_DIM, with the exit code of its verdict
+        for subset, b in [("1,2,3,4,5,6", 6), ("1,2,3,4,5,6,7", 7)]:
+            rc, out, err = run(capsys, "analyze", "--fixture", "steane",
+                               "--subset", subset, "--format", "json", "--full")
+            data = json.loads(out)
+            assert rc == 2 and err == "" and data["correctable"] is False
+            assert data["marginal"]["shape"] == [2 ** b, 2 ** b]
+            assert data["null_vectors"]["shape"] == [2 ** b, 2 ** b - data["C"]]
 
     def test_json_payload(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--fixture", "five_qubit",
@@ -102,10 +118,11 @@ class TestAnalyze:
         assert data["trichotomy"] == "pure"
         assert data["C"] == 4
         assert data["matrix_rank"] == 16
-        assert "matrix" not in data
+        assert "marginal" not in data and "null_vectors" not in data
 
     def test_json_full_payload(self, capsys):
-        # Steane {1,...,5} is the widest set --full takes: a 1024 x 1024 matrix
+        # the coefficient matrix and kernel rebuilt from the payload's marginal
+        # and null vectors: 4^b x 4^b, of rank matrix_rank = 2^b C
         for fixture, subset, want_rc, cls, b, c in [
                 ("pi_7_2_3", "6,7", 0, "degenerate", 2, 3),
                 ("steane", "1,2,3,4,5", 2, None, 5, 8)]:
@@ -115,8 +132,13 @@ class TestAnalyze:
             assert rc == want_rc
             assert data["trichotomy"] == cls
             assert data["C"] == c and data["matrix_rank"] == 2 ** b * c
-            assert data["matrix"]["shape"] == [4 ** b, 4 ** b]
-            assert data["kernel"]["shape"] == [4 ** b - data["matrix_rank"], 4 ** b]
+            assert data["marginal"]["shape"] == [2 ** b, 2 ** b]
+            assert data["null_vectors"]["shape"] == [2 ** b, 2 ** b - c]
+            lam, kernel = coefficient_matrix(array_from_json(data["marginal"]),
+                                             array_from_json(data["null_vectors"]))
+            assert lam.shape == (4 ** b, 4 ** b)
+            assert kernel.shape == (4 ** b - data["matrix_rank"], 4 ** b)
+            assert qla.numerical_rank(np.linalg.eigvalsh(lam)) == data["matrix_rank"]
 
     def test_json_full_arrays_round_trip_bit_for_bit(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--fixture", "pi_7_2_3", "--subset", "6,7",
@@ -124,16 +146,23 @@ class TestAnalyze:
         assert rc == 0
         data = json.loads(out)
         report = analysis.kl_matrix(cached_fixture("pi_7_2_3"), (6, 7))
-        assert_bit_exact(array_from_json(data["matrix"]), report.matrix)
-        assert_bit_exact(array_from_json(data["kernel"]), report.kernel)
+        marginal = array_from_json(data["marginal"])
+        null = array_from_json(data["null_vectors"])
+        assert_bit_exact(marginal, report.marginal)
+        assert_bit_exact(null, report.null_vectors)
+        # so the coefficient matrix and kernel they determine are equal exactly
+        # (up to the sign of zero, which conj and the sign products flip)
+        for got, want in zip(coefficient_matrix(marginal, null),
+                             coefficient_matrix(report.marginal, report.null_vectors)):
+            assert np.array_equal(got, want)
 
     def test_json_full_widest_set_is_small(self, capsys):
-        # 1.8 million matrix and kernel entries, 40,960 of them nonzero: only those
-        # are written
+        # Steane {1,...,5}: a 32 x 32 marginal and 24 null vectors, where the
+        # coefficient matrix and kernel it determines hold 1.8 million entries
         rc, out, _ = run(capsys, "analyze", "--fixture", "steane", "--subset", "1,2,3,4,5",
                          "--full", "--format", "json")
         assert rc == 2
-        assert len(out.encode()) < 2_000_000
+        assert len(out.encode()) < 100_000
 
     def test_consecutive_calls_share_no_state(self, capsys):
         # main reuses one parser per process; --full must not reach the next call
@@ -142,7 +171,7 @@ class TestAnalyze:
         rc, out, _ = run(capsys, "analyze", "--fixture", "pi_7_2_3",
                          "--subset", "6,7", "--format", "json")
         assert rc == 0
-        assert "matrix" not in json.loads(out)
+        assert "marginal" not in json.loads(out)
 
     def test_text_and_json_agree(self, capsys):
         _, text_out, _ = run(capsys, "analyze", "--fixture", "steane",
@@ -630,6 +659,27 @@ class TestInputSources:
         data = json.loads(out)
         assert (data["trichotomy"], data["C"], data["method"]) == ("degenerate", 2, "gf2")
         assert data["tol_residual"] is None and data["tol_rank"] is None
+
+    def test_full_on_stabilizers_matches_fixture(self, capsys):
+        # --full builds a group's codewords (cli._as_code): Steane's generators
+        # give the steane fixture's report, field for field
+        argv = ("--subset", "4,5,6,7", "--full", "--format", "json")
+        rc, out, err = run(capsys, "analyze", "--stabilizers", ",".join(STEANE_GENS), *argv)
+        assert rc == 0 and err == ""
+        rc_fixture, from_fixture, _ = run(capsys, "analyze", "--fixture", "steane", *argv)
+        assert rc_fixture == 0
+        assert json.loads(out) == json.loads(from_fixture)
+
+    def test_full_on_stabilizers_meets_codeword_cap(self, capsys):
+        # [[25,1,5]]: plain analyze reads the group over GF(2), while --full
+        # needs its K x 2^25 codewords and exits 1 before building them
+        gens = shor_grid_generators(5)
+        rc, _, err = run(capsys, "analyze", "--stabilizers", gens, "--subset", "1,2,3,4")
+        assert rc == 0 and err == ""
+        rc, out, err = run(capsys, "analyze", "--stabilizers", gens, "--subset", "1,2,3,4",
+                           "--full", "--format", "json")
+        assert rc == 1 and out == ""
+        assert "67108864 exceeds cap 1048576" in err
 
     def test_stab_json_file(self, capsys, tmp_path):
         group = stab.StabilizerGroup.from_strings(

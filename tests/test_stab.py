@@ -488,7 +488,7 @@ def assert_same_report(gf2, dense):
     assert gf2.kept_marginal_ranks == dense.kept_marginal_ranks
     np.testing.assert_allclose(gf2.marginal_spectrum, dense.marginal_spectrum, rtol=0, atol=1e-12)
     assert abs(gf2.residual_max - dense.residual_max) <= 1e-9
-    assert gf2.matrix is gf2.kernel is None
+    assert gf2.marginal is gf2.null_vectors is None
 
 
 class TestGf2AgainstAnalysis:

@@ -32,7 +32,7 @@ KEPT_WITHOUT_CALLER = {
                  "wrapped target to resolve (ROADMAP item 1)",
     "subgroup_on": "the subgroup inside a set, whose size gives C = 2^(b - s): bench/oracle.py, "
                    "the tests and acceptance test 05 use it, and stabilizer inputs are to "
-                   "read C (ROADMAP item 3) and EA generators (item 9) from it",
+                   "read EA generators from it (ROADMAP item 9)",
 }
 
 KEPT_UNREAD = {
