@@ -26,16 +26,15 @@ by 2^b, each value repeated 2^b times, so its rank is 2^b C, and its
 kernel is spanned by the Pauli coefficients of |e><u_nu| for the null
 vectors u_nu of varrho_B.  No report builds it.
 A stabilizer group (stab.StabilizerGroup) takes the other route, the one
-analyze_subset, scan_subsets and require_correctable choose for it: every
-field of its report follows from GF(2) ranks of the group (_gf2_report),
-with no codewords and no tolerance, and the report's method says which
-route it came from.
+analyze_subset and scan_subsets choose for it: every field of its report
+follows from GF(2) ranks of the group (_gf2_report), with no codewords and
+no tolerance, and the report's method says which route it came from.
+require_correctable reads the input's own verdict, for either kind.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -114,14 +113,6 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
     return reports, marginals
 
 
-def _gf2_residual(group: stab.StabilizerGroup, correctable: bool) -> float:
-    """The largest moment residual that the GF(2) verdict implies.  An
-    undetected Pauli acts on the codespace as a nontrivial logical Pauli,
-    a traceless K x K unitary, so its residual is sqrt(K); every other
-    Pauli's moments are 0 or a multiple of the identity."""
-    return 0.0 if correctable else math.sqrt(group.k_dim)
-
-
 def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLReport:
     """The report on one erased set of a stabilizer code, from three GF(2)
     eliminations and no codewords.
@@ -130,10 +121,11 @@ def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLRep
     S_B inside the set.  The B-marginal is 2^-b times the sum of S_B's
     elements, 2^(s-b) times the projector onto their joint +1 space, so
     its spectrum is 1/C repeated C = 2^(b - s) times, then zeros, and the
-    set is pure iff s = 0 and degenerate otherwise (classify).  Every
-    codeword is a stabilizer state of one group (codeword_dim_on), so each
-    kept rank is 2^(b - s').  The 2^b spectrum entries and the K kept ranks
-    are size-checked first.
+    set is pure iff s = 0 and degenerate otherwise (classify).  On a
+    correctable set every codeword has the B-marginal varrho_B, so each
+    kept rank is C; on a failing one every codeword is a stabilizer state
+    of one group (codeword_dim_on), so each kept rank is 2^(b - s').  The
+    2^b spectrum entries and the K kept ranks are size-checked first.
     """
     k, b, de = group.k_dim, split.b, split.dim_erased
     qla.check_dim(de)
@@ -142,9 +134,9 @@ def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLRep
     rank = 1 << (b - s)
     spectrum = np.zeros(de)
     spectrum[:rank] = 1.0 / rank
-    kept = 1 << (b - stab.codeword_dim_on(group, split.erased))
+    kept = rank if correctable else 1 << (b - stab.codeword_dim_on(group, split.erased))
     report = KLReport(
-        split=split, residual_max=_gf2_residual(group, correctable),
+        split=split, residual_max=stab.implied_residual(group, correctable),
         correctable=correctable, marginal_spectrum=spectrum, marginal_rank=rank,
         kept_marginal_ranks=(kept,) * k, method=GF2)
     return report._replace(trichotomy=classify(report)) if correctable else report
@@ -154,17 +146,11 @@ def require_correctable(source: QuantumCode | stab.StabilizerGroup, subset,
                         residual_tol: float = RESIDUAL_TOL) -> None:
     """Raise NotCorrectableError when some Pauli on the subset goes undetected.
 
-    A stabilizer group is decided over GF(2) (is_correctable_stab), with no
-    codewords and no tolerance; an explicit basis by its moment residual
-    alone (no marginal, matrix or eigensolve).
+    The source's own verdict decides: a group's over GF(2), with no codewords
+    and no tolerance, a basis's by its moment residual alone.
     """
     subset = tuple(subset)
-    if isinstance(source, stab.StabilizerGroup):
-        correctable = stab.is_correctable_stab(source, subset)
-        residual = _gf2_residual(source, correctable)
-    else:
-        residual, correctable = kl_check(trace_moments(cut_trace(source, subset)),
-                                         residual_tol)
+    residual, correctable = source.verdict(subset, residual_tol)
     if not correctable:
         raise NotCorrectableError(
             "subset {" + ",".join(map(str, subset)) + "} fails the correctability "

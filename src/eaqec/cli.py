@@ -178,7 +178,9 @@ def _ea_line(label: str, dec: structure.StructureDecomposition,
     return f"{label} {forms}, ebit cost {ea.ebit_cost}, {models}"
 
 
-def cmd_decompose(args) -> int:
+def _gated_decomposition(args):
+    """(source, code, certified factorization across --subset, rank_tol,
+    residual_tol), once the input's own verdict admits the set."""
     rank_tol, residual_tol = _tolerances(args)
     source = _load_source(args)
     subset = _parse_subset(args.subset, source.n)
@@ -186,12 +188,26 @@ def cmd_decompose(args) -> int:
     code = _as_code(source)
     dec = structure.decompose(code, subset, rank_tol=rank_tol,
                               certify_tol=residual_tol)
+    return source, code, dec, rank_tol, residual_tol
+
+
+def _ea_code(strategy: str, dec: structure.StructureDecomposition,
+             code: codes.QuantumCode) -> structure.EACode:
+    """The EA description that the strategy builds from the decomposition."""
+    if strategy == structure.PRESEND:
+        return structure.presend_from_decomposition(dec, code)
+    if strategy == structure.COMPRESSED:
+        return structure.compress(dec)
+    return structure.ea_from_structure(dec)
+
+
+def cmd_decompose(args) -> int:
+    source, code, dec, _, residual_tol = _gated_decomposition(args)
     d = _distance_for(source, args, residual_tol)
-    ea_pre = structure.presend_from_decomposition(dec, code)
-    ea_unc = structure.ea_from_structure(dec)
-    ea_cmp = structure.compress(dec)
+    eas = {strategy: _ea_code(strategy, dec, code)
+           for strategy in (structure.PRESEND, structure.STRUCTURE, structure.COMPRESSED)}
     lines = [
-        f"subset: {_subset_str(subset)}",
+        f"subset: {_subset_str(dec.split.erased)}",
         f"kept qubits: {len(dec.split.kept)}",
         f"K: {dec.k_dim}",
         f"dim_A: {dec.ancilla_dim}",
@@ -199,37 +215,20 @@ def cmd_decompose(args) -> int:
         f"reconstruction residual: {dec.residual:.3e}",
         f"isometry defect: {dec.isometry_defect:.3e}",
         f"distance: {d}",
-        _ea_line("presend:     ", dec, ea_pre, d),
-        _ea_line("uncompressed:", dec, ea_unc, d),
-        _ea_line("compressed:  ", dec, ea_cmp, d),
-    ]
+    ] + [_ea_line(label, dec, ea, d) for label, ea in zip(
+        ("presend:     ", "uncompressed:", "compressed:  "), eas.values())]
     payload = {
         "decomposition": structure.decomposition_to_json(dec),
         "distance": d,
-        "ea": {
-            "presend": structure.eacode_to_json(dec, ea_pre, d),
-            "structure": structure.eacode_to_json(dec, ea_unc, d),
-            "compressed": structure.eacode_to_json(dec, ea_cmp, d),
-        },
+        "ea": {strategy: structure.eacode_to_json(dec, ea, d) for strategy, ea in eas.items()},
     }
     _emit(args, "\n".join(lines), payload)
     return 0
 
 
 def cmd_verify(args) -> int:
-    rank_tol, residual_tol = _tolerances(args)
-    source = _load_source(args)
-    subset = _parse_subset(args.subset, source.n)
-    analysis.require_correctable(source, subset, residual_tol=residual_tol)
-    code = _as_code(source)
-    dec = structure.decompose(code, subset, rank_tol=rank_tol,
-                              certify_tol=residual_tol)
-    if args.strategy == structure.COMPRESSED:
-        ea = structure.compress(dec)
-    elif args.strategy == structure.PRESEND:
-        ea = structure.presend_from_decomposition(dec, code)
-    else:
-        ea = structure.ea_from_structure(dec)
+    _, code, dec, rank_tol, residual_tol = _gated_decomposition(args)
+    ea = _ea_code(args.strategy, dec, code)
     report = simulate.verify_ea(ea, dec, code, args.model, args.weight,
                                 exploratory=args.exploratory,
                                 residual_tol=residual_tol, rank_tol=rank_tol)

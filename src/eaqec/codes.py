@@ -11,7 +11,7 @@ residual_tol, applied to a stack of K x K moment matrices: an erased set's
 Pauli moments (trace_moments of its cut_trace) or a recovery's Gram
 blocks.  min_distance is the one distance search, for an explicit basis
 and a stabilizer group alike, each deciding an erased set by its own
-is_correctable.
+verdict.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class QuantumCode:
     """A K-dimensional subspace of n qubits given by an explicit basis.
 
     basis has shape (K, 2^n), one codeword per row; the rows must be
-    orthonormal within HERMITICITY_TOL.
+    orthonormal within HERMITICITY_TOL.  verdict decides an erased set.
     """
 
     n: int
@@ -181,10 +181,10 @@ class QuantumCode:
     def dim(self) -> int:
         return 2 ** self.n
 
-    def is_correctable(self, subset, residual_tol: float = RESIDUAL_TOL) -> bool:
-        """Whether every Pauli on the erased set is detected: kl_check on the
-        moments of the subset's cut_trace, size-checked first."""
-        return kl_check(trace_moments(cut_trace(self, subset)), residual_tol)[1]
+    def verdict(self, subset, residual_tol: float = RESIDUAL_TOL) -> tuple[float, bool]:
+        """(largest moment residual, every Pauli on the erased set detected):
+        kl_check on the moments of its cut_trace, size-checked first."""
+        return kl_check(trace_moments(cut_trace(self, subset)), residual_tol)
 
 
 def projector(code: QuantumCode) -> np.ndarray:
@@ -299,7 +299,7 @@ def kl_check(moments: np.ndarray,
     Returns the largest moment_residuals entry and whether it is within
     residual_tol, i.e. whether P E P = c P holds for every E the stack
     describes.  Every dense verdict is this one: an erased set's 4^b Pauli
-    moments (QuantumCode.is_correctable, analysis) and the m^2 Gram blocks
+    moments (QuantumCode.verdict, analysis) and the m^2 Gram blocks
     V^dag E_a^dag E_b V of a recovery's error set (simulate.kl_recovery).
     An (S, 4^b, K, K) stack of S sets gives each set's residual and
     verdict, as arrays.
@@ -316,14 +316,15 @@ def min_distance(source, max_weight: int | None = None,
     """The distance: the smallest size of an erased set that is not correctable.
 
     source is a QuantumCode or an abelian stab.StabilizerGroup; each has
-    n, k_dim and is_correctable(subset, residual_tol), its own verdict on
-    a set (for a group exact over GF(2), with no tolerance).  A set fails
-    exactly when some Pauli on it goes undetected, so scanning sizes b =
-    1..max_weight (default n), each in itertools.combinations order, the
-    first size with a failing set is the distance.  Returns None if every
-    scanned set is correctable (the distance is then at least max_weight
-    + 1), and without scanning when K = 1, which detects every Pauli.  A
-    negative max_weight, or a nonabelian group, is a ContractError.
+    n, k_dim and verdict(subset, residual_tol), its own (residual,
+    correctable) on a set (for a group exact over GF(2), with no tolerance).
+    A set fails exactly when some Pauli on it goes undetected, so scanning
+    sizes b = 1..max_weight (default n), each in itertools.combinations
+    order, the first size with a failing set is the distance.  Returns None
+    if every scanned set is correctable (the distance is then at least
+    max_weight + 1), and without scanning when K = 1, which detects every
+    Pauli.  A negative max_weight, or a nonabelian group, is a
+    ContractError.
     """
     if max_weight is not None and max_weight < 0:
         raise ContractError(f"max_weight must be nonnegative, got {max_weight}")
@@ -333,7 +334,7 @@ def min_distance(source, max_weight: int | None = None,
     limit = n if max_weight is None else min(max_weight, n)
     for b in range(1, limit + 1):
         for subset in itertools.combinations(range(1, n + 1), b):
-            if not source.is_correctable(subset, residual_tol):
+            if not source.verdict(subset, residual_tol)[1]:
                 return b
     return None
 

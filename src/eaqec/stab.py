@@ -9,11 +9,11 @@ phase is read (independent generators, Z-type and in-set subgroups).
 A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
-inside S are all of them.  StabilizerGroup.is_correctable gives that
-verdict to codes.min_distance, the one distance search, and the same two
-eliminations give analysis s(B) and so C = 2^(b - s) (verdict_and_s); one
-more, on the rows of the group that fixes each codeword, gives each kept
-rank (codeword_dim_on).  The codewords
+inside S are all of them.  StabilizerGroup.verdict gives that verdict and
+the residual it implies to codes.min_distance and the correctability gate,
+and the same two eliminations give analysis s(B) and so C = 2^(b - s)
+(verdict_and_s); one more, on the rows of the group that fixes each
+codeword, gives a failing set's kept ranks (codeword_dim_on).  The codewords
 come from the same elimination, on the x bits: each is one orbit of basis
 states under the generators with independent X parts, anchored at a state
 that the Z-type subgroup fixes with eigenvalue +1, so building all K of
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,9 +188,10 @@ class StabilizerGroup:
         _require_abelian(self, "k_dim")
         return 1 << (self.n - self.num_generators)
 
-    def is_correctable(self, subset, residual_tol: float | None = None) -> bool:
-        """is_correctable_stab: exact over GF(2), so residual_tol is not read."""
-        return is_correctable_stab(self, subset)
+    def verdict(self, subset, residual_tol: float | None = None) -> tuple[float, bool]:
+        """is_correctable_stab and its implied_residual; residual_tol is not read."""
+        correctable = is_correctable_stab(self, subset)
+        return implied_residual(self, correctable), correctable
 
 
 def _require_abelian(group: StabilizerGroup, what: str) -> None:
@@ -397,6 +399,13 @@ def verdict_and_s(group: StabilizerGroup, subset) -> tuple[bool, int]:
 def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     """The verdict of verdict_and_s alone."""
     return verdict_and_s(group, subset)[0]
+
+
+def implied_residual(group: StabilizerGroup, correctable: bool) -> float:
+    """The largest moment residual that a GF(2) verdict implies: sqrt(K) for
+    an undetected Pauli, which acts on the codespace as a nontrivial logical
+    Pauli (a traceless K x K unitary), 0 when every Pauli is detected."""
+    return 0.0 if correctable else math.sqrt(group.k_dim)
 
 
 def codeword_dim_on(group: StabilizerGroup, subset) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qla
 from .codes import QuantumCode
-from .config import RANK_TOL, RESIDUAL_TOL
+from .config import RANK_TOL, RESIDUAL_TOL, TRACE_TOL
 from .errors import ConsistencyError, ContractError, StructureViolationError
 
 PRESEND = "presend"
@@ -103,7 +103,7 @@ def decompose(code: QuantumCode, subset,
 
     gamma = psi_mat @ psi_mat.conj().T
     trace_err = abs(float(np.trace(gamma).real) - 1.0)
-    if trace_err > 1e-10:
+    if trace_err > TRACE_TOL:
         raise ConsistencyError(f"ancilla state trace off by {trace_err:.2e}")
     return StructureDecomposition(
         split=split, k_dim=k, ancilla_dim=r, isometry=isometry,

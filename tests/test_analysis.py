@@ -374,7 +374,7 @@ class TestResidual:
                 assert abs(report.residual_max - want) <= 1e-13
                 assert abs(trace_coeff - want) <= 1e-13
                 assert report.correctable == (want <= RESIDUAL_TOL)
-                assert code.is_correctable(subset) == report.correctable
+                assert code.verdict(subset)[1] == report.correctable
                 try:
                     analysis.require_correctable(code, subset)
                     gate_passed = True
@@ -389,7 +389,7 @@ class TestResidual:
         tracemalloc.start()
         try:
             with pytest.raises(SizeError):
-                code.is_correctable((1, 2, 3, 4))
+                code.verdict((1, 2, 3, 4))[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -429,6 +429,20 @@ class TestMarginal:
             report = analysis.kl_matrix(cached_fixture(name), subset)
             assert report.kept_marginal_ranks == (report.marginal_rank,) * \
                 cached_fixture(name).k_dim
+
+    def test_kept_ranks_are_c_on_every_correctable_set(self):
+        # the rule the GF(2) report relies on, read off the dense route: on
+        # every correctable set with b <= 3 of the fixtures, each kept rank is C
+        checked = 0
+        for name in codes.FIXTURE_NAMES:
+            code = cached_fixture(name)
+            for b in range(1, 4):
+                for report in analysis.scan_subsets(code, b):
+                    if report.correctable:
+                        assert report.kept_marginal_ranks == \
+                            (report.marginal_rank,) * code.k_dim, (name, report.split.erased)
+                        checked += 1
+        assert checked == 111
 
 
 class TestClassify:

@@ -233,7 +233,7 @@ class TestDecompose:
         # a stabilizer input's distance reads GF(2) verdicts, not dense ones
         def refuse(*args, **kwargs):
             raise AssertionError("dense verdict called")
-        monkeypatch.setattr(codes.QuantumCode, "is_correctable", refuse)
+        monkeypatch.setattr(codes.QuantumCode, "verdict", refuse)
         rc, out, err = run(capsys, "decompose", "--stabilizers",
                            "XZZXI,IXZZX,XIXZZ,ZXIXZ", "--subset", "4,5")
         assert rc == 0, err
@@ -274,6 +274,42 @@ class TestDecompose:
                          "--subset", "2,3,4,5,6,7")
         assert rc == 2
         assert "not correctable" in err
+
+
+class TestGate:
+    """decompose and verify share one gate, the input's own verdict, and
+    name the residual that analyze prints for the same set."""
+
+    @pytest.mark.parametrize("source", [["--fixture", "steane"],
+                                        ["--stabilizers", ",".join(SHOR_GENS)]],
+                             ids=["steane_basis", "shor_group"])
+    def test_residual_matches_analyze(self, capsys, source):
+        argv = [*source, "--subset", "1,2,3"]
+        rc, out, _ = run(capsys, "analyze", *argv)
+        assert rc == 2 and "max residual: 1.414e+00" in out
+        for command in ("decompose", "verify"):
+            rc, out, err = run(capsys, command, *argv)
+            assert (rc, out) == (2, "")
+            assert err == ("not correctable: subset {1,2,3} fails the correctability "
+                           "condition (residual 1.414e+00)\n")
+
+    def test_wide_group_fails_at_the_verdict(self, capsys):
+        # K = 2^21: the gate reads the GF(2) verdict and its sqrt(K) residual,
+        # with no report and no codewords; analyze's report of K kept ranks
+        # is refused instead
+        argv = ["--stabilizers", "Z" + "I" * 21, "--subset", "2"]
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, "decompose", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert "(residual 1.448e+03)" in err
+        assert peak < 1 << 20
+        rc, out, err = run(capsys, "analyze", *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and "exceeds cap" in err
 
 
 class TestRankRule:

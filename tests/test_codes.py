@@ -415,9 +415,9 @@ class TestShareSubsets:
         for subset, q in pairs:
             wider = tuple(sorted(subset + (q,)))
             assert residual(subset) - residual(wider) <= 1e-15
-            assert code.is_correctable(subset) or not code.is_correctable(wider)
+            assert code.verdict(subset)[1] or not code.verdict(wider)[1]
             if group is not None:
-                assert group.is_correctable(subset) or not group.is_correctable(wider)
+                assert group.verdict(subset)[1] or not group.verdict(wider)[1]
 
     @pytest.mark.parametrize("name,gens", [
         ("five_qubit", codes._FIVE_QUBIT_GENERATORS), ("steane", codes._STEANE_GENERATORS),

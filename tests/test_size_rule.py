@@ -46,7 +46,7 @@ OVER_CAP = {
     # K^2 4^b = 2^14 4^4 moments of one erased set
     "kl_matrix": lambda: (analysis.kl_matrix, (wide_code(), (1, 2, 3, 4))),
     "analyze_subset": lambda: (analysis.analyze_subset, (wide_code(), (1, 2, 3, 4))),
-    "is_correctable": lambda: (wide_code().is_correctable, ((1, 2, 3, 4),)),
+    "verdict": lambda: (wide_code().verdict, ((1, 2, 3, 4),)),
     "scan_subsets": lambda: (analysis.scan_subsets, (wide_code(), 4)),
     # the K = 2^21 kept ranks of a group's GF(2) report
     "analyze_subset_gf2": lambda: (analysis.analyze_subset,

@@ -266,8 +266,8 @@ class TestPresend:
         perturbed = codes.QuantumCode(code.n, q.T)
         moments = codes.trace_moments(codes.cut_trace(perturbed, (4, 5)))
         assert 1e-6 < codes.kl_check(moments, 1e-4)[0] < 1e-4
-        assert not perturbed.is_correctable((4, 5))
-        assert perturbed.is_correctable((4, 5), residual_tol=1e-4)
+        assert not perturbed.verdict((4, 5))[1]
+        assert perturbed.verdict((4, 5), residual_tol=1e-4)[1]
         with pytest.raises(StructureViolationError):
             structure.decompose(perturbed, (4, 5))
         analysis.require_correctable(perturbed, (4, 5), residual_tol=1e-4)
