@@ -14,10 +14,12 @@ across B (codes.cut_trace, whose K^2 4^b entries are size-checked
 first): the moments and their residual, varrho_B = (sum_i T_ii)^T / K
 with its spectrum and rank C, and each codeword's kept-side rank from
 the eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
-It runs on a stack of sets of one size at once, with no loop over the
-sets before the reports are built; analyze_subset and kl_matrix are the
-stack of one, and only kl_matrix fixes the gauge of varrho_B's
-eigenvectors, returning those past C with varrho_B itself.
+It runs on a stack of sets of one size: the cut loops over the sets,
+one axis transpose each into one array, and the Gram product, the
+moments, kl_check and the eigensolves each run once on the whole stack;
+analyze_subset and kl_matrix are the stack of one, and only kl_matrix
+fixes the gauge of varrho_B's eigenvectors, returning those past C with
+varrho_B itself.
 Correctable sets classify three ways from the marginal: pure (maximally
 mixed), impure nondegenerate (full rank, not maximally mixed), degenerate
 (rank deficient).  The coefficient matrix lambda_FG = Tr(varrho_B E_F^dag

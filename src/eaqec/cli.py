@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaqec",
         description="Erasure analysis and entanglement-assisted descriptions "
-                    "of explicit-basis quantum codes.")
+                    "of quantum codes, given as an explicit codeword basis or "
+                    "as a stabilizer group.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="correctability and degeneracy of a subset")

@@ -248,17 +248,15 @@ def cut_trace(code: QuantumCode, subsets) -> np.ndarray:
     moments (trace_moments), the B-marginal (sum_i T_ii)^T / K, and each
     codeword's kept-side spectrum, that of T_ii.  The S K^2 4^b entries of
     T, as many as the moments', and the S K 2^n of the cut are size-checked
-    first.  One set, or a stack of one, is cut by its axis transpose, which
-    is cheaper than the index table of a stack's one gather.
+    first.  One set is cut as the stack of one.
     """
     erased = np.asarray(subsets, dtype=np.intp)
     lead, b = erased.shape[:-1], erased.shape[-1]
     count, k, de = math.prod(lead), code.k_dim, 1 << b
-    split = erased if count != 1 else qla.SubsystemSplit(code.n, erased.reshape(b).tolist())
     qla.check_dim(count * k * k * de * de)
     qla.check_dim(count * code.basis.size)
-    a = qla.bipartite_matrix(code.basis, split)
-    a = a.reshape(a.shape[:-3] + (a.shape[-3], k * de))
+    a = qla.bipartite_matrix(code.basis, erased.reshape(count, b))
+    a = a.reshape(count, 1 << (code.n - b), k * de)
     return (a.conj().swapaxes(-2, -1) @ a).reshape(lead + (k, de, k, de))
 
 
@@ -359,6 +357,8 @@ def code_from_json(data: dict) -> QuantumCode:
     if type(n) is not int or type(k_dim) is not int or not isinstance(rows, list) \
             or not all(isinstance(r, list) for r in rows):
         raise ContractError("malformed code JSON: needs int n and k_dim and a list of basis rows")
+    if n < 1:
+        raise ContractError("malformed code JSON: n must be at least 1")
     if len(rows) != k_dim:
         raise ContractError(f"k_dim={k_dim} but basis has {len(rows)} rows")
     qla.check_dim(k_dim << n)

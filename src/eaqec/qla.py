@@ -13,7 +13,6 @@ complex arrays as sparse JSON records of their nonzero entries
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,43 +77,6 @@ def _cut_axes(split: SubsystemSplit) -> list[int]:
     return list(split.kept) + [0] + list(split.erased)
 
 
-_BIT_GROUP = 8
-
-
-@functools.cache
-def _pattern_bits(m: int) -> np.ndarray:
-    """bits[j, p]: bit j of the m-bit pattern p, bit 0 most significant."""
-    bits = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
-    bits.flags.writeable = False
-    return bits
-
-
-def _cut_index(n: int, erased: np.ndarray) -> np.ndarray:
-    """[s, r, c]: the basis index whose kept qubits (ascending) spell r and
-    whose erased qubits, as row s of the (S, b) labels stores them, spell c.
-
-    Built for the whole stack at once, as the outer OR of one factor per
-    group of _BIT_GROUP pattern bits, so no n x 2^n bit matrix is formed.
-    """
-    erased = np.asarray(erased, dtype=np.intp)
-    count, b = erased.shape
-    if erased.size and (erased.min() < 1 or erased.max() > n):
-        raise ContractError(f"qubit labels must lie within 1..{n}")
-    is_kept = np.ones((count, n), dtype=bool)
-    is_kept[np.arange(count)[:, None], erased - 1] = False
-    if np.count_nonzero(is_kept) != count * (n - b):
-        raise ContractError("an erased set repeats a qubit label")
-    kept = np.nonzero(is_kept)[1].reshape(count, n - b) + 1
-    weights = 1 << (n - np.concatenate([kept, erased], axis=1))
-    table = np.zeros((count, 1), dtype=np.intp)
-    for start in range(0, n, _BIT_GROUP):
-        group = weights[:, start:start + _BIT_GROUP]
-        factor = group @ _pattern_bits(group.shape[1])
-        table = (table[:, :, None] | factor[:, None, :]).reshape(
-            count, table.shape[1] * factor.shape[1])
-    return table.reshape(count, 1 << (n - b), 1 << b)
-
-
 def bipartite_matrix(states, split) -> np.ndarray:
     """Cut one state, or each row of a (K, 2^n) stack, across the split.
 
@@ -122,24 +84,28 @@ def bipartite_matrix(states, split) -> np.ndarray:
     erased qubits in the split's stored order: one state gives a dim_kept x
     dim_erased matrix, a stack a (dim_kept, K, dim_erased) array whose
     [:, i, :] is row i's matrix, so it reshapes to dim_kept x (K
-    dim_erased) without a further copy.  A SubsystemSplit is cut by one
-    axis transpose.  An (S, b) array of erased sets (1-based labels, each
-    row in its own order) puts a leading S axis on the result and is cut
-    by one gather through _cut_index.
+    dim_erased) without a further copy.  An (S, b) array of erased sets
+    (1-based labels, each row in its own order and checked as a
+    SubsystemSplit) puts a leading S axis on the result; a SubsystemSplit
+    is the stack of one.  Each set is cut by one axis transpose, copied
+    once into the result.
     """
     states = np.asarray(states, dtype=complex)
     dim = states.shape[-1] if states.ndim else 0
-    n = split.n if isinstance(split, SubsystemSplit) else max(dim.bit_length() - 1, 0)
+    one = isinstance(split, SubsystemSplit)
+    n = split.n if one else max(dim.bit_length() - 1, 0)
     if states.ndim not in (1, 2) or dim != 2 ** n:
         raise ContractError(f"states have shape {states.shape}, expected ({2 ** n},) "
                             f"or (K, {2 ** n})")
-    stack = states.reshape(-1, dim)
-    if isinstance(split, SubsystemSplit):
-        cut = stack.reshape((-1,) + (2,) * n).transpose(_cut_axes(split))
-        out = cut.reshape(split.dim_kept, -1, split.dim_erased)
-    else:
-        offsets = np.arange(len(stack))[:, None] << n
-        out = stack.reshape(-1)[_cut_index(n, split)[..., None, :] + offsets]
+    splits = [split] if one else [SubsystemSplit(n, row) for row in np.asarray(split).tolist()]
+    b = split.b if one else np.shape(split)[1]
+    stack = states.reshape((-1,) + (2,) * n)
+    k = len(stack)
+    out = np.empty((len(splits),) + (2,) * (n - b) + (k,) + (2,) * b, dtype=complex)
+    for cut, row in zip(out, splits):
+        cut[...] = stack.transpose(_cut_axes(row))
+    out = out.reshape(len(splits), 1 << (n - b), k, 1 << b)
+    out = out[0] if one else out
     return out if states.ndim == 2 else out[..., 0, :]
 
 

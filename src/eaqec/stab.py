@@ -208,6 +208,8 @@ def group_from_json(data: dict) -> StabilizerGroup:
     if not all(shapes) or not all(isinstance(s, str) for s in gens + (phases or [])):
         raise ContractError("malformed stabilizer JSON: needs int n, a list of generator strings "
                             "and optionally a list of phase strings")
+    if n < 1:
+        raise ContractError("malformed stabilizer JSON: n must be at least 1")
     for s in gens:
         if len(s) != n:
             raise ContractError(f"generator {s!r} has length {len(s)}, expected {n}")

@@ -239,6 +239,23 @@ def projection_codewords(group: stab.StabilizerGroup) -> np.ndarray:
     return qla.gauge_fix_columns(np.array(rows).T).T
 
 
+def oracle_cut_index(n: int, erased) -> np.ndarray:
+    """[s, r, c]: the basis index whose kept qubits (ascending) spell r and
+    whose erased qubits, as row s of the (S, b) labels stores them, spell c.
+
+    The reference for qla.bipartite_matrix on a stack of sets, sharing no
+    code with its axis transpose: each index sums the place values 2^(n - q)
+    of the qubits q whose bit is set in the pattern r c, so
+    states[..., table] gathers every cut at once.
+    """
+    erased = np.asarray(erased, dtype=np.intp)
+    count, b = erased.shape
+    kept = [[q for q in range(1, n + 1) if q not in row] for row in erased.tolist()]
+    order = np.concatenate([np.array(kept, dtype=np.intp).reshape(count, n - b), erased], axis=1)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1   # bit 0 most significant
+    return (bits @ (1 << (n - order)).T).T.reshape(count, 1 << (n - b), 1 << b)
+
+
 # The erasure analysis one subset at a time, the reference for the stacked
 # pass of analysis: the transpose cut, the moment transform of one partial
 # trace, the Knill-Laflamme residual and the eigenvalues of eig_hermitian.

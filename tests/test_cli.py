@@ -785,6 +785,19 @@ class TestInputSources:
         assert rc == 1
         assert err.startswith("error: malformed") and out == ""
 
+    @pytest.mark.parametrize("flag,data", [
+        ("--stab-json", {"n": 0, "generators": []}),
+        ("--stab-json", {"n": -1, "generators": []}),
+        ("--code", {"n": 0, "k_dim": 1, "basis": [[{"bits": "", "re": 1, "im": 0}]]}),
+        ("--code", {"n": -1, "k_dim": 1, "basis": [[{"bits": "", "re": 1, "im": 0}]]}),
+    ])
+    def test_fewer_than_one_qubit_refused(self, capsys, tmp_path, flag, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "distance", flag, str(path))
+        assert rc == 1
+        assert err.startswith("error: malformed") and out == ""
+
     @pytest.mark.parametrize("second_row", ["empty", "duplicate"])
     def test_nonorthonormal_basis_refused(self, capsys, tmp_path, second_row):
         data = codes.code_to_json(cached_fixture("pi_4_2_2"))

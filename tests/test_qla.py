@@ -15,8 +15,8 @@ from eaqec import qla
 from eaqec.config import HERMITICITY_TOL, RANK_TOL
 from eaqec.errors import ContractError, SizeError
 
-from conftest import (array_from_json, assert_bit_exact, random_density, random_hermitian,
-                      random_state)
+from conftest import (array_from_json, assert_bit_exact, oracle_cut_index, random_density,
+                      random_hermitian, random_state)
 
 
 def oracle_partial_trace(rho, n, traced_qubits):
@@ -131,8 +131,9 @@ class TestBipartiteMatrix:
 
 
 class TestStackedCut:
-    """An (S, b) array of erased sets cuts through one gather, each slice
-    bit for bit the axis-transpose cut of its own split."""
+    """An (S, b) array of erased sets cuts each set by its own axis
+    transpose: each slice is bit for bit the cut of its own split and the
+    gather through the reference index table (oracle_cut_index)."""
 
     @given(st.integers(1, 9), st.data())
     def test_each_slice_is_its_splits_cut(self, n, data):
@@ -146,10 +147,13 @@ class TestStackedCut:
         one = qla.bipartite_matrix(states[0], erased)
         assert cut.shape == (count, 1 << (n - b), 3, 1 << b)
         assert one.shape == (count, 1 << (n - b), 1 << b)
+        gathered = states[..., oracle_cut_index(n, erased)]   # (3, S, dim_kept, dim_erased)
         for s, subset in enumerate(sets):
             split = qla.SubsystemSplit(n=n, erased=subset)
             assert_bit_exact(cut[s], qla.bipartite_matrix(states, split))
             assert_bit_exact(one[s], qla.bipartite_matrix(states[0], split))
+            assert_bit_exact(cut[s], gathered[:, s].transpose(1, 0, 2))
+            assert_bit_exact(one[s], gathered[0, s])
 
     @pytest.mark.parametrize("erased", [[[0, 1]], [[1, 4]], [[1, 1]], [[1, 2], [2, 2]]])
     def test_bad_labels_are_refused(self, erased):
