@@ -4,19 +4,20 @@ This module reports whether an erased set B is correctable and how
 degenerately, by one route for every b; the verdict itself is
 codes.kl_check, the one Knill-Laflamme rule.  For erasures every product
 E_i^dag E_j over the Pauli basis on B is, up to phase, one of the 4^b
-Paulis E_F on B, so B is correctable exactly when each E_F is detected:
-||P E_F P - c_F P||_F <= residual_tol with c_F = Tr(varrho_B E_F),
-varrho_B the B-marginal of the normalized codespace projector.  The norm
-is measured in the code basis, where it collapses to the K x K moments
-V^dag E_F V that kl_check reads.  Everything about one erased set is
+Paulis E_F on B, so B is correctable exactly when each E_F is detected,
+P E_F P = c_F P with c_F = Tr(varrho_B E_F), varrho_B the B-marginal of
+the normalized codespace projector.  Everything about one erased set is
 read off a single partial trace T_ij = A_i^dag A_j of the codewords cut
 across B (codes.cut_trace, whose K^2 4^b entries are size-checked
-first): the moments and their residual, varrho_B = (sum_i T_ii)^T / K
-with its spectrum and rank C, and each codeword's kept-side rank from
-the eigenvalues of T_ii, every rank by the one rule qla.numerical_rank.
+first).  Every E_F is detected exactly when T = I_K (x) tau, and the
+residual is sqrt(2^b) ||T - I_K (x) tau||_F, which by Parseval is the
+root-sum-square of the 4^b per-Pauli residuals ||P E_F P - c_F P||_F
+(kl_check).  The same T gives varrho_B = tau^T with its spectrum and
+rank C, and each codeword's kept-side rank from the eigenvalues of
+T_ii, every rank by the one rule qla.numerical_rank.
 It runs on a stack of sets of one size: the cut loops over the sets,
-one axis transpose each into one array, and the Gram product, the
-moments, kl_check and the eigensolves each run once on the whole stack;
+one axis transpose each into one array, and the Gram product, kl_check
+and the eigensolves each run once on the whole stack;
 analyze_subset and kl_matrix are the stack of one, and only kl_matrix
 fixes the gauge of varrho_B's eigenvectors, returning those past C with
 varrho_B itself.
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qla, stab
-from .codes import QuantumCode, cut_trace, kl_check, trace_moments
+from .codes import QuantumCode, cut_trace, kl_check
 from .config import PURITY_TOL, RANK_TOL, RESIDUAL_TOL
 from .errors import NotCorrectableError
 
@@ -50,7 +51,7 @@ PURE = "pure"
 IMPURE_NONDEGENERATE = "impure_nondegenerate"
 DEGENERATE = "degenerate"
 
-MOMENTS = "moments"     # the dense route: codes.kl_check on the cut's Pauli moments
+MOMENTS = "moments"     # the dense route: codes.kl_check on the partial trace of the cut
 GF2 = "gf2"             # a stabilizer group's route: ranks over GF(2), no codewords
 
 SCAN_CHUNK = 1 << 12    # entries of a scan chunk's cut, and of its partial traces
@@ -62,7 +63,9 @@ class KLReport(NamedTuple):
     matrix_rank is the rank of the 4^b x 4^b coefficient matrix, read off
     the marginal as 2^b C.  marginal and null_vectors are filled only by
     kl_matrix; analyze_subset leaves both None.  method names the route
-    the report was read from, MOMENTS or GF2.
+    the report was read from, MOMENTS or GF2.  residual_max is
+    codes.kl_check's residual, the root-sum-square of the 4^b per-Pauli
+    residuals, on either route.
     """
 
     split: qla.SubsystemSplit
@@ -89,11 +92,11 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
              rank_tol: float) -> tuple[list[KLReport], np.ndarray]:
     """The reports for a list of erased sets of one size, and the
     B-marginals (S, 2^b, 2^b) they were read from: one stacked partial
-    trace (codes.cut_trace), moment transform, kl_check, and eigensolve
-    each of the marginals and of the kept blocks T_ii."""
+    trace (codes.cut_trace), kl_check on it, and eigensolve each of the
+    marginals and of the kept blocks T_ii."""
     t = cut_trace(code, np.array(subsets, dtype=np.intp))
     k = code.k_dim
-    residuals, verdicts = kl_check(trace_moments(t), residual_tol)
+    residuals, verdicts = kl_check(t, residual_tol)
     diag = np.arange(k)
     blocks = t[:, diag, :, diag]                          # T_ii, shape (K, S, 2^b, 2^b)
     marginals = blocks.sum(axis=0).swapaxes(-2, -1) / k
@@ -119,11 +122,12 @@ def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLRep
     """The report on one erased set of a stabilizer code, from three GF(2)
     eliminations and no codewords.
 
-    verdict_and_s gives the verdict and s, the dimension of the subgroup
-    S_B inside the set.  The B-marginal is 2^-b times the sum of S_B's
-    elements, 2^(s-b) times the projector onto their joint +1 space, so
-    its spectrum is 1/C repeated C = 2^(b - s) times, then zeros, and the
-    set is pure iff s = 0 and degenerate otherwise (classify).  On a
+    verdict_and_s gives the verdict, s, the dimension of the subgroup S_B
+    inside the set, and the residual the dense route would report.  The
+    B-marginal is 2^-b times the sum of S_B's elements, 2^(s-b) times the
+    projector onto their joint +1 space, so its spectrum is 1/C repeated
+    C = 2^(b - s) times, then zeros, and the set is pure iff s = 0 and
+    degenerate otherwise (classify).  On a
     correctable set every codeword has the B-marginal varrho_B, so each
     kept rank is C; on a failing one every codeword is a stabilizer state
     of one group (codeword_dim_on), so each kept rank is 2^(b - s').  The
@@ -132,13 +136,13 @@ def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLRep
     k, b, de = group.k_dim, split.b, split.dim_erased
     qla.check_dim(de)
     qla.check_dim(k)
-    correctable, s = stab.verdict_and_s(group, split.erased)
+    correctable, s, residual = stab.verdict_and_s(group, split.erased)
     rank = 1 << (b - s)
     spectrum = np.zeros(de)
     spectrum[:rank] = 1.0 / rank
     kept = rank if correctable else 1 << (b - stab.codeword_dim_on(group, split.erased))
     report = KLReport(
-        split=split, residual_max=stab.implied_residual(group, correctable),
+        split=split, residual_max=residual,
         correctable=correctable, marginal_spectrum=spectrum, marginal_rank=rank,
         kept_marginal_ranks=(kept,) * k, method=GF2)
     return report._replace(trichotomy=classify(report)) if correctable else report
@@ -149,7 +153,7 @@ def require_correctable(source: QuantumCode | stab.StabilizerGroup, subset,
     """Raise NotCorrectableError when some Pauli on the subset goes undetected.
 
     The source's own verdict decides: a group's over GF(2), with no codewords
-    and no tolerance, a basis's by its moment residual alone.
+    and no tolerance, a basis's by its kl_check residual alone.
     """
     subset = tuple(subset)
     residual, correctable = source.verdict(subset, residual_tol)
@@ -194,10 +198,10 @@ def analyze_subset(source: QuantumCode | stab.StabilizerGroup, subset,
 
     A stabilizer group is read over GF(2) (_gf2_report), with no codewords,
     and reads neither tolerance.  For an explicit basis there is one route
-    for every b: the verdict is the erasure residual with c_F = tr(V^dag
-    E_F V) / K, and C, the spectrum and the kept ranks come from the same
-    partial trace (codes.cut_trace), whose K^2 4^b size check is the only
-    size limit; matrix_rank is 2^b rank(varrho_B).  marginal and
+    for every b: the verdict is kl_check on the partial trace of the cut
+    (codes.cut_trace), and C, the spectrum and the kept ranks come from
+    the same partial trace, whose K^2 4^b size check is the only size
+    limit; matrix_rank is 2^b rank(varrho_B).  marginal and
     null_vectors are None (see kl_matrix).
     """
     split = qla.SubsystemSplit(n=source.n, erased=tuple(subset))
@@ -212,10 +216,10 @@ def scan_subsets(source: QuantumCode | stab.StabilizerGroup, size: int,
     """analyze_subset for every subset of the given size, lexicographically.
 
     A stabilizer group gives each subset's GF(2) report in turn.  For an
-    explicit basis the K^2 4^size moment check runs at the call, before any
+    explicit basis the K^2 4^size size check runs at the call, before any
     work.  The subsets are decided in chunks, each one stacked pass
-    (_analyze), so a scan holds one chunk's cut, moments and marginals at a
-    time; a chunk holds at most SCAN_CHUNK entries of its cut (K 2^n a
+    (_analyze), so a scan holds one chunk's cut, partial traces and
+    marginals at a time; a chunk holds at most SCAN_CHUNK entries of its cut (K 2^n a
     subset) and of its partial traces (K^2 4^size a subset), or a single
     subset.
     """

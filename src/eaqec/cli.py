@@ -35,6 +35,8 @@ def _tolerances(args) -> tuple[float, float]:
         raise ContractError("tolerances must be positive")
     if math.inf in (rank, residual):
         raise ContractError("tolerances must be finite")
+    if rank >= 1:       # the cutoff is that fraction of the largest eigenvalue
+        raise ContractError("tolerances must keep --tol-rank below 1, or every rank is 0")
     return rank, residual
 
 

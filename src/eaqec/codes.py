@@ -1,5 +1,5 @@
-"""Code containers, Pauli operators, fixtures, Pauli moments, the
-Knill-Laflamme rule, and the distance search.
+"""Code containers, Pauli operators, fixtures, the partial trace of an
+erased set, the Knill-Laflamme rule, and the distance search.
 
 A Pauli is stored as i^phase_exp * X^x Z^z with bit-packed x and z masks.
 Bit (n - q) of a mask belongs to qubit q, so masks read like the qubit
@@ -7,11 +7,12 @@ string itself when printed in binary (qubit 1 leftmost).  apply_paulis is
 the one action of Paulis on states: any number of Paulis on a state or a
 stack of states, one gather through a cached index table.  kl_check is
 the one dense Knill-Laflamme rule, P E_a^dag E_b P = lambda_ab P within
-residual_tol, applied to a stack of K x K moment matrices: an erased set's
-Pauli moments (trace_moments of its cut_trace) or a recovery's Gram
-blocks.  min_distance is the one distance search, for an explicit basis
-and a stabilizer group alike, each deciding an erased set by its own
-verdict.
+residual_tol, read as "the codeword factor of the blocks is the
+identity": an erased set's partial trace (cut_trace), whose codeword
+factor is the identity exactly when every Pauli on the set is detected,
+or a recovery's Gram blocks.  min_distance is the one distance search,
+for an explicit basis and a stabilizer group alike, each deciding an
+erased set by its own verdict.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ class QuantumCode:
         return 2 ** self.n
 
     def verdict(self, subset, residual_tol: float = RESIDUAL_TOL) -> tuple[float, bool]:
-        """(largest moment residual, every Pauli on the erased set detected):
-        kl_check on the moments of its cut_trace, size-checked first."""
-        return kl_check(trace_moments(cut_trace(self, subset)), residual_tol)
+        """(residual, every Pauli on the erased set detected): kl_check on
+        its cut_trace, size-checked first."""
+        return kl_check(cut_trace(self, subset), residual_tol)
 
 
 def projector(code: QuantumCode) -> np.ndarray:
@@ -223,32 +224,17 @@ def paulis_of_weight(n: int, qubits, weight: int):
             yield PauliOperator(n, x, z)
 
 
-@functools.cache
-def pauli_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index and sign tables of the phase-free Paulis X^x Z^z on b qubits.
-
-    Over local b-bit patterns, xor[x, f] = f ^ x and sign[z, f] =
-    (-1)^|f & z|, so X^x Z^z |f> = sign[z, f] |xor[x, f]>.  Both tables
-    are symmetric, shape (2^b, 2^b), built once per b and read-only.
-    """
-    f = np.arange(1 << b)
-    xor = f[:, None] ^ f[None, :]
-    sign = 1.0 - 2.0 * (np.bitwise_count(f[:, None] & f[None, :]) & 1)
-    xor.flags.writeable = sign.flags.writeable = False
-    return xor, sign
-
-
 def cut_trace(code: QuantumCode, subsets) -> np.ndarray:
     """The partial traces T_ij = A_i^dag A_j of the codewords cut across erased sets.
 
     subsets is one erased set, or an (S, b) array of S sets of one size.
     A_i is codeword i as a kept x erased matrix (qla.bipartite_matrix), so
     T has shape (K, 2^b, K, 2^b), with a leading S axis for a stack, and
-    holds everything the erasure analysis reads about a set: the Pauli
-    moments (trace_moments), the B-marginal (sum_i T_ii)^T / K, and each
-    codeword's kept-side spectrum, that of T_ii.  The S K^2 4^b entries of
-    T, as many as the moments', and the S K 2^n of the cut are size-checked
-    first.  One set is cut as the stack of one.
+    holds everything the erasure analysis reads about a set: the verdict
+    (kl_check: T = I_K (x) tau), the B-marginal tau^T = (sum_i T_ii)^T / K,
+    and each codeword's kept-side spectrum, that of T_ii.  The S K^2 4^b
+    entries of T and the S K 2^n of the cut are size-checked first.  One
+    set is cut as the stack of one.
     """
     erased = np.asarray(subsets, dtype=np.intp)
     lead, b = erased.shape[:-1], erased.shape[-1]
@@ -260,49 +246,25 @@ def cut_trace(code: QuantumCode, subsets) -> np.ndarray:
     return (a.conj().swapaxes(-2, -1) @ a).reshape(lead + (k, de, k, de))
 
 
-def trace_moments(t: np.ndarray) -> np.ndarray:
-    """Every <v_i|E_F|v_j> for the 4^b phase-free Paulis E_F on the subset,
-    read off the cut_trace T as <v_i|X^x Z^z|v_j> = sum_f (-1)^|f & z| T_ij[f ^ x, f].
-
-    Returns shape (4^b, K, K), after T's leading set axis if any.  E_F =
-    X^x Z^z with F = x + 2^b z, where x and z are local bit patterns over
-    the subset in its given order (first qubit most significant): identity
-    first, x cycling fastest, the order of pauli_tables.
-    """
-    lead, (k, de) = t.shape[:-4], t.shape[-4:-2]
-    xor, sign = pauli_tables(de.bit_length() - 1)
-    u = t[..., xor, :, np.arange(de)]         # u[x, f, ..., i, j] = T_ij[f ^ x, f]
-    axes = (*range(2, 2 + len(lead)), 1, 0, -2, -1)
-    m = sign @ u.transpose(axes).reshape(lead + (de, de * k * k))
-    return m.reshape(lead + (de * de, k, k))
-
-
-def moment_residuals(moments: np.ndarray) -> np.ndarray:
-    """||m_F - c_F I||_F for each K x K moment matrix m_F = V^dag E_F V.
-
-    This equals ||P E_F P - c_F P||_F for the codespace projector P, with
-    c_F = tr(m_F) / K, the closest multiple of the identity; E_F is
-    detected when its residual is within the residual tolerance.
-    """
-    k = moments.shape[-1]
-    coefficients = np.trace(moments, axis1=-2, axis2=-1) / k
-    dev = moments - coefficients[..., None, None] * np.eye(k)
-    return np.linalg.norm(dev, axis=(-2, -1))
-
-
-def kl_check(moments: np.ndarray,
+def kl_check(blocks: np.ndarray,
              residual_tol: float) -> tuple[float | np.ndarray, bool | np.ndarray]:
-    """The Knill-Laflamme rule on a stack of K x K moment matrices.
+    """The Knill-Laflamme rule: the codeword factor of the blocks is the identity.
 
-    Returns the largest moment_residuals entry and whether it is within
-    residual_tol, i.e. whether P E P = c P holds for every E the stack
-    describes.  Every dense verdict is this one: an erased set's 4^b Pauli
-    moments (QuantumCode.verdict, analysis) and the m^2 Gram blocks
-    V^dag E_a^dag E_b V of a recovery's error set (simulate.kl_recovery).
-    An (S, 4^b, K, K) stack of S sets gives each set's residual and
-    verdict, as arrays.
+    blocks X has shape (..., K, D, K, D), X[i, :, j, :] the D x D block of
+    codewords i and j.  With tau = sum_i X_ii / K, the residual is
+    sqrt(D) ||X - I_K (x) tau||_F, computed on the deviation itself, and the
+    verdict is whether it is within residual_tol.  For an erased set's
+    cut_trace (D = 2^b) this is, by Parseval, the root-sum-square over the
+    4^b Paulis E_F on the set of ||P E_F P - c_F P||_F, so it is zero
+    exactly when every E_F is detected, and can only grow with the set.
+    A recovery's m^2 Gram blocks V^dag E_a^dag E_b V come as D = 1, one
+    block per error pair (simulate.kl_recovery).  Leading axes give each
+    stack entry's residual and verdict, as arrays.
     """
-    residual = moment_residuals(moments).max(axis=-1)
+    k, de = blocks.shape[-4:-2]
+    tau = np.trace(blocks, axis1=-4, axis2=-2) / k
+    dev = blocks - np.eye(k)[:, None, :, None] * tau[..., None, :, None, :]
+    residual = math.sqrt(de) * np.linalg.norm(dev.reshape(dev.shape[:-4] + (-1,)), axis=-1)
     ok = residual <= residual_tol
     if residual.ndim:
         return residual, ok

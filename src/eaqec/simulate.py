@@ -56,7 +56,8 @@ def kl_recovery(code: QuantumCode, errors,
     when the identity is an error, so it adds nothing to such a fidelity.
     Raises SizeError before building anything when the m*K*2^n images or G
     exceed MAX_DIM, NotCorrectableError when codes.kl_check on the m^2 Gram
-    blocks shows the set is not correctable, and ConsistencyError when the
+    blocks, one block per error pair, leaves one of them undetected (the
+    residual is the largest block's), and ConsistencyError when the
     r*K decoder rows are not orthonormal.
     """
     errors = list(errors)
@@ -68,8 +69,10 @@ def kl_recovery(code: QuantumCode, errors,
     images = apply_paulis(errors, code.basis.T).reshape(code.dim, m * k)
     gram = images.conj().T @ images
     blocks = gram.reshape(m, k, m, k)              # V^dag E_a^dag E_b V
-    worst, correctable = kl_check(blocks.transpose(0, 2, 1, 3).reshape(m * m, k, k), residual_tol)
-    if not correctable:
+    residuals, detected = kl_check(blocks.transpose(0, 2, 1, 3).reshape(m, m, k, 1, k, 1),
+                                   residual_tol)
+    worst = float(residuals.max())
+    if not detected.all():
         raise NotCorrectableError(
             f"error set violates the correctability condition (residual {worst:.2e})")
 

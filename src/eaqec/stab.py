@@ -9,11 +9,13 @@ phase is read (independent generators, Z-type and in-set subgroups).
 A set B of b qubits is correctable iff rank(S|_B) + s(B) = 2b: the symplectic
 form on B is nondegenerate, so the Paulis on B commuting with S span
 2b - rank(S|_B) dimensions, and B is correctable when the s(B) of them
-inside S are all of them.  StabilizerGroup.verdict gives that verdict and
-the residual it implies to codes.min_distance and the correctability gate,
-and the same two eliminations give analysis s(B) and so C = 2^(b - s)
-(verdict_and_s); one more, on the rows of the group that fixes each
-codeword, gives a failing set's kept ranks (codeword_dim_on).  The codewords
+inside S are all of them.  The same two eliminations give s(B), and so
+C = 2^(b - s), and the residual the dense rule codes.kl_check reports,
+from the count of Paulis on B that commute with S but are not in it
+(verdict_and_s, read by StabilizerGroup.verdict for codes.min_distance
+and the correctability gate, and by analysis for its report); one more,
+on the rows of the group that fixes each codeword, gives a failing set's
+kept ranks (codeword_dim_on).  The codewords
 come from the same elimination, on the x bits: each is one orbit of basis
 states under the generators with independent X parts, anchored at a state
 that the Z-type subgroup fixes with eigenvalue +1, so building all K of
@@ -189,9 +191,9 @@ class StabilizerGroup:
         return 1 << (self.n - self.num_generators)
 
     def verdict(self, subset, residual_tol: float | None = None) -> tuple[float, bool]:
-        """is_correctable_stab and its implied_residual; residual_tol is not read."""
-        correctable = is_correctable_stab(self, subset)
-        return implied_residual(self, correctable), correctable
+        """(residual, correctable) of verdict_and_s; residual_tol is not read."""
+        correctable, _, residual = verdict_and_s(self, subset)
+        return residual, correctable
 
 
 def _require_abelian(group: StabilizerGroup, what: str) -> None:
@@ -379,9 +381,10 @@ def subgroup_on(group: StabilizerGroup, subset) -> StabilizerGroup:
          for c in dependents.values()), n=group.n)
 
 
-def verdict_and_s(group: StabilizerGroup, subset) -> tuple[bool, int]:
+def verdict_and_s(group: StabilizerGroup, subset) -> tuple[bool, int, float]:
     """Erasure correctability of the qubit set, decided purely over GF(2),
-    and s(B), the dimension of the subgroup inside it.
+    s(B), the dimension of the subgroup inside it, and the residual of
+    codes.kl_check on the codewords' partial trace across it.
 
     The set B is correctable exactly when every Pauli on B that commutes
     with the group is (up to phase) in it.  The symplectic form on B is
@@ -389,25 +392,23 @@ def verdict_and_s(group: StabilizerGroup, subset) -> tuple[bool, int]:
     dimension 2b - rank(S|_B); those lying in S form the space of
     subgroup_on, of dimension s(B) = r - rank(S|_out) with "out" the qubits
     outside B, inside the first because S is abelian.  So B is correctable
-    iff rank(S|_B) + r - rank(S|_out) = 2b: two ranks of the masked rows.
-    A nonabelian group is a ContractError.
+    iff u = 2b - rank(S|_B) - s(B) is 0: two ranks of the masked rows.  On
+    the codespace a Pauli in S is +-I, one that anticommutes with S is 0,
+    and each of the 2^s (2^u - 1) others is a traceless K x K unitary, of
+    residual sqrt(K); the residual is their root-sum-square,
+    sqrt(K 2^s (2^u - 1)), with K = 2^(n - r).  A nonabelian group is a
+    ContractError.
     """
     _require_abelian(group, "is_correctable_stab")
-    inside = _support_mask(group.n, subset)
-    s_dim = len(group.rows) - len(_eliminate(group.rows, ~inside)[0])
-    return len(_eliminate(group.rows, inside)[0]) + s_dim == inside.bit_count(), s_dim
+    inside, r = _support_mask(group.n, subset), len(group.rows)
+    s_dim = r - len(_eliminate(group.rows, ~inside)[0])
+    u = inside.bit_count() - len(_eliminate(group.rows, inside)[0]) - s_dim
+    return u == 0, s_dim, math.sqrt(((1 << u) - 1) << (group.n - r + s_dim))
 
 
 def is_correctable_stab(group: StabilizerGroup, subset) -> bool:
     """The verdict of verdict_and_s alone."""
     return verdict_and_s(group, subset)[0]
-
-
-def implied_residual(group: StabilizerGroup, correctable: bool) -> float:
-    """The largest moment residual that a GF(2) verdict implies: sqrt(K) for
-    an undetected Pauli, which acts on the codespace as a nontrivial logical
-    Pauli (a traceless K x K unitary), 0 when every Pauli is detected."""
-    return 0.0 if correctable else math.sqrt(group.k_dim)
 
 
 def codeword_dim_on(group: StabilizerGroup, subset) -> int:

@@ -58,14 +58,15 @@ class TestAnalyze:
         assert "correctable: no" in out
 
     def test_whole_code_reports_residual(self, capsys):
-        # every b takes the moment residual: erasing all seven qubits still
-        # reports the coefficient rank 2^b C and the residual
+        # every b takes the same residual: erasing all seven qubits still
+        # reports the coefficient rank 2^b C and the residual sqrt(K 2^s
+        # (2^u - 1)) = sqrt(2 * 64 * 3) of the 2^s (2^u - 1) logical Paulis
         rc, out, _ = run(capsys, "analyze", "--fixture", "steane",
                          "--subset", "1,2,3,4,5,6,7")
         assert rc == 2
         assert "correctable: no" in out
         assert "coefficient matrix rank: 256 of 16384" in out
-        assert "max residual: 1.414e+00" in out
+        assert "max residual: 1.960e+01" in out
 
     def test_wide_correctable_is_structural(self, capsys, tmp_path):
         # |0000000> and |1111111> weighted 0.6 / 0.8: erasing six qubits
@@ -262,10 +263,11 @@ class TestDecompose:
         assert "not correctable" in err
 
     def test_wide_violation_exits_three(self, capsys):
-        # a residual threshold loose enough to pass six erased qubits; the
-        # certification still fails (K x dim_A exceeds the kept dimension)
+        # a residual threshold loose enough to pass six erased qubits (their
+        # residual is sqrt(96) = 9.798); the certification still fails
+        # (K x dim_A exceeds the kept dimension)
         rc, _, err = run(capsys, "decompose", "--fixture", "steane",
-                         "--subset", "2,3,4,5,6,7", "--tol-residual", "2")
+                         "--subset", "2,3,4,5,6,7", "--tol-residual", "10")
         assert rc == 3
         assert "structure violation" in err
 
@@ -280,21 +282,23 @@ class TestGate:
     """decompose and verify share one gate, the input's own verdict, and
     name the residual that analyze prints for the same set."""
 
-    @pytest.mark.parametrize("source", [["--fixture", "steane"],
-                                        ["--stabilizers", ",".join(SHOR_GENS)]],
-                             ids=["steane_basis", "shor_group"])
-    def test_residual_matches_analyze(self, capsys, source):
+    @pytest.mark.parametrize("source,residual", [
+        (["--fixture", "steane"], "2.449e+00"),
+        (["--stabilizers", ",".join(SHOR_GENS)], "2.828e+00")],
+        ids=["steane_basis", "shor_group"])
+    def test_residual_matches_analyze(self, capsys, source, residual):
         argv = [*source, "--subset", "1,2,3"]
         rc, out, _ = run(capsys, "analyze", *argv)
-        assert rc == 2 and "max residual: 1.414e+00" in out
+        assert rc == 2 and f"max residual: {residual}" in out
         for command in ("decompose", "verify"):
             rc, out, err = run(capsys, command, *argv)
             assert (rc, out) == (2, "")
             assert err == ("not correctable: subset {1,2,3} fails the correctability "
-                           "condition (residual 1.414e+00)\n")
+                           f"condition (residual {residual})\n")
 
     def test_wide_group_fails_at_the_verdict(self, capsys):
-        # K = 2^21: the gate reads the GF(2) verdict and its sqrt(K) residual,
+        # K = 2^21: the gate reads the GF(2) verdict and its residual
+        # sqrt(3 K), one for each of the X, Y and Z that commute with S,
         # with no report and no codewords; analyze's report of K kept ranks
         # is refused instead
         argv = ["--stabilizers", "Z" + "I" * 21, "--subset", "2"]
@@ -305,7 +309,7 @@ class TestGate:
         finally:
             tracemalloc.stop()
         assert (rc, out) == (2, "")
-        assert "(residual 1.448e+03)" in err
+        assert "(residual 2.508e+03)" in err
         assert peak < 1 << 20
         rc, out, err = run(capsys, "analyze", *argv)
         assert (rc, out) == (1, "")
@@ -856,6 +860,22 @@ class TestTolerancePrecedence:
                            "--subset", "1,2,3", flag, value)
         assert rc == 1 and out == ""
         assert err.startswith("error: tolerances must be")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--fixture", "steane", "--subset", "1"),
+        ("scan", "--fixture", "five_qubit", "--size", "1"),
+        ("decompose", "--fixture", "steane", "--subset", "1")])
+    def test_rank_cutoff_of_one_rejected(self, capsys, argv):
+        # the cutoff is relative to the largest eigenvalue, so at 1 or above
+        # every rank read 0 (C: 0, or "codeword 0 vanishes"), though C >= 1
+        for value in ("1", "1.5"):
+            rc, out, err = run(capsys, *argv, "--tol-rank", value)
+            assert rc == 1 and out == ""
+            assert err.startswith("error: tolerances must keep --tol-rank below 1")
+        rc, out, _ = run(capsys, *argv, "--tol-rank", "0.999")
+        assert rc == 0
+        if argv[0] == "analyze":
+            assert "C: 2" in out
 
 
 class TestOutputFile:

@@ -22,7 +22,9 @@ from eaqec.config import MAX_DIM, RESIDUAL_TOL
 from eaqec.errors import ContractError, SizeError
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, assert_bit_exact,
-                      cached_fixture, oracle_matrix, pauli_basis_on, pauli_matrix, random_state)
+                      cached_fixture, oracle_matrix, oracle_moment_residuals,
+                      oracle_trace_moments, pauli_basis_on, pauli_matrix, perturbed_pi_7_2_3,
+                      random_state)
 
 letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=3)
 
@@ -30,7 +32,7 @@ letters_strategy = st.text(alphabet="IXYZ", min_size=1, max_size=3)
 def oracle_detection_residual(v: np.ndarray, e: PauliOperator) -> float:
     """||V^dag E V - c I||_F for one Pauli applied to the codewords V (columns),
     with c = tr(V^dag E V) / K.  The per-Pauli form of the check that
-    codes.trace_moments and codes.moment_residuals batch over a support.
+    codes.kl_check sums over a support by root-sum-square.
     """
     m = v.conj().T @ e.apply(v)
     k = m.shape[0]
@@ -167,17 +169,6 @@ class TestApplyPaulis:
         assert sign.tolist() == [(-1) ** bin(g).count("1") for g in range(16)]
 
 
-class TestPauliTables:
-    @pytest.mark.parametrize("b", [0, 1, 3])
-    def test_cached_and_read_only(self, b):
-        xor, sign = codes.pauli_tables(b)
-        again = codes.pauli_tables(b)
-        assert again[0] is xor and again[1] is sign
-        assert not xor.flags.writeable and not sign.flags.writeable
-        with pytest.raises(ValueError):
-            xor[0, 0] = 1
-
-
 class TestDicke:
     @pytest.mark.parametrize("n,k", [(4, 0), (4, 2), (7, 3), (5, 5)])
     def test_uniform_over_supports(self, n, k):
@@ -302,18 +293,20 @@ class TestDistance:
 
 
 class TestPauliMoments:
-    """The batched moments and residuals against one apply per Pauli."""
+    """The oracle's moments and residuals, read off cut_trace, against one
+    apply per Pauli, and kl_check's residual against their root-sum-square."""
 
     @staticmethod
     def check(code, subset):
         v = code.basis.T
-        moments = codes.trace_moments(codes.cut_trace(code, subset))
-        residuals = codes.moment_residuals(moments)
+        moments = oracle_trace_moments(codes.cut_trace(code, subset))
+        residuals = oracle_moment_residuals(moments)
         paulis = pauli_basis_on(code.n, subset)
         assert moments.shape == (len(paulis), code.k_dim, code.k_dim)
         for j, e in enumerate(paulis):
             assert np.abs(moments[j] - v.conj().T @ e.apply(v)).max() <= 1e-13
             assert abs(residuals[j] - oracle_detection_residual(v, e)) <= 1e-13
+        assert abs(code.verdict(subset)[0] - np.sqrt(np.sum(residuals ** 2))) <= 1e-12
 
     @pytest.mark.parametrize("name", codes.FIXTURE_NAMES)
     def test_fixture_subsets(self, name):
@@ -337,14 +330,14 @@ class TestPauliMoments:
         subset = tuple(data.draw(st.permutations(range(1, code.n + 1)))[:b])
         if code.k_dim ** 2 * 4 ** b > MAX_DIM:
             with pytest.raises(SizeError):
-                codes.trace_moments(codes.cut_trace(code, subset))
+                codes.cut_trace(code, subset)
         else:
             self.check(code, subset)
 
 
 class TestStackedMoments:
-    """cut_trace, trace_moments and kl_check on an (S, b) stack of sets:
-    slice s is bit for bit what the s-th set gives on its own."""
+    """cut_trace and kl_check on an (S, b) stack of sets: slice s is bit
+    for bit what the s-th set gives on its own."""
 
     @pytest.mark.parametrize("make", [
         *(pytest.param(lambda name=name: cached_fixture(name), id=name)
@@ -357,19 +350,17 @@ class TestStackedMoments:
             sets = list(itertools.combinations(range(1, code.n + 1), b))
             sets += [s[::-1] for s in sets]           # each set's own order sets the bits
             t = codes.cut_trace(code, np.array(sets).reshape(len(sets), b))
-            moments = codes.trace_moments(t)
-            residuals, verdicts = codes.kl_check(moments, RESIDUAL_TOL)
+            residuals, verdicts = codes.kl_check(t, RESIDUAL_TOL)
             assert verdicts.dtype == bool and residuals.shape == (len(sets),)
             for s, subset in enumerate(sets):
                 single = codes.cut_trace(code, subset)
                 assert_bit_exact(t[s], single)
-                assert_bit_exact(moments[s], codes.trace_moments(single))
-                residual, ok = codes.kl_check(moments[s], RESIDUAL_TOL)
+                residual, ok = codes.kl_check(single, RESIDUAL_TOL)
                 assert_bit_exact(residuals[s], np.float64(residual))
                 assert verdicts[s] == ok
 
     def test_stack_is_size_checked_as_a_whole(self):
-        # four sets whose moments fit one at a time, but not together
+        # four sets whose partial traces fit one at a time, but not together
         code = QuantumCode(n=8, basis=np.eye(256, dtype=complex)[:64])
         assert code.k_dim ** 2 * 4 ** 4 <= MAX_DIM < 4 * code.k_dim ** 2 * 4 ** 4
         with pytest.raises(SizeError):
@@ -377,20 +368,63 @@ class TestStackedMoments:
 
 
 class TestKLCheck:
-    # two detected blocks (multiples of I, residual exactly 0) and one
-    # undetected off-diagonal block whose residual is exactly 0.5
-    STACK = np.array([np.eye(2), 0.3j * np.eye(2), [[0, 0.5], [0, 0]]], dtype=complex)
+    # a stack of three (K, D, K, D) = (2, 1, 2, 1) block arrays, as a
+    # recovery passes its Gram blocks: two detected blocks (multiples of I,
+    # residual exactly 0) and one undetected off-diagonal block whose
+    # residual is exactly 0.5
+    STACK = np.array([np.eye(2), 0.3j * np.eye(2), [[0, 0.5], [0, 0]]],
+                     dtype=complex).reshape(3, 2, 1, 2, 1)
 
     def test_one_undetected_block_decides(self):
-        assert codes.kl_check(self.STACK[:2], RESIDUAL_TOL) == (0.0, True)
-        assert codes.kl_check(self.STACK, RESIDUAL_TOL) == (0.5, False)
-        assert codes.kl_check(self.STACK[::-1], RESIDUAL_TOL) == (0.5, False)
+        residuals, ok = codes.kl_check(self.STACK, RESIDUAL_TOL)
+        assert residuals.tolist() == [0.0, 0.0, 0.5] and ok.tolist() == [True, True, False]
+        assert codes.kl_check(self.STACK[1], RESIDUAL_TOL) == (0.0, True)
+        assert codes.kl_check(self.STACK[2], RESIDUAL_TOL) == (0.5, False)
+
+    def test_codeword_factor_must_be_the_identity(self):
+        # K = 2, D = 2: I_2 (x) tau passes whatever tau is; codewords with
+        # the marginals |0><0| and |1><1| differ by Z, whose moment diag(1, -1)
+        # has residual sqrt(2)
+        tau = np.array([[0.25, 0.5j], [-0.5j, 0.75]])
+        same = np.einsum("ij,ab->iajb", np.eye(2), tau)
+        assert codes.kl_check(same, RESIDUAL_TOL) == (0.0, True)
+        split = np.einsum("ij,ia,ab->iajb", np.eye(2), np.eye(2), np.eye(2))
+        assert codes.kl_check(split, RESIDUAL_TOL) == (math.sqrt(2), False)
 
     def test_residual_at_the_tolerance_passes(self):
-        residual, ok = codes.kl_check(self.STACK, 0.5)
+        residual, ok = codes.kl_check(self.STACK[2], 0.5)
         assert (residual, ok) == (0.5, True)
         assert type(residual) is float and type(ok) is bool
-        assert codes.kl_check(self.STACK, np.nextafter(0.5, 0.0)) == (0.5, False)
+        assert codes.kl_check(self.STACK[2], np.nextafter(0.5, 0.0)) == (0.5, False)
+
+
+def agreement_sets():
+    """Every erased set with b <= 4 of the five fixtures, of Shor's
+    codewords and of perturbed_pi_7_2_3: 699 (code, subset) pairs."""
+    sources = [cached_fixture(name) for name in codes.FIXTURE_NAMES]
+    sources += [stabilizer_code(SHOR_GENS), perturbed_pi_7_2_3()]
+    return [(code, subset) for code in sources for b in range(5)
+            for subset in itertools.combinations(range(1, code.n + 1), b)]
+
+
+class TestResidualAgainstPauliMoments:
+    """kl_check on the partial trace is the root-sum-square of the 4^b
+    per-Pauli residuals, and decides every set as the largest of them
+    does, at tolerances from 1e-10 to 1e-2."""
+
+    TOLS = (1e-10, 1e-8, 1e-4, 1e-2)
+
+    def test_every_small_set(self):
+        pairs = agreement_sets()
+        assert len(pairs) == 699
+        for code, subset in pairs:
+            t = codes.cut_trace(code, subset)
+            per_pauli = oracle_moment_residuals(oracle_trace_moments(t))
+            want = np.sqrt(np.sum(per_pauli ** 2))
+            residual = codes.kl_check(t, RESIDUAL_TOL)[0]
+            assert abs(residual - want) <= 1e-12 * max(want, 1.0), subset
+            for tol in self.TOLS:
+                assert codes.kl_check(t, tol)[1] == (per_pauli.max() <= tol), (subset, tol)
 
 
 def share_pairs(n: int, max_b: int = 2):
@@ -403,20 +437,18 @@ def share_pairs(n: int, max_b: int = 2):
 
 class TestShareSubsets:
     """Every subset of a receiver's share is again a share: if B + {q} is
-    correctable, so is B, for the basis and for the group, and the dense
-    residual of B exceeds that of B + {q} by roundoff at most."""
+    correctable, so is B, for the basis and for the group, and the residual
+    of B exceeds that of B + {q} by roundoff at most for the basis, and not
+    at all for the group."""
 
     @staticmethod
     def check(code, group, pairs):
-        def residual(subset):
-            return codes.kl_check(codes.trace_moments(codes.cut_trace(code, subset)),
-                                  RESIDUAL_TOL)[0]
-
         for subset, q in pairs:
             wider = tuple(sorted(subset + (q,)))
-            assert residual(subset) - residual(wider) <= 1e-15
+            assert code.verdict(subset)[0] - code.verdict(wider)[0] <= 1e-15
             assert code.verdict(subset)[1] or not code.verdict(wider)[1]
             if group is not None:
+                assert group.verdict(subset)[0] <= group.verdict(wider)[0]
                 assert group.verdict(subset)[1] or not group.verdict(wider)[1]
 
     @pytest.mark.parametrize("name,gens", [

@@ -492,9 +492,10 @@ def assert_same_report(gf2, dense):
 
 
 class TestGf2AgainstAnalysis:
-    """Three independent verdicts on every drawn code: GF(2), the moment
+    """Three independent verdicts on every drawn code: GF(2), the dense
     residual of analysis, and the certificate of structure.decompose; and
-    every field of the GF(2) report and scan against the moment route."""
+    every field of the GF(2) report and scan, the residual included,
+    against the dense route."""
 
     @given(abelian_groups(max_n=7), st.data())
     def test_verdict_and_receiver_dim(self, g, data):
@@ -554,7 +555,7 @@ class TestMinDistance:
         # r = n leaves K = 1, which detects every Pauli
         def refuse(*args):
             raise AssertionError("a set was checked")
-        monkeypatch.setattr(stab, "is_correctable_stab", refuse)
+        monkeypatch.setattr(stab, "verdict_and_s", refuse)
         g = stab.StabilizerGroup.from_strings(("XX", "ZZ"))
         assert codes.min_distance(g) is None
 

@@ -28,6 +28,8 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 KEPT_WITHOUT_CALLER = {
+    "is_correctable_stab": "the GF(2) verdict alone, which bench/run.py and bench/oracle.py "
+                           "call; src reads it with s(B) and the residual (verdict_and_s)",
     "sqrtm_psd": "bench/layertrace.py wraps it and tests/test_scripts.py requires every "
                  "wrapped target to resolve (ROADMAP item 1)",
     "subgroup_on": "the subgroup inside a set, whose size gives C = 2^(b - s): bench/oracle.py, "
