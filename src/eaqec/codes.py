@@ -185,7 +185,8 @@ class QuantumCode:
     def verdict(self, subset, residual_tol: float = RESIDUAL_TOL) -> tuple[float, bool]:
         """(residual, every Pauli on the erased set detected): kl_check on
         its cut_trace, size-checked first."""
-        return kl_check(cut_trace(self, subset), residual_tol)
+        residual, detected = kl_check(cut_trace(self, [subset]), residual_tol)
+        return float(residual[0]), bool(detected[0])
 
 
 def projector(code: QuantumCode) -> np.ndarray:
@@ -227,48 +228,42 @@ def paulis_of_weight(n: int, qubits, weight: int):
 def cut_trace(code: QuantumCode, subsets) -> np.ndarray:
     """The partial traces T_ij = A_i^dag A_j of the codewords cut across erased sets.
 
-    subsets is one erased set, or an (S, b) array of S sets of one size.
-    A_i is codeword i as a kept x erased matrix (qla.bipartite_matrix), so
-    T has shape (K, 2^b, K, 2^b), with a leading S axis for a stack, and
-    holds everything the erasure analysis reads about a set: the verdict
+    subsets is an (S, b) array of S erased sets of one size; one set is
+    the stack of one.  A_i is codeword i as a kept x erased matrix
+    (qla.bipartite_matrix), so T has shape (S, K, 2^b, K, 2^b), and holds
+    everything the erasure analysis reads about a set: the verdict
     (kl_check: T = I_K (x) tau), the B-marginal tau^T = (sum_i T_ii)^T / K,
     and each codeword's kept-side spectrum, that of T_ii.  The S K^2 4^b
-    entries of T and the S K 2^n of the cut are size-checked first.  One
-    set is cut as the stack of one.
+    entries of T and the S K 2^n of the cut are size-checked first.
     """
-    erased = np.asarray(subsets, dtype=np.intp)
-    lead, b = erased.shape[:-1], erased.shape[-1]
-    count, k, de = math.prod(lead), code.k_dim, 1 << b
+    erased = np.asarray(subsets)
+    count, b = erased.shape
+    k, de = code.k_dim, 1 << b
     qla.check_dim(count * k * k * de * de)
     qla.check_dim(count * code.basis.size)
-    a = qla.bipartite_matrix(code.basis, erased.reshape(count, b))
-    a = a.reshape(count, 1 << (code.n - b), k * de)
-    return (a.conj().swapaxes(-2, -1) @ a).reshape(lead + (k, de, k, de))
+    a = qla.bipartite_matrix(code.basis, erased).reshape(count, 1 << (code.n - b), k * de)
+    return (a.conj().swapaxes(-2, -1) @ a).reshape(count, k, de, k, de)
 
 
-def kl_check(blocks: np.ndarray,
-             residual_tol: float) -> tuple[float | np.ndarray, bool | np.ndarray]:
+def kl_check(blocks: np.ndarray, residual_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The Knill-Laflamme rule: the codeword factor of the blocks is the identity.
 
-    blocks X has shape (..., K, D, K, D), X[i, :, j, :] the D x D block of
-    codewords i and j.  With tau = sum_i X_ii / K, the residual is
+    blocks X has shape (S, ..., K, D, K, D), X[..., i, :, j, :] the D x D
+    block of codewords i and j.  With tau = sum_i X_ii / K, the residual is
     sqrt(D) ||X - I_K (x) tau||_F, computed on the deviation itself, and the
-    verdict is whether it is within residual_tol.  For an erased set's
-    cut_trace (D = 2^b) this is, by Parseval, the root-sum-square over the
-    4^b Paulis E_F on the set of ||P E_F P - c_F P||_F, so it is zero
-    exactly when every E_F is detected, and can only grow with the set.
-    A recovery's m^2 Gram blocks V^dag E_a^dag E_b V come as D = 1, one
-    block per error pair (simulate.kl_recovery).  Leading axes give each
-    stack entry's residual and verdict, as arrays.
+    verdict is whether it is within residual_tol; both come back as arrays
+    of the leading shape.  For an erased set's cut_trace (D = 2^b) this is,
+    by Parseval, the root-sum-square over the 4^b Paulis E_F on the set of
+    ||P E_F P - c_F P||_F, so it is zero exactly when every E_F is
+    detected, and can only grow with the set.  A recovery's m^2 Gram
+    blocks V^dag E_a^dag E_b V come as D = 1, one block per error pair
+    (simulate.kl_recovery).
     """
     k, de = blocks.shape[-4:-2]
     tau = np.trace(blocks, axis1=-4, axis2=-2) / k
     dev = blocks - np.eye(k)[:, None, :, None] * tau[..., None, :, None, :]
     residual = math.sqrt(de) * np.linalg.norm(dev.reshape(dev.shape[:-4] + (-1,)), axis=-1)
-    ok = residual <= residual_tol
-    if residual.ndim:
-        return residual, ok
-    return float(residual), bool(ok)
+    return residual, residual <= residual_tol
 
 
 def min_distance(source, max_weight: int | None = None,

@@ -71,51 +71,34 @@ class SubsystemSplit:
         return 2 ** (self.n - self.b)
 
 
-def _cut_axes(split: SubsystemSplit) -> list[int]:
-    """Axis order [kept ascending, stack, erased as stored] for a stack of
-    states reshaped to (K, 2, ..., 2), where axis q is qubit q."""
-    return list(split.kept) + [0] + list(split.erased)
+def bipartite_matrix(states, erased) -> np.ndarray:
+    """Cut each row of a (K, 2^n) stack of states across each of S erased sets.
 
-
-def bipartite_matrix(states, split) -> np.ndarray:
-    """Cut one state, or each row of a (K, 2^n) stack, across the split.
-
-    Row index runs over the kept qubits (ascending), column index over the
-    erased qubits in the split's stored order: one state gives a dim_kept x
-    dim_erased matrix, a stack a (dim_kept, K, dim_erased) array whose
-    [:, i, :] is row i's matrix, so it reshapes to dim_kept x (K
-    dim_erased) without a further copy.  An (S, b) array of erased sets
-    (1-based labels, each row in its own order and checked as a
-    SubsystemSplit) puts a leading S axis on the result; a SubsystemSplit
-    is the stack of one.  Each set is cut by one axis transpose, copied
-    once into the result.
+    erased is an (S, b) array of 1-based qubit labels, one set a row, each
+    in its own order; a row that repeats a label or leaves 1..n is a
+    ContractError naming the set.  The result has shape (S, 2^(n-b), K,
+    2^b): [s, :, i, :] is state i as a matrix whose row index runs over
+    the kept qubits (ascending) and whose column index over set s's erased
+    qubits in their stored order, so each [s] reshapes to 2^(n-b) x (K
+    2^b) without a further copy.  Each set is cut by one axis transpose,
+    copied once into the result.
     """
     states = np.asarray(states, dtype=complex)
-    dim = states.shape[-1] if states.ndim else 0
-    one = isinstance(split, SubsystemSplit)
-    n = split.n if one else max(dim.bit_length() - 1, 0)
-    if states.ndim not in (1, 2) or dim != 2 ** n:
-        raise ContractError(f"states have shape {states.shape}, expected ({2 ** n},) "
-                            f"or (K, {2 ** n})")
-    splits = [split] if one else [SubsystemSplit(n, row) for row in np.asarray(split).tolist()]
-    b = split.b if one else np.shape(split)[1]
-    stack = states.reshape((-1,) + (2,) * n)
-    k = len(stack)
-    out = np.empty((len(splits),) + (2,) * (n - b) + (k,) + (2,) * b, dtype=complex)
-    for cut, row in zip(out, splits):
-        cut[...] = stack.transpose(_cut_axes(row))
-    out = out.reshape(len(splits), 1 << (n - b), k, 1 << b)
-    out = out[0] if one else out
-    return out if states.ndim == 2 else out[..., 0, :]
-
-
-def unsplit(matrix: np.ndarray, split: SubsystemSplit) -> np.ndarray:
-    """Inverse of bipartite_matrix: a dim_kept x dim_erased matrix, or a
-    (dim_kept, K, dim_erased) stack, back to states in original qubit order."""
-    matrix = np.asarray(matrix)
-    stack = matrix.reshape((2,) * len(split.kept) + (-1,) + (2,) * split.b)
-    out = stack.transpose(np.argsort(_cut_axes(split))).reshape(-1, 2 ** split.n)
-    return out if matrix.ndim == 3 else out[0]
+    n = max(states.shape[-1].bit_length() - 1, 0)
+    k, qubits = len(states), range(1, n + 1)
+    if states.shape != (k, 1 << n):
+        raise ContractError(f"states have shape {states.shape}, expected (K, {1 << n})")
+    erased = np.asarray(erased)
+    count, b = erased.shape
+    stack = states.reshape((k,) + (2,) * n)
+    out = np.empty((count,) + (2,) * (n - b) + (k,) + (2,) * b, dtype=complex)
+    for cut, row in zip(out, erased.tolist()):
+        labels = set(row)
+        if len(labels) < b or not labels.issubset(qubits):
+            raise ContractError(f"erased set {tuple(row)} is not {b} distinct "
+                                f"qubit labels within 1..{n}")
+        cut[...] = stack.transpose([q for q in qubits if q not in labels] + [0] + row)
+    return out.reshape(count, 1 << (n - b), k, 1 << b)
 
 
 def _require_hermitian(m: CMatrix, tol: float) -> None:
@@ -203,15 +186,13 @@ def svd(m: CMatrix):
     return u[:, order], s, vh[order, :]
 
 
-def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> int | np.ndarray:
+def numerical_rank(weights: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """The one rank rule across a cut: how many of the marginal eigenvalues
-    (squared Schmidt coefficients) exceed tol times the largest.  Callers
-    that hold singular values pass their squares; a stack gets the rank of
-    each row."""
+    (squared Schmidt coefficients) on the last axis exceed tol times the
+    largest there, as an integer array of the leading shape.  Callers that
+    hold singular values pass their squares."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim > 1:
-        return np.count_nonzero(w > tol * w.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
-    return int(np.count_nonzero(w > tol * w.max(initial=0.0)))
+    return (w > tol * w.max(axis=-1, initial=0.0, keepdims=True)).sum(axis=-1)
 
 
 def orthonormal_defect(gram: CMatrix) -> tuple[float, float]:

@@ -10,7 +10,8 @@ their Gram matrix G and the channel weights; no decoder array and no 2^n x
 + recovery and demands unit fidelity, on the register each EA strategy
 transmits.  On the n code qubits every fidelity is read off columns of G,
 so no error is applied twice; the compressed strategy's kept plus carrier
-qubits take the errors, a receiver map and a decode against the images.
+qubits take the errors and a receiver map, and the received states, kept x
+erased, are decoded against the images cut once across the same split.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qla, structure
-from .codes import PauliOperator, QuantumCode, apply_paulis, kl_check, paulis_of_weight
+from .codes import QuantumCode, apply_paulis, kl_check, paulis_of_weight
 from .config import FIDELITY_SLACK, RANK_TOL, RESIDUAL_TOL
 from .errors import (ConsistencyError, ContractError, ModelMismatchError,
                      NotCorrectableError)
@@ -117,12 +118,13 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     qubits followed by ebit_cost carrier qubits that hold the receiver's
     C-dimensional share, padded to 2^ebit_cost.  The test states are the
     codewords and their equal superposition.  On the code qubits the
-    errors are the recovered list's weight-w tail (or the identity at its
-    head), and each amplitude is read off the recovery's Gram matrix.  For
-    compressed every error hits all the test states at once, in batches no
-    larger than the images, and the receiver reads the first C carrier
-    amplitudes and re-expands them through compress_isometry before the
-    recovery decodes them; amplitude an error pushes outside them is lost.
+    errors are the recovered list's weight-w tail, and each amplitude is
+    read off the recovery's Gram matrix.  For compressed every error hits
+    all the test states at once, in batches no larger than the images, and
+    the receiver reads the first C carrier amplitudes and re-expands them
+    through compress_isometry, kept x erased, to be decoded against the
+    images cut once across the split (qla.bipartite_matrix); amplitude an
+    error pushes outside them is lost.
 
     noiseless: errors act on the kept qubits only (the receiver's share is
     pristine).  noisy: errors act on every transmitted qubit.  A
@@ -131,8 +133,11 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     exploratory=True to run it under noise anyway: errors then also hit
     the carrier qubits, and the results are reported without any guarantee
     (fidelities below one are expected; that is the cost the compression
-    trades away).  Failures are named by the error's letters on the
-    transmitted register, split as kept|carrier for the compressed strategy.
+    trades away).  A weight above the number of qubits the errors may act
+    on (the kept ones when noiseless; when noisy, all n code qubits, or the
+    kept plus carrier qubits for compressed) is a ContractError.  Failures
+    are named by the error's letters on the transmitted register, split as
+    kept|carrier for the compressed strategy.
     """
     if model not in (NOISELESS, NOISY):
         raise ContractError(f"unknown error model {model!r}")
@@ -142,9 +147,15 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     if noiseless_only and model == NOISY and not exploratory:
         raise ModelMismatchError(
             "the compressed strategy assumes noiseless erased qubits; "
-            "rerun with exploratory=True to probe it under noise anyway")
+            "rerun with --exploratory (exploratory=True) to probe it under noise anyway")
 
     split = dec.split
+    n_kept = len(split.kept)
+    n_reg = split.n if ea.compress_isometry is None else n_kept + ea.ebit_cost   # qubits sent
+    n_sites = n_kept if model == NOISELESS else n_reg
+    if weight > n_sites:
+        raise ContractError(f"error weight {weight} exceeds {n_sites}, the number of "
+                            f"qubits that errors act on under the {model} model")
     allowed = split.kept if model == NOISELESS else tuple(range(1, split.n + 1))
     levels = [list(paulis_of_weight(split.n, allowed, w)) for w in range(weight + 1)]
     recovered = [p for level in levels for p in level]
@@ -152,30 +163,30 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     targets = np.eye(code.k_dim)    # rows w of the test states w @ code.basis: each codeword,
     if code.k_dim > 1:              # then their equal superposition
         targets = np.vstack([targets, np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim))])
-    m, n_kept = len(recovered), len(split.kept)
+    m = len(recovered)
 
     if ea.compress_isometry is None:
-        hit, sep = (slice(m - len(levels[-1]), m) if levels[-1] else slice(0, 1)), ""
+        hit, sep = slice(m - len(levels[-1]), m), ""
         errors = recovered[hit]
         # <E_a V e_i| E_e V t_s>: columns e of the Gram matrix, times t_s
         overlaps = [rec.gram.reshape(-1, m, code.k_dim)[:, hit] @ targets.T]
     else:
-        c, carrier_dim, n_reg, sep = ea.receiver_dim, 1 << ea.ebit_cost, n_kept + ea.ebit_cost, "|"
-        sites = range(1, (n_kept if model == NOISELESS else n_reg) + 1)
+        c, carrier_dim, sep = ea.receiver_dim, 1 << ea.ebit_cost, "|"
         sent = np.zeros((split.dim_kept, carrier_dim, len(targets)), dtype=complex)
         sent[:, :c] = np.einsum("si,kia,ac->kcs", targets,
                                 dec.isometry.reshape(split.dim_kept, code.k_dim, -1),
                                 ea.shared_state.reshape(ea.sender_dim, c))
-        errors = list(paulis_of_weight(n_reg, sites, weight)) or [PauliOperator(n_reg, 0, 0)]
+        errors = list(paulis_of_weight(n_reg, range(1, n_sites + 1), weight))
         batch = max(1, rec.images.size // (code.dim * len(targets)))
+        cut = qla.bipartite_matrix(rec.images.T, [split.erased])[0]    # (kept, m K, erased)
+        bras = cut.transpose(1, 0, 2).reshape(len(rec.gram), -1).conj()
 
-        def received(batch_errors):            # back on the code qubits, (2^n, E*S)
+        def received(batch_errors):            # kept x erased rows, (2^n, E*S)
             hits = apply_paulis(batch_errors, sent.reshape(-1, len(targets)))
             share = hits.reshape(split.dim_kept, carrier_dim, -1)
-            back = ea.compress_isometry @ share[:, :c]             # (kept, erased, E*S)
-            return qla.unsplit(back.transpose(0, 2, 1), split).T
+            return (ea.compress_isometry @ share[:, :c]).reshape(code.dim, -1)
 
-        overlaps = (rec.images.conj().T @ received(errors[start:start + batch])
+        overlaps = (bras @ received(errors[start:start + batch])
                     for start in range(0, len(errors), batch))
 
     worst = []

@@ -399,7 +399,7 @@ def verdict_and_s(group: StabilizerGroup, subset) -> tuple[bool, int, float]:
     sqrt(K 2^s (2^u - 1)), with K = 2^(n - r).  A nonabelian group is a
     ContractError.
     """
-    _require_abelian(group, "is_correctable_stab")
+    _require_abelian(group, "verdict_and_s")
     inside, r = _support_mask(group.n, subset), len(group.rows)
     s_dim = r - len(_eliminate(group.rows, ~inside)[0])
     u = inside.bit_count() - len(_eliminate(group.rows, inside)[0]) - s_dim

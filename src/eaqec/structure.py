@@ -70,21 +70,21 @@ def decompose(code: QuantumCode, subset,
     subset = tuple(subset)
     split = qla.SubsystemSplit(n=code.n, erased=subset)
     k = code.k_dim
-    mats = qla.bipartite_matrix(code.basis, split).transpose(1, 0, 2)   # A_i = mats[i]
+    mats = qla.bipartite_matrix(code.basis, [subset])[0].transpose(1, 0, 2)   # A_i = mats[i]
 
     u0, s0, v0h = qla.svd(mats[0])
-    r = qla.numerical_rank(s0 ** 2, rank_tol)
+    r = int(qla.numerical_rank(s0 ** 2, rank_tol))
     if r == 0:
         raise ContractError("codeword 0 vanishes; cannot anchor the factorization")
     if r * k > split.dim_kept:
         raise StructureViolationError(
             f"message x ancilla dimension {k}x{r} exceeds kept dimension "
             f"{split.dim_kept}; subset cannot be correctable")
-    for i, s in enumerate(np.linalg.svd(mats[1:], compute_uv=False), start=1):
-        ri = qla.numerical_rank(s ** 2, rank_tol)
-        if ri > r:
-            raise StructureViolationError(
-                f"codeword {i} has kept-side rank {ri} > anchor rank {r}")
+    ranks = qla.numerical_rank(np.linalg.svd(mats[1:], compute_uv=False) ** 2, rank_tol)
+    if np.any(ranks > r):
+        i = int(np.argmax(ranks > r))
+        raise StructureViolationError(
+            f"codeword {i + 1} has kept-side rank {ranks[i]} > anchor rank {r}")
 
     psi_mat = s0[:r, None] * v0h[:r, :]          # r x dim_erased
     psi_pinv = v0h[:r, :].conj().T / s0[:r]      # dim_erased x r
@@ -198,7 +198,7 @@ def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode) -
     builds them and the tests check this steering.
     """
     split = dec.split
-    shared = qla.bipartite_matrix(code.basis[0], split).reshape(-1)
+    shared = qla.bipartite_matrix(code.basis[:1], [split.erased])[0].reshape(-1)
     return EACode(
         strategy=PRESEND, shared_state=shared, sender_dim=split.dim_kept,
         receiver_dim=split.dim_erased, schmidt_rank=dec.ancilla_dim)

@@ -465,7 +465,7 @@ def channel_form_check(dec: structure.StructureDecomposition,
     k = dec.k_dim
     gamma = dec.ancilla_state
     u = dec.isometry
-    mats = qla.bipartite_matrix(code.basis, split)   # w @ mats cuts the state w @ basis
+    mats = qla.bipartite_matrix(code.basis, [split.erased])[0]   # w @ mats cuts w @ basis
     worst = 0.0
     for i in range(k):
         for j in range(i, k):
@@ -512,8 +512,15 @@ def logical_unitary_on_complement(dec: structure.StructureDecomposition,
 
 def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
                   kept_operator: np.ndarray) -> np.ndarray:
-    """Apply an operator on the kept factor to a full state, original qubit order."""
-    return qla.unsplit(kept_operator @ qla.bipartite_matrix(state, split), split)
+    """Apply an operator on the kept factor to a full state, original qubit order.
+
+    The state is cut (qla.bipartite_matrix), acted on row-wise, and put back
+    by undoing the cut's axis order: kept qubits ascending, then the
+    erased ones as the split stores them.
+    """
+    cut = qla.bipartite_matrix(np.asarray(state)[None], [split.erased])[0, :, 0]
+    moved = (kept_operator @ cut).reshape((2,) * split.n)
+    return moved.transpose(np.argsort(split.kept + split.erased)).reshape(-1)
 
 
 # The uint8 GF(2) matrix kit that stab used before its one elimination on

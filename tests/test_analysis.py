@@ -372,7 +372,7 @@ class TestResidual:
             for subset in itertools.combinations(range(1, code.n + 1), b):
                 report = analysis.kl_matrix(code, subset)
                 want = oracle_pair_residual(code, subset, rebuilt(report)[0])
-                moments = oracle_trace_moments(codes.cut_trace(code, subset))
+                moments = oracle_trace_moments(codes.cut_trace(code, [subset])[0])
                 trace_coeff, _ = oracle_kl_check(moments, RESIDUAL_TOL)
                 assert abs(report.residual_max - want) <= 1e-13
                 assert abs(trace_coeff - want) <= 1e-13
@@ -538,8 +538,8 @@ class TestInvariance:
         code = cached_fixture(name)
         order = tuple(int(q) for q in np.random.default_rng(seed).permutation(code.n) + 1)
         # erasing every qubit in `order` cuts each codeword into one row in that order
-        moved = codes.QuantumCode(code.n, qla.bipartite_matrix(
-            code.basis, qla.SubsystemSplit(n=code.n, erased=order))[0], label="permuted")
+        moved = codes.QuantumCode(code.n, qla.bipartite_matrix(code.basis, [order])[0, 0],
+                                  label="permuted")
         # qubit order[j] now sits at position j + 1
         moved_subset = tuple(order.index(q) + 1 for q in subset)
         assert self.summary(moved, moved_subset) == self.summary(code, subset)

@@ -386,6 +386,7 @@ class TestVerify:
                          "--model", "noisy")
         assert rc == 4
         assert "model mismatch" in err
+        assert "rerun with --exploratory" in err   # the flag, not the library keyword
 
     def test_compressed_noisy_exploratory(self, capsys):
         rc, out, _ = run(capsys, "verify", "--fixture", "steane",
@@ -395,6 +396,23 @@ class TestVerify:
         assert "exploratory: results reported without guarantee" in out
         assert "failures:" in out
         assert "|" in out  # failure labels split kept and share registers
+
+    @pytest.mark.parametrize("weight", ["2", "5"])
+    def test_weight_above_the_error_sites_exits_one(self, capsys, weight):
+        # erasing qubit 1 of 2 keeps one qubit, the only site of noiseless
+        # errors, so no Pauli of weight 2 or more exists there
+        rc, out, err = run(capsys, "verify", "--stabilizers", "XX,ZZ", "--subset", "1",
+                           "--weight", weight)
+        assert rc == 1 and out == ""
+        assert f"error weight {weight} exceeds 1, the number of qubits" in err
+
+    def test_weight_within_the_noisy_sites_runs(self, capsys):
+        # under noise both qubits take errors: the 9 Paulis of weight 2, on
+        # the one codeword of K = 1
+        rc, out, err = run(capsys, "verify", "--stabilizers", "XX,ZZ", "--subset", "1",
+                           "--model", "noisy", "--weight", "2")
+        assert rc == 0, err
+        assert "cases: 9" in out
 
     def test_uncorrectable_weight_exits_two(self, capsys):
         rc, _, err = run(capsys, "verify", "--fixture", "five_qubit",

@@ -74,7 +74,8 @@ class TestPermutation:
     def test_two_qubit_swap_indices(self):
         # hand-derived: erasing qubit 1 of 2 puts qubit 2 first, which
         # exchanges |01> and |10>
-        m = qla.bipartite_matrix(np.arange(4.0), qla.SubsystemSplit(n=2, erased=(1,)))
+        m = qla.bipartite_matrix(np.arange(4.0)[None], [(1,)])
+        assert m.shape == (1, 2, 1, 2)
         assert list(m.real.ravel()) == [0, 2, 1, 3]
 
     @given(st.integers(1, 5), st.randoms(use_true_random=False))
@@ -85,31 +86,31 @@ class TestPermutation:
         order = list(split.kept + split.erased)
         rng = np.random.default_rng(rnd.randint(0, 2**32 - 1))
         v = random_state(rng, 1 << n)
-        got = qla.bipartite_matrix(v, split).ravel()
+        got = qla.bipartite_matrix(v[None], [split.erased]).ravel()
         want = oracle_permute(v, n, order)
         assert np.allclose(got, want, atol=1e-14)
-        assert np.array_equal(qla.unsplit(qla.bipartite_matrix(v, split), split), v)
-        # a stack cuts row by row, and unsplit undoes it
+        # a stack of states cuts row by row
         stack = np.array([v, 2 * v, 1j * v])
-        cut = qla.bipartite_matrix(stack, split)
+        cut = qla.bipartite_matrix(stack, [split.erased])[0]
         assert cut.shape == (split.dim_kept, 3, split.dim_erased)
         for i, row in enumerate(stack):
-            assert np.array_equal(cut[:, i], qla.bipartite_matrix(row, split))
-        assert np.array_equal(qla.unsplit(cut, split), stack)
+            one = qla.bipartite_matrix(row[None], [split.erased])[0, :, 0]
+            assert np.array_equal(cut[:, i], one)
         # an operator relabelled by the same permutation acts consistently:
         # permute(a v) = (P a P^T) permute(v), P built column by column
         dim = 1 << n
         perm = np.array([oracle_permute(col, n, order) for col in np.eye(dim)]).T
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         lhs = perm @ a @ perm.T @ got
-        assert np.allclose(lhs, qla.bipartite_matrix(a @ v, split).ravel(), atol=1e-12)
+        assert np.allclose(lhs, qla.bipartite_matrix((a @ v)[None], [split.erased]).ravel(),
+                           atol=1e-12)
 
 
 class TestBipartiteMatrix:
     def test_hand_example(self):
         # n=2, erase qubit 1: rows indexed by kept qubit 2, cols by qubit 1
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        m = qla.bipartite_matrix(v, qla.SubsystemSplit(n=2, erased=(1,)))
+        m = qla.bipartite_matrix(v[None], [(1,)])[0, :, 0]
         assert np.allclose(m, [[1.0, 3.0], [2.0, 4.0]])
 
     @given(st.integers(2, 6), st.data())
@@ -119,15 +120,14 @@ class TestBipartiteMatrix:
             st.lists(st.integers(1, n), min_size=b, max_size=b, unique=True)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         v = random_state(rng, 1 << n)
-        m = qla.bipartite_matrix(v, qla.SubsystemSplit(n=n, erased=erased))
+        m = qla.bipartite_matrix(v[None], [erased])[0, :, 0]
         assert m.shape == (1 << (n - b), 1 << b)
         assert abs(np.linalg.norm(m) - 1.0) < 1e-12
 
     def test_shape_contract(self):
-        split = qla.SubsystemSplit(n=2, erased=(1,))
-        for bad in (np.zeros(8), np.zeros((2, 8)), np.zeros((1, 2, 4))):
+        for bad in (np.zeros(8), np.zeros((2, 6)), np.zeros((1, 2, 4))):
             with pytest.raises(ContractError):
-                qla.bipartite_matrix(bad, split)
+                qla.bipartite_matrix(bad, [(1,)])
 
 
 class TestStackedCut:
@@ -144,21 +144,16 @@ class TestStackedCut:
         states = np.array([random_state(rng, 1 << n) for _ in range(3)])
         erased = np.array(sets, dtype=int).reshape(count, b)
         cut = qla.bipartite_matrix(states, erased)
-        one = qla.bipartite_matrix(states[0], erased)
         assert cut.shape == (count, 1 << (n - b), 3, 1 << b)
-        assert one.shape == (count, 1 << (n - b), 1 << b)
         gathered = states[..., oracle_cut_index(n, erased)]   # (3, S, dim_kept, dim_erased)
         for s, subset in enumerate(sets):
-            split = qla.SubsystemSplit(n=n, erased=subset)
-            assert_bit_exact(cut[s], qla.bipartite_matrix(states, split))
-            assert_bit_exact(one[s], qla.bipartite_matrix(states[0], split))
+            assert_bit_exact(cut[s], qla.bipartite_matrix(states, [subset])[0])
             assert_bit_exact(cut[s], gathered[:, s].transpose(1, 0, 2))
-            assert_bit_exact(one[s], gathered[0, s])
 
     @pytest.mark.parametrize("erased", [[[0, 1]], [[1, 4]], [[1, 1]], [[1, 2], [2, 2]]])
     def test_bad_labels_are_refused(self, erased):
-        with pytest.raises(ContractError):
-            qla.bipartite_matrix(np.zeros(8), np.array(erased))
+        with pytest.raises(ContractError, match=r"erased set \("):
+            qla.bipartite_matrix(np.zeros((1, 8)), np.array(erased))
 
 
 def random_mixture(rng, n, k):
@@ -180,7 +175,7 @@ class TestPartialTrace:
         states, p = random_mixture(rng, n, data.draw(st.integers(1, 3)))
         rho = (states.T * p) @ states.conj()
         split = qla.SubsystemSplit(n=n, erased=erased)
-        a = qla.bipartite_matrix(states, split)
+        a = qla.bipartite_matrix(states, [erased])[0]
         got = np.einsum("i,kif,lif->kl", p, a, a.conj())
         want = oracle_partial_trace(rho, n, list(erased))
         assert np.allclose(got, want, atol=1e-12)
@@ -195,7 +190,7 @@ class TestPartialTrace:
             st.lists(st.integers(1, n), min_size=b, max_size=b, unique=True)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         states, p = random_mixture(rng, n, data.draw(st.integers(1, 3)))
-        a = qla.bipartite_matrix(states, qla.SubsystemSplit(n=n, erased=erased))
+        a = qla.bipartite_matrix(states, [erased])[0]
         red = np.einsum("i,kif,lif->kl", p, a, a.conj())
         assert abs(np.trace(red) - 1.0) < 1e-12
         assert np.linalg.norm(red - red.conj().T) < 1e-12
@@ -206,8 +201,7 @@ class TestPartialTrace:
         # Tr_B |v><v| must match M M^dag with M the bipartite matrix
         rng = np.random.default_rng(7)
         v = random_state(rng, 16)
-        split = qla.SubsystemSplit(n=4, erased=(2, 4))
-        m = qla.bipartite_matrix(v, split)
+        m = qla.bipartite_matrix(v[None], [(2, 4)])[0, :, 0]
         red = oracle_partial_trace(np.outer(v, v.conj()), 4, [2, 4])
         assert np.allclose(red, m @ m.conj().T, atol=1e-12)
 
@@ -371,7 +365,9 @@ class TestRankAndPinv:
         rows = [[1.0, 0.5, 1e-12], [2.0, 2e-9, 0.0], [0.0, 0.0, 0.0], [-1.0, -2.0, 0.0]]
         got = qla.numerical_rank(np.array(rows), 1e-9)
         assert got.tolist() == [qla.numerical_rank(np.array(row), 1e-9) for row in rows]
-        assert type(qla.numerical_rank(np.array(rows[0]), 1e-9)) is int
+        # any leading shape: the last axis is ranked
+        assert qla.numerical_rank(np.array(rows).reshape(2, 2, 3), 1e-9).tolist() == [
+            got[:2].tolist(), got[2:].tolist()]
 
 
 class TestSmallHelpers:

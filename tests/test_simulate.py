@@ -131,11 +131,20 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False, rank_tol=R
     noiseless error is rewritten as an operator on the kept factor; a noisy
     one acts on the kept qubits plus the padded carrier register, and the
     share is truncated back to C.  Either way the receiver re-expands the
-    share through compress_isometry and undoes the qubit permutation.
+    share through compress_isometry and undoes the qubit permutation.  A
+    weight above the number of qubits the errors may act on is refused
+    first.
     """
     split = dec.split
     n, kept = split.n, split.kept
     allowed = kept if model == simulate.NOISELESS else tuple(range(1, n + 1))
+    compressed = ea.strategy == structure.COMPRESSED
+    c, m = ea.receiver_dim, len(kept)
+    share_noise = compressed and model == simulate.NOISY
+    n_err, sites = (m + ea.ebit_cost, range(1, m + ea.ebit_cost + 1)) if share_noise \
+        else (n, allowed)
+    if weight > len(sites):
+        raise ContractError(f"weight {weight} on {len(sites)} sites")
     recovered = [PauliOperator(n, 0, 0)] + [p for w in range(1, weight + 1)
                                             for p in codes.paulis_of_weight(n, allowed, w)]
     k = code.k_dim
@@ -154,13 +163,11 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False, rank_tol=R
     states = list(np.eye(code.k_dim))
     if code.k_dim > 1:
         states.append(np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim)))
-    compressed = ea.strategy == structure.COMPRESSED
     # position of each amplitude in the kept x erased table: its bits read
     # in the order kept qubits, then erased ones
     order = split.kept + split.erased
     inv = np.array([int("".join(format(idx, f"0{n}b")[q - 1] for q in order), 2)
                     for idx in range(1 << n)])
-    c, m = ea.receiver_dim, len(kept)
 
     def compressed_state(w):
         r = dec.ancilla_dim
@@ -181,11 +188,7 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False, rank_tol=R
         padded[:, :c] = mat
         return (pauli_matrix(err) @ padded.reshape(-1)).reshape(padded.shape)[:, :c]
 
-    share_noise = compressed and model == simulate.NOISY
-    n_err, sites = (m + ea.ebit_cost, range(1, m + ea.ebit_cost + 1)) if share_noise \
-        else (n, allowed)
-    apply_errors = list(codes.paulis_of_weight(n_err, sites, weight)) \
-        or [PauliOperator(n_err, 0, 0)]
+    apply_errors = list(codes.paulis_of_weight(n_err, sites, weight))
     cases, min_fid, failures = 0, 1.0, {}
     for err in apply_errors:
         letters = err.to_string()[1] or "I"
@@ -536,7 +539,7 @@ class TestVerifyEaAgainstOracle:
     def _outcome(verify, *args, **kwargs):
         try:
             return verify(*args, **kwargs)
-        except (NotCorrectableError, SizeError, ConsistencyError) as exc:
+        except (ContractError, NotCorrectableError, SizeError, ConsistencyError) as exc:
             return type(exc)
 
     @pytest.mark.parametrize("name,subset", EA_EXAMPLES)

@@ -422,6 +422,13 @@ class TestSubgroupOn:
         with pytest.raises(ContractError, match="requires an abelian group"):
             check(g, (2,))
 
+    def test_nonabelian_verdict_names_verdict_and_s(self):
+        # the refusal names the function that refused, whoever called it
+        g = stab.StabilizerGroup.from_strings(("XI", "ZI", "IZ"))
+        for call in (lambda: stab.verdict_and_s(g, (2,)), lambda: g.verdict((2,))):
+            with pytest.raises(ContractError, match="verdict_and_s requires an abelian group"):
+                call()
+
     def test_abelian_check_is_computed_once(self):
         g = stab.StabilizerGroup.from_strings(FIVE_GENS)
         assert "is_abelian" not in vars(g)

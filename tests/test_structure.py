@@ -265,7 +265,7 @@ class TestPresend:
         noise = rng.normal(size=code.basis.shape) + 1j * rng.normal(size=code.basis.shape)
         q, _ = np.linalg.qr((code.basis + 1e-6 * noise).T)
         perturbed = codes.QuantumCode(code.n, q.T)
-        moments = oracle_trace_moments(codes.cut_trace(perturbed, (4, 5)))
+        moments = oracle_trace_moments(codes.cut_trace(perturbed, [(4, 5)])[0])
         assert 1e-6 < oracle_kl_check(moments, 1e-4)[0] < 1e-4
         assert not perturbed.verdict((4, 5))[1]
         assert perturbed.verdict((4, 5), residual_tol=1e-4)[1]
