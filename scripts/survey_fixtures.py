@@ -36,21 +36,20 @@ def survey(name: str, max_size: int) -> None:
             if not report.correctable:
                 continue
             tallies[report.trichotomy] += 1
-            if best is None or report.marginal_rank > best[1].marginal_rank:
-                best = (report.split.erased, report)
+            if best is None or report.marginal_rank > best.marginal_rank:
+                best = report
         correctable = sum(tallies.values())
         parts = ", ".join(f"{cls}: {cnt}" for cls, cnt in tallies.items() if cnt)
         print(f"  size {size}: {correctable}/{total} correctable"
               + (f" ({parts})" if parts else ""))
         if best is not None:
-            subset, report = best
-            dec = structure.decompose(code, subset)
+            dec = structure.decompose(code, best.subset)
             unc = structure.ea_from_structure(dec)
             cmp_ = structure.compress(dec)
             tag = "" if cmp_.receiver_dim == unc.receiver_dim else \
                 f" -> compressed {structure.ea_parameters(dec, cmp_, d)[0]}"
-            print(f"    e.g. B={set(subset)}: {report.trichotomy}, "
-                  f"C={report.marginal_rank}, "
+            print(f"    e.g. B={set(best.subset)}: {best.trichotomy}, "
+                  f"C={best.marginal_rank}, "
                   f"{structure.ea_parameters(dec, unc, d)[0]} at {unc.ebit_cost} ebits{tag}")
 
 

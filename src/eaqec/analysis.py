@@ -32,6 +32,9 @@ A stabilizer group (stab.StabilizerGroup) takes the other route, the one
 analyze_subset and scan_subsets choose for it: every field of its report
 follows from GF(2) ranks of the group (_gf2_report), with no codewords and
 no tolerance, and the report's method says which route it came from.
+A report carries its erased set as the tuple of labels it was given,
+Python ints in order, checked once where they enter the route: by the cut
+(qla.bipartite_matrix) for a basis, by stab's support mask for a group.
 require_correctable reads the input's own verdict, for either kind.
 """
 
@@ -60,15 +63,16 @@ SCAN_CHUNK = 1 << 12    # entries of a scan chunk's cut, and of its partial trac
 class KLReport(NamedTuple):
     """Correctability verdict and spectral data for one erased set.
 
-    matrix_rank is the rank of the 4^b x 4^b coefficient matrix, read off
-    the marginal as 2^b C.  marginal and null_vectors are filled only by
-    kl_matrix; analyze_subset leaves both None.  method names the route
-    the report was read from, MOMENTS or GF2.  residual_max is
-    codes.kl_check's residual, the root-sum-square of the 4^b per-Pauli
-    residuals, on either route.
+    subset holds the erased qubit labels as Python ints, in the order they
+    were given, and b = len(subset).  matrix_rank is the rank of the 4^b x
+    4^b coefficient matrix, read off the marginal as 2^b C.  marginal and
+    null_vectors are filled only by kl_matrix; analyze_subset leaves both
+    None.  method names the route the report was read from, MOMENTS or
+    GF2.  residual_max is codes.kl_check's residual, the root-sum-square
+    of the 4^b per-Pauli residuals, on either route.
     """
 
-    split: qla.SubsystemSplit
+    subset: tuple[int, ...]
     residual_max: float
     correctable: bool
     marginal_spectrum: np.ndarray         # eigenvalues of varrho_B, descending, >= 0
@@ -81,11 +85,11 @@ class KLReport(NamedTuple):
 
     @property
     def matrix_dim(self) -> int:
-        return self.split.dim_erased ** 2
+        return 4 ** len(self.subset)
 
     @property
     def matrix_rank(self) -> int:
-        return self.split.dim_erased * self.marginal_rank
+        return self.marginal_rank << len(self.subset)
 
 
 def _analyze(code: QuantumCode, subsets, residual_tol: float,
@@ -93,7 +97,9 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
     """The reports for a list of erased sets of one size, and the
     B-marginals (S, 2^b, 2^b) they were read from: one stacked partial
     trace (codes.cut_trace), kl_check on it, and eigensolve each of the
-    marginals and of the kept blocks T_ii."""
+    marginals and of the kept blocks T_ii.  The subsets are tuples of
+    Python ints, carried into the reports as they are; the cut checks
+    their labels."""
     t = cut_trace(code, np.array(subsets, dtype=np.intp))
     k = code.k_dim
     residuals, verdicts = kl_check(t, residual_tol)
@@ -108,8 +114,7 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
             subsets, residuals.tolist(), verdicts.tolist(), spectra,
             marginal_ranks.tolist(), kept_ranks.tolist()):
         report = KLReport(
-            split=qla.SubsystemSplit(n=code.n, erased=subset),
-            residual_max=residual, correctable=correctable,
+            subset=subset, residual_max=residual, correctable=correctable,
             marginal_spectrum=spectrum, marginal_rank=rank,
             kept_marginal_ranks=tuple(kept))
         if correctable:
@@ -118,31 +123,32 @@ def _analyze(code: QuantumCode, subsets, residual_tol: float,
     return reports, marginals
 
 
-def _gf2_report(group: stab.StabilizerGroup, split: qla.SubsystemSplit) -> KLReport:
+def _gf2_report(group: stab.StabilizerGroup, subset: tuple[int, ...]) -> KLReport:
     """The report on one erased set of a stabilizer code, from three GF(2)
     eliminations and no codewords.
 
-    verdict_and_s gives the verdict, s, the dimension of the subgroup S_B
-    inside the set, and the residual the dense route would report.  The
-    B-marginal is 2^-b times the sum of S_B's elements, 2^(s-b) times the
-    projector onto their joint +1 space, so its spectrum is 1/C repeated
-    C = 2^(b - s) times, then zeros, and the set is pure iff s = 0 and
-    degenerate otherwise (classify).  On a
-    correctable set every codeword has the B-marginal varrho_B, so each
-    kept rank is C; on a failing one every codeword is a stabilizer state
-    of one group (codeword_dim_on), so each kept rank is 2^(b - s').  The
-    2^b spectrum entries and the K kept ranks are size-checked first.
+    verdict_and_s checks the labels and gives the verdict, s, the
+    dimension of the subgroup S_B inside the set, and the residual the
+    dense route would report.  The B-marginal is 2^-b times the sum of
+    S_B's elements, 2^(s-b) times the projector onto their joint +1
+    space, so its spectrum is 1/C repeated C = 2^(b - s) times, then
+    zeros, and the set is pure iff s = 0 and degenerate otherwise
+    (classify).  On a correctable set every codeword has the B-marginal
+    varrho_B, so each kept rank is C; on a failing one every codeword is a
+    stabilizer state of one group (codeword_dim_on), so each kept rank is
+    2^(b - s').  The 2^b spectrum entries and the K kept ranks are
+    size-checked before they are built.
     """
-    k, b, de = group.k_dim, split.b, split.dim_erased
-    qla.check_dim(de)
+    correctable, s, residual = stab.verdict_and_s(group, subset)
+    k, b = group.k_dim, len(subset)
+    qla.check_dim(1 << b)
     qla.check_dim(k)
-    correctable, s, residual = stab.verdict_and_s(group, split.erased)
     rank = 1 << (b - s)
-    spectrum = np.zeros(de)
+    spectrum = np.zeros(1 << b)
     spectrum[:rank] = 1.0 / rank
-    kept = rank if correctable else 1 << (b - stab.codeword_dim_on(group, split.erased))
+    kept = rank if correctable else 1 << (b - stab.codeword_dim_on(group, subset))
     report = KLReport(
-        split=split, residual_max=residual,
+        subset=subset, residual_max=residual,
         correctable=correctable, marginal_spectrum=spectrum, marginal_rank=rank,
         kept_marginal_ranks=(kept,) * k, method=GF2)
     return report._replace(trichotomy=classify(report)) if correctable else report
@@ -172,8 +178,7 @@ def kl_matrix(code: QuantumCode, subset,
     analyze_subset's.  They determine the coefficient matrix and its
     kernel (see the module docstring), which are not built.
     """
-    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
-    (report,), (marginal,) = _analyze(code, [split.erased], residual_tol, rank_tol)
+    (report,), (marginal,) = _analyze(code, [tuple(map(int, subset))], residual_tol, rank_tol)
     null = qla.eig_hermitian(marginal)[1][:, report.marginal_rank:]
     return report._replace(marginal=marginal, null_vectors=null)
 
@@ -182,8 +187,8 @@ def classify(report: KLReport) -> str:
     """Place a correctable subset in the pure/impure/degenerate trichotomy."""
     if not report.correctable:
         raise NotCorrectableError(
-            f"subset {report.split.erased} is not correctable; no classification")
-    dim = report.split.dim_erased
+            f"subset {report.subset} is not correctable; no classification")
+    dim = 1 << len(report.subset)
     if report.marginal_rank != dim:
         return DEGENERATE
     if np.max(np.abs(report.marginal_spectrum - 1.0 / dim)) <= PURITY_TOL:
@@ -204,10 +209,10 @@ def analyze_subset(source: QuantumCode | stab.StabilizerGroup, subset,
     limit; matrix_rank is 2^b rank(varrho_B).  marginal and
     null_vectors are None (see kl_matrix).
     """
-    split = qla.SubsystemSplit(n=source.n, erased=tuple(subset))
+    subset = tuple(map(int, subset))
     if isinstance(source, stab.StabilizerGroup):
-        return _gf2_report(source, split)
-    return _analyze(source, [split.erased], residual_tol, rank_tol)[0][0]
+        return _gf2_report(source, subset)
+    return _analyze(source, [subset], residual_tol, rank_tol)[0][0]
 
 
 def scan_subsets(source: QuantumCode | stab.StabilizerGroup, size: int,
@@ -225,8 +230,7 @@ def scan_subsets(source: QuantumCode | stab.StabilizerGroup, size: int,
     """
     subsets = itertools.combinations(range(1, source.n + 1), size)
     if isinstance(source, stab.StabilizerGroup):
-        return (_gf2_report(source, qla.SubsystemSplit(n=source.n, erased=subset))
-                for subset in subsets)
+        return (_gf2_report(source, subset) for subset in subsets)
     k = source.k_dim
     qla.check_dim(k ** 2 * 4 ** size)
     chunk = max(1, SCAN_CHUNK // max(k * source.dim, k ** 2 * 4 ** size))

@@ -109,8 +109,7 @@ def _subset_str(subset) -> str:
 
 def _report_json(report: analysis.KLReport, rank_tol: float, residual_tol: float) -> dict:
     data = {
-        "n": report.split.n,
-        "subset": list(report.split.erased),
+        "subset": list(report.subset),
         "verdict": "correctable" if report.correctable else "not_correctable",
         "correctable": report.correctable,
         "trichotomy": report.trichotomy,
@@ -154,7 +153,8 @@ def cmd_analyze(args) -> int:
         f"coefficient matrix rank: {report.matrix_rank} of {report.matrix_dim}",
         f"max residual: {report.residual_max:.3e}",
     ]
-    _emit(args, "\n".join(lines), _report_json(report, rank_tol, residual_tol))
+    _emit(args, "\n".join(lines),
+          {"n": source.n, **_report_json(report, rank_tol, residual_tol)})
     return 0 if report.correctable else 2
 
 
@@ -209,8 +209,8 @@ def cmd_decompose(args) -> int:
     eas = {strategy: _ea_code(strategy, dec, code)
            for strategy in (structure.PRESEND, structure.STRUCTURE, structure.COMPRESSED)}
     lines = [
-        f"subset: {_subset_str(dec.split.erased)}",
-        f"kept qubits: {len(dec.split.kept)}",
+        f"subset: {_subset_str(dec.subset)}",
+        f"kept qubits: {dec.n - len(dec.subset)}",
         f"K: {dec.k_dim}",
         f"dim_A: {dec.ancilla_dim}",
         f"ancilla spectrum: {_fmt_floats(dec.ancilla_spectrum)}",
@@ -289,7 +289,7 @@ def cmd_scan(args) -> int:
     size = args.size
     if not 1 <= size <= source.n:
         raise ContractError(f"scan size must be within 1..{source.n}")
-    rows = [(r.split.erased, r.correctable, r.trichotomy, r.marginal_rank)
+    rows = [(r.subset, r.correctable, r.trichotomy, r.marginal_rank)
             for r in analysis.scan_subsets(source, size, residual_tol=residual_tol,
                                            rank_tol=rank_tol)]
     correctable_count = sum(ok for _, ok, _, _ in rows)

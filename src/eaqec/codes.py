@@ -152,8 +152,9 @@ def apply_paulis(paulis, states: np.ndarray) -> np.ndarray:
 class QuantumCode:
     """A K-dimensional subspace of n qubits given by an explicit basis.
 
-    basis has shape (K, 2^n), one codeword per row; the rows must be
-    orthonormal within HERMITICITY_TOL.  verdict decides an erased set.
+    n is at least 1 and basis has shape (K, 2^n), one codeword per row;
+    the rows must be orthonormal within HERMITICITY_TOL.  verdict decides
+    an erased set.
     """
 
     n: int
@@ -161,6 +162,8 @@ class QuantumCode:
     label: str = ""
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ContractError(f"need at least one qubit, got n={self.n}")
         b = np.array(self.basis, dtype=complex)
         if b.ndim != 2 or b.shape[1] != 2 ** self.n:
             raise ContractError(f"basis shape {b.shape} does not match n={self.n}")

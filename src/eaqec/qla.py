@@ -6,14 +6,14 @@ so |b_1 b_2 ... b_n> sits at index int(b, 2).  Eigen- and singular
 decompositions are gauge fixed for reproducible output (eigh, for uses
 that read nothing the gauge changes, is not): values descending, and
 inside a degenerate block each vector is scaled so its first nonzero
-entry is real positive, blocks ordered by that pivot index.  Reports carry
-complex arrays as sparse JSON records of their nonzero entries
-(`array_to_json`).
+entry is real positive, blocks ordered by that pivot index.  An erased
+set is a plain sequence of 1-based qubit labels in its own order; the cut
+(`bipartite_matrix`) checks them, and puts the kept qubits, ascending, on
+rows and the erased ones, as given, on columns.  Reports carry complex
+arrays as sparse JSON records of their nonzero entries (`array_to_json`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,48 +27,6 @@ def check_dim(dim: int) -> None:
     """The one size rule: refuse to allocate more than MAX_DIM dense entries."""
     if dim > MAX_DIM:
         raise SizeError(f"dense dimension {dim} exceeds cap {MAX_DIM}")
-
-
-@dataclass(frozen=True)
-class SubsystemSplit:
-    """A bipartition of n qubits into an erased set and its kept complement.
-
-    `erased` uses 1-based qubit labels and keeps its given order; the kept
-    complement is always ascending.  The reshape convention downstream puts
-    kept qubits on rows and erased qubits on columns.
-    """
-
-    n: int
-    erased: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "erased", tuple(int(q) for q in self.erased))
-        if self.n < 1:
-            raise ContractError(f"need at least one qubit, got n={self.n}")
-        seen = set()
-        for q in self.erased:
-            if not 1 <= q <= self.n:
-                raise ContractError(f"qubit label {q} outside 1..{self.n}")
-            if q in seen:
-                raise ContractError(f"duplicate qubit label {q}")
-            seen.add(q)
-
-    @property
-    def b(self) -> int:
-        return len(self.erased)
-
-    @property
-    def kept(self) -> tuple[int, ...]:
-        absent = set(self.erased)
-        return tuple(q for q in range(1, self.n + 1) if q not in absent)
-
-    @property
-    def dim_erased(self) -> int:
-        return 2 ** self.b
-
-    @property
-    def dim_kept(self) -> int:
-        return 2 ** (self.n - self.b)
 
 
 def bipartite_matrix(states, erased) -> np.ndarray:

@@ -11,7 +11,9 @@ their Gram matrix G and the channel weights; no decoder array and no 2^n x
 transmits.  On the n code qubits every fidelity is read off columns of G,
 so no error is applied twice; the compressed strategy's kept plus carrier
 qubits take the errors and a receiver map, and the received states, kept x
-erased, are decoded against the images cut once across the same split.
+erased, are decoded against the images cut once across the same erased
+set.  The kept labels are derived once, from the decomposition's n and
+erased labels.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
     all the test states at once, in batches no larger than the images, and
     the receiver reads the first C carrier amplitudes and re-expands them
     through compress_isometry, kept x erased, to be decoded against the
-    images cut once across the split (qla.bipartite_matrix); amplitude an
-    error pushes outside them is lost.
+    images cut once across the erased set (qla.bipartite_matrix);
+    amplitude an error pushes outside them is lost.
 
     noiseless: errors act on the kept qubits only (the receiver's share is
     pristine).  noisy: errors act on every transmitted qubit.  A
@@ -149,15 +151,16 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
             "the compressed strategy assumes noiseless erased qubits; "
             "rerun with --exploratory (exploratory=True) to probe it under noise anyway")
 
-    split = dec.split
-    n_kept = len(split.kept)
-    n_reg = split.n if ea.compress_isometry is None else n_kept + ea.ebit_cost   # qubits sent
+    n, dim_kept = dec.n, len(dec.isometry)
+    kept = [q for q in range(1, n + 1) if q not in dec.subset]
+    n_kept = len(kept)
+    n_reg = n if ea.compress_isometry is None else n_kept + ea.ebit_cost   # qubits sent
     n_sites = n_kept if model == NOISELESS else n_reg
     if weight > n_sites:
         raise ContractError(f"error weight {weight} exceeds {n_sites}, the number of "
                             f"qubits that errors act on under the {model} model")
-    allowed = split.kept if model == NOISELESS else tuple(range(1, split.n + 1))
-    levels = [list(paulis_of_weight(split.n, allowed, w)) for w in range(weight + 1)]
+    allowed = kept if model == NOISELESS else range(1, n + 1)
+    levels = [list(paulis_of_weight(n, allowed, w)) for w in range(weight + 1)]
     recovered = [p for level in levels for p in level]
     rec = kl_recovery(code, recovered, residual_tol=residual_tol, rank_tol=rank_tol)
     targets = np.eye(code.k_dim)    # rows w of the test states w @ code.basis: each codeword,
@@ -172,18 +175,18 @@ def verify_ea(ea: structure.EACode, dec: structure.StructureDecomposition,
         overlaps = [rec.gram.reshape(-1, m, code.k_dim)[:, hit] @ targets.T]
     else:
         c, carrier_dim, sep = ea.receiver_dim, 1 << ea.ebit_cost, "|"
-        sent = np.zeros((split.dim_kept, carrier_dim, len(targets)), dtype=complex)
+        sent = np.zeros((dim_kept, carrier_dim, len(targets)), dtype=complex)
         sent[:, :c] = np.einsum("si,kia,ac->kcs", targets,
-                                dec.isometry.reshape(split.dim_kept, code.k_dim, -1),
+                                dec.isometry.reshape(dim_kept, code.k_dim, -1),
                                 ea.shared_state.reshape(ea.sender_dim, c))
         errors = list(paulis_of_weight(n_reg, range(1, n_sites + 1), weight))
         batch = max(1, rec.images.size // (code.dim * len(targets)))
-        cut = qla.bipartite_matrix(rec.images.T, [split.erased])[0]    # (kept, m K, erased)
+        cut = qla.bipartite_matrix(rec.images.T, [dec.subset])[0]    # (kept, m K, erased)
         bras = cut.transpose(1, 0, 2).reshape(len(rec.gram), -1).conj()
 
         def received(batch_errors):            # kept x erased rows, (2^n, E*S)
             hits = apply_paulis(batch_errors, sent.reshape(-1, len(targets)))
-            share = hits.reshape(split.dim_kept, carrier_dim, -1)
+            share = hits.reshape(dim_kept, carrier_dim, -1)
             return (ea.compress_isometry @ share[:, :c]).reshape(code.dim, -1)
 
         overlaps = (bras @ received(errors[start:start + batch])

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,12 +54,17 @@ def _rows(ops) -> tuple[int, ...]:
 
 
 def _support_mask(n: int, subset) -> int:
-    """Row bits (x and z) of the given qubits, each label checked."""
+    """Row bits (x and z) of the given qubits: the GF(2) route's one label
+    check, refusing a label outside 1..n or a repeated one.  Labels are
+    read with operator.index, so numpy integers count and floats do not."""
     m = 0
-    for q in subset:
+    for q in map(operator.index, subset):
         if not 1 <= q <= n:
             raise ContractError(f"qubit label {q} outside 1..{n}")
-        m |= 1 << (n - q)
+        bit = 1 << (n - q)
+        if m & bit:
+            raise ContractError(f"duplicate qubit label {q}")
+        m |= bit
     return (m << n) | m
 
 
@@ -142,6 +148,8 @@ class StabilizerGroup:
             if not paulis:
                 raise ContractError("cannot infer qubit count from an empty generator list")
             n = paulis[0].n
+        if n < 1:
+            raise ContractError(f"need at least one qubit, got n={n}")
         return cls(n=n, generators=_canonicalize(paulis, n))
 
     @classmethod

@@ -9,7 +9,9 @@ codeword 0's to extract psi and the first isometry block, then solve the
 remaining blocks with the pseudoinverse of psi.  Everything is certified
 after the fact (isometry and reconstruction residuals), so a
 non-correctable set fails loudly rather than returning a bogus
-factorization.
+factorization.  The decomposition carries n and the erased labels as
+given, which the cut checks; everything else about the bipartition is
+read off those two and the isometry, whose rows span the kept qubits.
 """
 
 from __future__ import annotations
@@ -33,15 +35,18 @@ NOISELESS_ONLY = "noiseless_only"
 
 
 class StructureDecomposition(NamedTuple):
-    """Certified factorization of a code over a kept/erased split.
+    """Certified factorization of an n-qubit code across an erased set.
 
-    isometry maps the message register (index major) and ancilla (index
-    minor) into the kept qubits; shared_state is the ancilla/erased-side
-    pure state with the ancilla index major; ancilla_state is its reduced
-    density operator on A.
+    subset holds the erased qubit labels as Python ints, in the order they
+    were given; the kept qubits are the rest, ascending, and their
+    dimension is the isometry's row count.  isometry maps the message
+    register (index major) and ancilla (index minor) into the kept qubits;
+    shared_state is the ancilla/erased-side pure state with the ancilla
+    index major; ancilla_state is its reduced density operator on A.
     """
 
-    split: qla.SubsystemSplit
+    n: int
+    subset: tuple[int, ...]
     k_dim: int
     ancilla_dim: int
     isometry: np.ndarray       # dim_kept x (k_dim * ancilla_dim)
@@ -68,18 +73,18 @@ def decompose(code: QuantumCode, subset,
     the subset is not correctable (no valid factorization exists then).
     """
     subset = tuple(subset)
-    split = qla.SubsystemSplit(n=code.n, erased=subset)
     k = code.k_dim
     mats = qla.bipartite_matrix(code.basis, [subset])[0].transpose(1, 0, 2)   # A_i = mats[i]
+    dim_kept = mats.shape[1]
 
     u0, s0, v0h = qla.svd(mats[0])
     r = int(qla.numerical_rank(s0 ** 2, rank_tol))
     if r == 0:
         raise ContractError("codeword 0 vanishes; cannot anchor the factorization")
-    if r * k > split.dim_kept:
+    if r * k > dim_kept:
         raise StructureViolationError(
             f"message x ancilla dimension {k}x{r} exceeds kept dimension "
-            f"{split.dim_kept}; subset cannot be correctable")
+            f"{dim_kept}; subset cannot be correctable")
     ranks = qla.numerical_rank(np.linalg.svd(mats[1:], compute_uv=False) ** 2, rank_tol)
     if np.any(ranks > r):
         i = int(np.argmax(ranks > r))
@@ -106,7 +111,7 @@ def decompose(code: QuantumCode, subset,
     if trace_err > TRACE_TOL:
         raise ConsistencyError(f"ancilla state trace off by {trace_err:.2e}")
     return StructureDecomposition(
-        split=split, k_dim=k, ancilla_dim=r, isometry=isometry,
+        n=code.n, subset=tuple(map(int, subset)), k_dim=k, ancilla_dim=r, isometry=isometry,
         ancilla_state=gamma, shared_state=psi_mat.reshape(-1),
         residual=recon, isometry_defect=defect)
 
@@ -148,7 +153,7 @@ def ea_parameters(dec: StructureDecomposition, ea: EACode, d: int) -> tuple[str,
     """The parameter tuple ((n - b, K, d; C)) of an EA description, C its
     receiver dimension, and its stabilizer form [[n - b, log2 K, d; log2 C]]
     when K and C are powers of two (None otherwise)."""
-    n_sent, k, c = dec.split.n - dec.split.b, dec.k_dim, ea.receiver_dim
+    n_sent, k, c = dec.n - len(dec.subset), dec.k_dim, ea.receiver_dim
     dimension_form = f"(({n_sent},{k},{d};{c}))"
     if k & (k - 1) or c & (c - 1):
         return dimension_form, None
@@ -164,7 +169,7 @@ def ea_from_structure(dec: StructureDecomposition) -> EACode:
     c = dec.ancilla_dim
     return EACode(
         strategy=STRUCTURE, shared_state=dec.shared_state.copy(),
-        sender_dim=c, receiver_dim=dec.split.dim_erased, schmidt_rank=c)
+        sender_dim=c, receiver_dim=1 << len(dec.subset), schmidt_rank=c)
 
 
 def compress(dec: StructureDecomposition) -> EACode:
@@ -177,7 +182,7 @@ def compress(dec: StructureDecomposition) -> EACode:
     not commute with V V^dag.
     """
     r = dec.ancilla_dim
-    psi_mat = dec.shared_state.reshape(r, dec.split.dim_erased)
+    psi_mat = dec.shared_state.reshape(r, 1 << len(dec.subset))
     weights = np.linalg.norm(psi_mat, axis=1)
     v_embed = (psi_mat / weights[:, None]).conj().T      # dim_erased x r
     gram = v_embed.conj().T @ v_embed
@@ -197,17 +202,16 @@ def presend_from_decomposition(dec: StructureDecomposition, code: QuantumCode) -
     qubits, which exist because the set is correctable; tests/conftest.py
     builds them and the tests check this steering.
     """
-    split = dec.split
-    shared = qla.bipartite_matrix(code.basis[:1], [split.erased])[0].reshape(-1)
+    shared = qla.bipartite_matrix(code.basis[:1], [dec.subset])[0].reshape(-1)
     return EACode(
-        strategy=PRESEND, shared_state=shared, sender_dim=split.dim_kept,
-        receiver_dim=split.dim_erased, schmidt_rank=dec.ancilla_dim)
+        strategy=PRESEND, shared_state=shared, sender_dim=len(dec.isometry),
+        receiver_dim=1 << len(dec.subset), schmidt_rank=dec.ancilla_dim)
 
 
 def decomposition_to_json(dec: StructureDecomposition) -> dict:
     return {
-        "n": dec.split.n,
-        "subset": list(dec.split.erased),
+        "n": dec.n,
+        "subset": list(dec.subset),
         "k_dim": dec.k_dim,
         "dim_A": dec.ancilla_dim,
         "ancilla_spectrum": [float(x) for x in dec.ancilla_spectrum],

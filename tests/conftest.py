@@ -261,13 +261,18 @@ def oracle_cut_index(n: int, erased) -> np.ndarray:
 # pass of analysis: the transpose cut, the moment transform of one partial
 # trace, the Knill-Laflamme residual and the eigenvalues of eig_hermitian.
 
+def kept_qubits(n: int, subset) -> tuple[int, ...]:
+    """The labels of 1..n outside the erased set, ascending."""
+    return tuple(q for q in range(1, n + 1) if q not in subset)
+
+
 def oracle_cut_trace(code: QuantumCode, subset) -> np.ndarray:
     """T_ij = A_i^dag A_j for one subset, each codeword cut by one axis
     transpose (kept qubits ascending, codeword, erased qubits as given)."""
-    split = qla.SubsystemSplit(n=code.n, erased=tuple(subset))
-    k, de = code.k_dim, split.dim_erased
-    axes = list(split.kept) + [0] + list(split.erased)
-    a = code.basis.reshape((k,) + (2,) * code.n).transpose(axes).reshape(split.dim_kept, k * de)
+    kept = kept_qubits(code.n, subset)
+    k, de = code.k_dim, 1 << len(subset)
+    axes = list(kept) + [0] + list(subset)
+    a = code.basis.reshape((k,) + (2,) * code.n).transpose(axes).reshape(1 << len(kept), k * de)
     return (a.conj().T @ a).reshape(k, de, k, de)
 
 
@@ -460,12 +465,11 @@ def channel_form_check(dec: structure.StructureDecomposition,
     the full-space Frobenius deviation.  The dim_kept^2 entries of each
     kept-side operator are size-checked first.
     """
-    split = dec.split
-    qla.check_dim(split.dim_kept ** 2)
+    qla.check_dim(len(dec.isometry) ** 2)
     k = dec.k_dim
     gamma = dec.ancilla_state
     u = dec.isometry
-    mats = qla.bipartite_matrix(code.basis, [split.erased])[0]   # w @ mats cuts w @ basis
+    mats = qla.bipartite_matrix(code.basis, [dec.subset])[0]   # w @ mats cuts w @ basis
     worst = 0.0
     for i in range(k):
         for j in range(i, k):
@@ -479,7 +483,7 @@ def channel_form_check(dec: structure.StructureDecomposition,
                 lhs_kept = mat @ mat.conj().T
                 rho_r = np.outer(w, w.conj())
                 rhs_kept = u @ np.kron(rho_r, gamma) @ u.conj().T
-                dev = float(np.linalg.norm(lhs_kept - rhs_kept)) / np.sqrt(split.dim_erased)
+                dev = float(np.linalg.norm(lhs_kept - rhs_kept)) / np.sqrt(1 << len(dec.subset))
                 worst = max(worst, dev)
     return worst
 
@@ -497,7 +501,7 @@ def logical_unitary_on_complement(dec: structure.StructureDecomposition,
     factor maps encoded states exactly as V_R maps messages.  The result's
     dim_kept^2 entries are size-checked first.
     """
-    qla.check_dim(dec.split.dim_kept ** 2)
+    qla.check_dim(len(dec.isometry) ** 2)
     k, r = dec.k_dim, dec.ancilla_dim
     v_r = np.asarray(message_unitary, dtype=complex)
     if v_r.shape != (k, k):
@@ -510,17 +514,17 @@ def logical_unitary_on_complement(dec: structure.StructureDecomposition,
     return lifted + complement
 
 
-def apply_on_kept(state: np.ndarray, split: qla.SubsystemSplit,
-                  kept_operator: np.ndarray) -> np.ndarray:
+def apply_on_kept(state: np.ndarray, subset, kept_operator: np.ndarray) -> np.ndarray:
     """Apply an operator on the kept factor to a full state, original qubit order.
 
-    The state is cut (qla.bipartite_matrix), acted on row-wise, and put back
-    by undoing the cut's axis order: kept qubits ascending, then the
-    erased ones as the split stores them.
+    The state is cut across the erased set (qla.bipartite_matrix), acted on
+    row-wise, and put back by undoing the cut's axis order: kept qubits
+    ascending, then the erased ones as given.
     """
-    cut = qla.bipartite_matrix(np.asarray(state)[None], [split.erased])[0, :, 0]
-    moved = (kept_operator @ cut).reshape((2,) * split.n)
-    return moved.transpose(np.argsort(split.kept + split.erased)).reshape(-1)
+    n = len(state).bit_length() - 1
+    cut = qla.bipartite_matrix(np.asarray(state)[None], [subset])[0, :, 0]
+    moved = (kept_operator @ cut).reshape((2,) * n)
+    return moved.transpose(np.argsort(kept_qubits(n, subset) + tuple(subset))).reshape(-1)
 
 
 # The uint8 GF(2) matrix kit that stab used before its one elimination on

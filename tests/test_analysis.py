@@ -20,7 +20,7 @@ from hypothesis import given, settings
 
 from eaqec import analysis, codes, qla, stab, structure
 from eaqec.config import MAX_DIM, RANK_TOL, RESIDUAL_TOL
-from eaqec.errors import NotCorrectableError, SizeError, StructureViolationError
+from eaqec.errors import ContractError, NotCorrectableError, SizeError, StructureViolationError
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, abelian_groups, assert_bit_exact,
                       cached_fixture, coefficient_matrix, oracle_analysis, oracle_kl_check,
@@ -118,7 +118,7 @@ def check_marginal_and_null_vectors(report, code, subset) -> None:
     """A kl_matrix report's varrho_B against the einsum partial trace of
     P / K, and its null vectors: 2^b - C of them, orthonormal, annihilated
     by varrho_B."""
-    d = report.split.dim_erased
+    d = 1 << len(report.subset)
     np.testing.assert_allclose(report.marginal, oracle_erased_marginal(code, subset),
                                rtol=0, atol=1e-12)
     null = report.null_vectors
@@ -293,7 +293,7 @@ class TestCoefficientMatrix:
         for subset in subsets:
             report = analysis.kl_matrix(code, subset, residual_tol=residual_tol)
             lam, kernel = rebuilt(report)
-            d = report.split.dim_erased
+            d = 1 << len(report.subset)
             eigs = np.linalg.eigvalsh(lam)
             marginal = np.linalg.eigvalsh(oracle_erased_marginal(code, subset))
             assert np.abs(eigs - np.repeat(d * marginal, d)).max() <= 1e-12
@@ -443,7 +443,7 @@ class TestMarginal:
                 for report in analysis.scan_subsets(code, b):
                     if report.correctable:
                         assert report.kept_marginal_ranks == \
-                            (report.marginal_rank,) * code.k_dim, (name, report.split.erased)
+                            (report.marginal_rank,) * code.k_dim, (name, report.subset)
                         checked += 1
         assert checked == 111
 
@@ -472,7 +472,7 @@ class TestClassify:
             code = cached_fixture(name)
             for subset in itertools.combinations(range(1, code.n + 1), 2):
                 report = analysis.kl_matrix(code, subset)
-                dim = report.split.dim_erased
+                dim = 1 << len(report.subset)
                 assert (report.matrix_rank == dim * dim) == \
                     (report.marginal_rank == dim)
 
@@ -627,7 +627,7 @@ class TestFindCorrectableSets:
         v[0] = 1.0
         big = codes.QuantumCode(n=n, basis=v[None, :])
         reports = correctable_sets(big, 1)
-        assert [r.split.erased for r in reports] == [(q,) for q in range(1, n + 1)]
+        assert [r.subset for r in reports] == [(q,) for q in range(1, n + 1)]
         assert all(r.trichotomy == analysis.DEGENERATE and r.marginal_rank == 1
                    for r in reports)
 
@@ -702,7 +702,7 @@ def assert_matches_oracle(report, want):
     """A report equals the per-subset oracle's: the spectrum bit for bit,
     verdict, C, class and kept ranks exactly, and the residual, which the
     oracle sums over the 4^b Pauli moments, within 1e-12 relative."""
-    assert report.split.erased == want["subset"]
+    assert report.subset == want["subset"]
     assert abs(report.residual_max - want["residual"]) <= 1e-12 * max(want["residual"], 1.0)
     assert_bit_exact(report.marginal_spectrum, want["spectrum"])
     assert report.correctable == want["correctable"]
@@ -720,9 +720,9 @@ class TestStackedPass:
         for b in sizes:
             reports = list(analysis.scan_subsets(code, b, **tols))
             subsets = list(itertools.combinations(range(1, code.n + 1), b))
-            assert [r.split.erased for r in reports] == subsets
+            assert [r.subset for r in reports] == subsets
             for report in reports:
-                want = oracle_analysis(code, report.split.erased, **tols)
+                want = oracle_analysis(code, report.subset, **tols)
                 single = analysis.analyze_subset(code, want["subset"], **tols)
                 assert_matches_oracle(report, want)
                 assert_matches_oracle(single, want)
@@ -774,12 +774,12 @@ class TestStackedPass:
         scan = analysis.scan_subsets(code, 3)
         assert passes == []                       # nothing runs before it is read
         first = next(scan)
-        assert first.split.erased == (1, 2, 3) and passes == [3]
+        assert first.subset == (1, 2, 3) and passes == [3]
         reports = [first] + list(scan)
         assert passes == [3] * 11 + [2]
-        assert [r.split.erased for r in reports] == list(itertools.combinations(range(1, 8), 3))
+        assert [r.subset for r in reports] == list(itertools.combinations(range(1, 8), 3))
         for report in reports:
-            assert_matches_oracle(report, oracle_analysis(code, report.split.erased))
+            assert_matches_oracle(report, oracle_analysis(code, report.subset))
 
     def test_chunks_bound_the_cut_and_the_partial_traces(self, passes, monkeypatch):
         shor = stab.codewords(stab.StabilizerGroup.from_strings(SHOR_GENS))
@@ -795,3 +795,66 @@ class TestStackedPass:
         monkeypatch.setattr(analysis, "SCAN_CHUNK", 1)
         list(analysis.scan_subsets(cached_fixture("pi_4_2_2"), 2))
         assert passes == [1] * 6                  # never less than one subset
+
+
+def _source(kind: str):
+    """The five-qubit basis, or Shor's group: one source of each kind."""
+    if kind == "basis":
+        return cached_fixture("five_qubit")
+    return stab.StabilizerGroup.from_strings(SHOR_GENS)
+
+
+def _basis(source) -> codes.QuantumCode:
+    return stab.codewords(source) if isinstance(source, stab.StabilizerGroup) else source
+
+
+ENTRY_POINTS = {
+    "verdict": lambda source, subset: source.verdict(subset),
+    "analyze_subset": analysis.analyze_subset,
+    "kl_matrix": lambda source, subset: analysis.kl_matrix(_basis(source), subset),
+    "decompose": lambda source, subset: structure.decompose(_basis(source), subset),
+    "verdict_and_s": stab.verdict_and_s,
+    "subgroup_on": stab.subgroup_on,
+    "codeword_dim_on": stab.codeword_dim_on,
+}
+GROUP_ONLY = ("verdict_and_s", "subgroup_on", "codeword_dim_on")
+
+
+class TestErasedLabels:
+    """Each route checks an erased set's labels once, where they enter it:
+    the cut for a basis, the GF(2) support mask for a group.  A report and
+    a decomposition carry the labels as Python ints, in the given order."""
+
+    @pytest.mark.parametrize("labels", ["0", "n+1", "1,1"])
+    @pytest.mark.parametrize("kind,entry", [
+        (kind, entry) for kind in ("basis", "group") for entry in ENTRY_POINTS
+        if kind == "group" or entry not in GROUP_ONLY])
+    def test_bad_labels_are_refused(self, kind, entry, labels):
+        source = _source(kind)
+        subset = {"0": (0,), "n+1": (source.n + 1,), "1,1": (1, 1)}[labels]
+        with pytest.raises(ContractError):
+            ENTRY_POINTS[entry](source, subset)
+
+    @pytest.mark.parametrize("kind", ["basis", "group"])
+    def test_labels_are_carried_as_given(self, kind):
+        source = _source(kind)
+        labels = np.array([3, 1])
+        dec = structure.decompose(_basis(source), labels)
+        assert dec.n == source.n and len(dec.isometry) == 1 << (source.n - 2)
+        for subset in (analysis.analyze_subset(source, labels).subset,
+                       analysis.kl_matrix(_basis(source), labels).subset, dec.subset):
+            assert subset == (3, 1) and all(type(q) is int for q in subset)
+
+    def test_gf2_route_reads_integer_arrays(self):
+        group = _source("group")
+        for entry in ("verdict",) + GROUP_ONLY:
+            assert ENTRY_POINTS[entry](group, np.array([3, 1])) == \
+                ENTRY_POINTS[entry](group, (3, 1)), entry
+
+    def test_zero_qubit_sources_are_refused(self):
+        with pytest.raises(ContractError, match="at least one qubit"):
+            codes.QuantumCode(0, np.ones((1, 1)))
+        with pytest.raises(ContractError, match="at least one qubit"):
+            stab.StabilizerGroup.from_strings([""])
+        with pytest.raises(ContractError, match="at least one qubit"):
+            stab.StabilizerGroup.from_generators([], n=0)

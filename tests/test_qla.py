@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: splits, the cut, spectra, ranks.
+"""Dense linear-algebra kernel: the cut, spectra, ranks.
 
 Oracles here are written from first principles with einsum/kron index
 gymnastics, independent of the library's reshape-based implementations.
@@ -15,8 +15,8 @@ from eaqec import qla
 from eaqec.config import HERMITICITY_TOL, RANK_TOL
 from eaqec.errors import ContractError, SizeError
 
-from conftest import (array_from_json, assert_bit_exact, oracle_cut_index, random_density,
-                      random_hermitian, random_state)
+from conftest import (array_from_json, assert_bit_exact, kept_qubits, oracle_cut_index,
+                      random_density, random_hermitian, random_state)
 
 
 def oracle_partial_trace(rho, n, traced_qubits):
@@ -45,29 +45,6 @@ def oracle_permute(state, n, order):
     return out
 
 
-class TestSubsystemSplit:
-    def test_basic_fields(self):
-        s = qla.SubsystemSplit(n=5, erased=(4, 5))
-        assert s.b == 2
-        assert s.kept == (1, 2, 3)
-        assert s.dim_kept == 8 and s.dim_erased == 4
-        assert s.kept + s.erased == (1, 2, 3, 4, 5)
-
-    def test_erased_order_preserved(self):
-        s = qla.SubsystemSplit(n=4, erased=(3, 1))
-        assert s.kept == (2, 4)
-        assert s.kept + s.erased == (2, 4, 3, 1)
-
-    def test_empty_erased(self):
-        s = qla.SubsystemSplit(n=3, erased=())
-        assert s.b == 0 and s.dim_erased == 1 and s.kept == (1, 2, 3)
-
-    @pytest.mark.parametrize("bad", [(0,), (6,), (2, 2)])
-    def test_validation(self, bad):
-        with pytest.raises(ContractError):
-            qla.SubsystemSplit(n=5, erased=bad)
-
-
 class TestPermutation:
     """The cut is a qubit permutation, kept qubits first, then a reshape."""
 
@@ -82,19 +59,19 @@ class TestPermutation:
     def test_matches_bit_shuffle_oracle(self, n, rnd):
         order = list(range(1, n + 1))
         rnd.shuffle(order)
-        split = qla.SubsystemSplit(n=n, erased=tuple(order[rnd.randint(0, n):]))
-        order = list(split.kept + split.erased)
+        erased = tuple(order[rnd.randint(0, n):])
+        order = list(kept_qubits(n, erased) + erased)
         rng = np.random.default_rng(rnd.randint(0, 2**32 - 1))
         v = random_state(rng, 1 << n)
-        got = qla.bipartite_matrix(v[None], [split.erased]).ravel()
+        got = qla.bipartite_matrix(v[None], [erased]).ravel()
         want = oracle_permute(v, n, order)
         assert np.allclose(got, want, atol=1e-14)
         # a stack of states cuts row by row
         stack = np.array([v, 2 * v, 1j * v])
-        cut = qla.bipartite_matrix(stack, [split.erased])[0]
-        assert cut.shape == (split.dim_kept, 3, split.dim_erased)
+        cut = qla.bipartite_matrix(stack, [erased])[0]
+        assert cut.shape == (1 << (n - len(erased)), 3, 1 << len(erased))
         for i, row in enumerate(stack):
-            one = qla.bipartite_matrix(row[None], [split.erased])[0, :, 0]
+            one = qla.bipartite_matrix(row[None], [erased])[0, :, 0]
             assert np.array_equal(cut[:, i], one)
         # an operator relabelled by the same permutation acts consistently:
         # permute(a v) = (P a P^T) permute(v), P built column by column
@@ -102,7 +79,7 @@ class TestPermutation:
         perm = np.array([oracle_permute(col, n, order) for col in np.eye(dim)]).T
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         lhs = perm @ a @ perm.T @ got
-        assert np.allclose(lhs, qla.bipartite_matrix((a @ v)[None], [split.erased]).ravel(),
+        assert np.allclose(lhs, qla.bipartite_matrix((a @ v)[None], [erased]).ravel(),
                            atol=1e-12)
 
 
@@ -174,13 +151,12 @@ class TestPartialTrace:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         states, p = random_mixture(rng, n, data.draw(st.integers(1, 3)))
         rho = (states.T * p) @ states.conj()
-        split = qla.SubsystemSplit(n=n, erased=erased)
         a = qla.bipartite_matrix(states, [erased])[0]
         got = np.einsum("i,kif,lif->kl", p, a, a.conj())
         want = oracle_partial_trace(rho, n, list(erased))
         assert np.allclose(got, want, atol=1e-12)
         got_k = np.einsum("i,kif,kig->fg", p, a, a.conj())
-        want_k = oracle_partial_trace(rho, n, list(split.kept))
+        want_k = oracle_partial_trace(rho, n, list(kept_qubits(n, erased)))
         assert np.allclose(got_k, want_k, atol=1e-12)
 
     @given(st.integers(2, 6), st.data())

@@ -24,8 +24,8 @@ from eaqec.errors import (ConsistencyError, ContractError, EaqecError, ModelMism
                           NotCorrectableError, SizeError)
 
 from conftest import (KrausChannel, abelian_groups, cached_fixture, channel_form_check,
-                      oracle_moment_residuals, pauli_matrix, random_density, random_state,
-                      replacer_channel)
+                      kept_qubits, oracle_moment_residuals, pauli_matrix, random_density,
+                      random_state, replacer_channel)
 from test_analysis import oracle_projector
 
 
@@ -135,8 +135,7 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False, rank_tol=R
     weight above the number of qubits the errors may act on is refused
     first.
     """
-    split = dec.split
-    n, kept = split.n, split.kept
+    n, kept = dec.n, kept_qubits(dec.n, dec.subset)
     allowed = kept if model == simulate.NOISELESS else tuple(range(1, n + 1))
     compressed = ea.strategy == structure.COMPRESSED
     c, m = ea.receiver_dim, len(kept)
@@ -165,7 +164,7 @@ def oracle_verify_ea(ea, dec, code, model, weight, exploratory=False, rank_tol=R
         states.append(np.full(code.k_dim, 1.0 / np.sqrt(code.k_dim)))
     # position of each amplitude in the kept x erased table: its bits read
     # in the order kept qubits, then erased ones
-    order = split.kept + split.erased
+    order = kept + dec.subset
     inv = np.array([int("".join(format(idx, f"0{n}b")[q - 1] for q in order), 2)
                     for idx in range(1 << n)])
 
@@ -385,8 +384,7 @@ class TestKlRecoveryAgainstDense:
     def test_fidelities_match_dense_channel(self, name, subset, model):
         code = cached_fixture(name)
         n = code.n
-        sites = (qla.SubsystemSplit(n=n, erased=subset).kept if model == simulate.NOISELESS
-                 else range(1, n + 1))
+        sites = kept_qubits(n, subset) if model == simulate.NOISELESS else range(1, n + 1)
         errors = [PauliOperator(n, 0, 0)] + list(codes.paulis_of_weight(n, sites, 1))
         decoders = _decoders(simulate.kl_recovery(code, errors), code.k_dim)
         kraus = oracle_kl_recovery(code, errors)
@@ -586,7 +584,8 @@ class TestVerifyEaAgainstOracle:
         monkeypatch.setattr(simulate, "apply_paulis",
                             lambda *a: calls.append(len(a[0])) or codes.apply_paulis(*a))
         got = simulate.verify_ea(ea, dec, code, model, 1, exploratory=exploratory)
-        allowed = dec.split.kept if model == simulate.NOISELESS else range(1, code.n + 1)
+        allowed = (kept_qubits(code.n, subset) if model == simulate.NOISELESS
+                   else range(1, code.n + 1))
         m = 1 + len(list(codes.paulis_of_weight(code.n, allowed, 1)))
         assert calls[0] == m            # the recovery's images
         if exploratory:
@@ -661,7 +660,6 @@ class TestChannelFormCheck:
         code = cached_fixture("five_qubit")
         subset = (4, 5)
         dec = structure.decompose(code, subset)
-        split = dec.split
         kept = [q for q in range(1, 6) if q not in subset]
         for w in [np.array([1.0, 0]), np.array([0, 1.0]),
                   np.array([1, 1]) / np.sqrt(2), np.array([1, 1j]) / np.sqrt(2)]:

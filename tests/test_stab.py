@@ -488,7 +488,7 @@ def assert_same_report(gf2, dense):
     """Every field of a group's GF(2) report against the moment route's
     report on its codewords."""
     assert (gf2.method, dense.method) == (analysis.GF2, analysis.MOMENTS)
-    assert gf2.split == dense.split
+    assert gf2.subset == dense.subset
     assert gf2.correctable == dense.correctable
     assert gf2.trichotomy == dense.trichotomy
     assert gf2.marginal_rank == dense.marginal_rank
@@ -534,8 +534,8 @@ class TestGf2AgainstAnalysis:
             for gf2, dense in zip(analysis.scan_subsets(g, b), analysis.scan_subsets(code, b),
                                   strict=True):
                 assert_same_report(gf2, dense)
-                assert_same_report(analysis.analyze_subset(g, gf2.split.erased[::-1]),
-                                   analysis.analyze_subset(code, dense.split.erased[::-1]))
+                assert_same_report(analysis.analyze_subset(g, gf2.subset[::-1]),
+                                   analysis.analyze_subset(code, dense.subset[::-1]))
 
 
 class TestMinDistance:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eaqec import analysis, codes, qla, stab, structure
+from eaqec import analysis, codes, stab, structure
 from eaqec.errors import ContractError, NotCorrectableError, StructureViolationError
 
 from conftest import (CYCLIC11_GENS, SHOR_GENS, apply_on_kept, array_from_json, assert_bit_exact,
@@ -71,10 +71,11 @@ class TestDecompose:
         k, r = dec.k_dim, dec.ancilla_dim
         assert (k, r) == (code.k_dim, dim_a)
         u = dec.isometry
-        assert u.shape == (dec.split.dim_kept, k * r)
+        assert (dec.n, dec.subset) == (code.n, tuple(subset))
+        assert u.shape == (1 << (code.n - len(subset)), k * r)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(k * r), atol=1e-9)
 
-        psi = dec.shared_state.reshape(r, dec.split.dim_erased)
+        psi = dec.shared_state.reshape(r, 1 << len(subset))
         assert abs(np.linalg.norm(dec.shared_state) - 1.0) < 1e-10
         for i in range(k):
             want = oracle_kept_erased_matrix(code.basis[i], code.n, subset)
@@ -306,9 +307,9 @@ class TestLogicalUnitary:
         lifted = logical_unitary_on_complement(dec, x)
         d = lifted.shape[0]
         np.testing.assert_allclose(lifted @ lifted.conj().T, np.eye(d), atol=1e-9)
-        out = apply_on_kept(code.basis[0], dec.split, lifted)
+        out = apply_on_kept(code.basis[0], dec.subset, lifted)
         np.testing.assert_allclose(out, code.basis[1], atol=1e-8)
-        back = apply_on_kept(code.basis[1], dec.split, lifted)
+        back = apply_on_kept(code.basis[1], dec.subset, lifted)
         np.testing.assert_allclose(back, code.basis[0], atol=1e-8)
 
     def test_phase_flip_signs_codeword(self):
@@ -316,7 +317,7 @@ class TestLogicalUnitary:
         dec = structure.decompose(code, (4, 5))
         z = np.diag([1.0, -1.0]).astype(complex)
         lifted = logical_unitary_on_complement(dec, z)
-        out = apply_on_kept(code.basis[1], dec.split, lifted)
+        out = apply_on_kept(code.basis[1], dec.subset, lifted)
         np.testing.assert_allclose(out, -code.basis[1], atol=1e-8)
 
     def test_identity_lifts_to_identity(self):
@@ -337,11 +338,10 @@ class TestApplyOnKept:
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(7)
         n, subset = 4, (2, 4)
-        split = qla.SubsystemSplit(n=n, erased=subset)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        out = apply_on_kept(state, split, op)
+        out = apply_on_kept(state, subset, op)
         want = op @ oracle_kept_erased_matrix(state, n, subset)
         np.testing.assert_allclose(
             oracle_kept_erased_matrix(out, n, subset), want, atol=1e-12)
