@@ -45,6 +45,41 @@ def oracle_permute(state, n, order):
     return out
 
 
+def labelled_cut(n, erased):
+    """The cut of the state whose amplitude at basis index i is i, so each
+    entry [r, c] names the basis index that the cut put there."""
+    m = qla.bipartite_matrix(np.arange(float(1 << n))[None], [erased])
+    assert m.shape == (1, 1 << (n - len(erased)), 1, 1 << len(erased))
+    return m[0, :, 0].real.astype(int)
+
+
+class TestSubsystemSplit:
+    """How the cut splits n qubits: kept qubits ascending on the rows,
+    erased qubits in the given order on the columns (hand-derived cases)."""
+
+    def test_basic_fields(self):
+        # erasing the last two of five qubits keeps the index order:
+        # row = bits of qubits 1,2,3 and column = bits of qubits 4,5
+        m = labelled_cut(5, (4, 5))
+        assert m.shape == (8, 4)
+        assert np.array_equal(m, np.arange(32).reshape(8, 4))
+
+    def test_erased_order_preserved(self):
+        # n = 4, erased (3, 1): rows spell qubits (2, 4), columns (3, 1);
+        # basis index = 8 q1 + 4 q2 + 2 q3 + q4
+        m = labelled_cut(4, (3, 1))
+        want = np.zeros((4, 4), dtype=int)
+        for q2, q4, q3, q1 in np.ndindex(2, 2, 2, 2):
+            want[2 * q2 + q4, 2 * q3 + q1] = 8 * q1 + 4 * q2 + 2 * q3 + q4
+        assert np.array_equal(m, want)
+
+    def test_empty_erased(self):
+        # nothing erased: every qubit is kept and the one column is the state
+        m = labelled_cut(3, ())
+        assert m.shape == (8, 1)
+        assert np.array_equal(m.ravel(), np.arange(8))
+
+
 class TestPermutation:
     """The cut is a qubit permutation, kept qubits first, then a reshape."""
 
